@@ -16,12 +16,26 @@
 //! (waves are sequential in sim time; flights within a wave fly
 //! concurrently, so a tenant's latency is the sim time of the waves
 //! before its flight plus its own flight's duration).
+//!
+//! Finally it gates the per-second state digest's growth over a long
+//! hover flight (the digest must cost about the same late in a flight
+//! as early on) and reports what one sealed log segment costs to
+//! re-hash and to fold into a start-state table, the two costs the
+//! digest's rent-then-buy threshold is derived from.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
+use std::time::Instant;
 
 use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, FleetTenant};
-use androne::hal::GeoPoint;
-use androne::{execute_scale_fleet, ScaleConfig, ScaleOutcome};
+use androne::flight::log_analyzer::AttSample;
+use androne::hal::{Attitude, GeoPoint};
+use androne::mavlink::Message;
+use androne::planner::{FlightPlan, Leg};
+use androne::simkern::statehash::{RENT_FOLDS, SEGMENT_ITEMS};
+use androne::simkern::{AppendLog, LogItem, StateHash};
+use androne::{execute_flight_probed, execute_scale_fleet, ScaleConfig, ScaleOutcome};
+use androne::{DigestProbe, Drone, FlightProbe};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use criterion::{black_box, Criterion};
 use serde_json::Value;
@@ -153,6 +167,109 @@ fn rung_report(tenants: usize, out: &ScaleOutcome, wall_s: f64) -> Value {
     ])
 }
 
+/// Times every `DigestProbe` call of a flight, one entry per tick.
+struct TimedDigest {
+    inner: DigestProbe,
+    ns: Vec<f64>,
+}
+
+impl FlightProbe for TimedDigest {
+    fn on_tick(&mut self, tick: u64, drone: &mut Drone) {
+        let t0 = Instant::now();
+        self.inner.on_tick(tick, drone);
+        self.ns.push(t0.elapsed().as_nanos() as f64);
+    }
+}
+
+/// Simulated seconds of the digest-growth flight.
+const GROWTH_FLIGHT_S: f64 = 600.0;
+
+/// Flies a hover flight of [`GROWTH_FLIGHT_S`] (three tenants, one
+/// drone) and returns the mean digest ns per tick over the last 10%
+/// of ticks divided by the mean over the first 10%.
+fn digest_growth() -> f64 {
+    let spots =
+        [(20.0, 10.0), (-15.0, 25.0), (10.0, -20.0)].map(|(n, e)| BASE.offset_m(n, e, 15.0));
+    let service_s = GROWTH_FLIGHT_S / spots.len() as f64;
+    let mut drone = Drone::boot(BASE, SEED).expect("boot");
+    let mut legs = Vec::new();
+    for (i, at) in spots.iter().enumerate() {
+        let owner = format!("vd{}", i + 1);
+        let mut spec = tenants()[i].spec.clone();
+        spec.waypoints = vec![WaypointSpec {
+            latitude: at.latitude,
+            longitude: at.longitude,
+            altitude: 15.0,
+            max_radius: 40.0,
+        }];
+        spec.max_duration = service_s;
+        spec.energy_allotted = 200_000.0;
+        drone.deploy_vdrone(&owner, spec, &[]).expect("deploy");
+        legs.push(Leg {
+            owner,
+            position: *at,
+            max_radius_m: 40.0,
+            service_energy_j: 200_000.0,
+            service_time_s: service_s,
+            eta_s: 10.0,
+        });
+    }
+    let plan = FlightPlan {
+        base: BASE,
+        legs,
+        estimated_duration_s: GROWTH_FLIGHT_S,
+        estimated_energy_j: 600_000.0,
+    };
+    let mut probe = TimedDigest {
+        inner: DigestProbe::new(),
+        ns: Vec::new(),
+    };
+    let outcome = execute_flight_probed(&mut drone, plan, 2.0 * GROWTH_FLIGHT_S, None, &mut probe);
+    assert!(
+        outcome.completed,
+        "digest-growth flight ended {:?}",
+        outcome.end_reason
+    );
+    let k = (probe.ns.len() / 10).max(1);
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    mean(&probe.ns[probe.ns.len() - k..]) / mean(&probe.ns[..k])
+}
+
+/// Median ns of one ordinary fold of a log holding one sealed segment
+/// of `item`s, and of the fold that builds the segment's table (the
+/// build's own cost is the difference).
+fn segment_costs<T: LogItem + Clone>(item: impl Fn(usize) -> T) -> (f64, f64) {
+    const REPS: usize = 301;
+    let mut fresh = AppendLog::new();
+    fresh.extend((0..SEGMENT_ITEMS).map(item));
+    let due = fresh.clone();
+    for _ in 1..RENT_FOLDS {
+        due.hash_value();
+    }
+    let median = |log: &AppendLog<T>| {
+        let mut ns: Vec<f64> = (0..REPS)
+            .map(|_| {
+                let copy = log.clone();
+                let t0 = Instant::now();
+                black_box(copy.hash_value());
+                t0.elapsed().as_nanos() as f64
+            })
+            .collect();
+        ns.sort_by(f64::total_cmp);
+        ns[REPS / 2]
+    };
+    let rehash = median(&fresh);
+    (rehash, median(&due) - rehash)
+}
+
+fn segment_report(rehash_ns: f64, build_ns: f64) -> Value {
+    obj([
+        ("rehash_ns", Value::Number(rehash_ns)),
+        ("table_build_ns", Value::Number(build_ns)),
+        ("build_over_rehash", Value::Number(build_ns / rehash_ns)),
+    ])
+}
+
 fn obj(entries: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
     Value::Object(
         entries
@@ -246,7 +363,32 @@ fn main() {
     }
     let orders_per_wall_10k = 10_000.0 / wall_10k;
     let ladder_pass = ladder_identical && orders_per_wall_10k >= ORDERS_PER_SEC_FLOOR_10K;
-    let pass = pool_pass && ladder_pass;
+
+    // The digest's late-flight cost over its early-flight cost. A
+    // digest that re-hashes whole logs grows about 17x over this
+    // flight.
+    const DIGEST_GROWTH_CEILING: f64 = 5.0;
+    let growth = digest_growth();
+    let growth_pass = growth <= DIGEST_GROWTH_CEILING;
+    let outbox_costs = segment_costs(|i| {
+        Rc::new(Message::Attitude {
+            time_boot_ms: i as u32,
+            roll: 0.01,
+            pitch: -0.02,
+            yaw: 1.5,
+        })
+    });
+    let att = Attitude {
+        roll: 0.01,
+        pitch: -0.02,
+        yaw: 1.5,
+    };
+    let att_costs = segment_costs(|i| AttSample {
+        t: i as f64 * 0.1,
+        estimated: att,
+        canonical: att,
+    });
+    let pass = pool_pass && ladder_pass && growth_pass;
 
     let report = obj([
         (
@@ -287,6 +429,22 @@ fn main() {
             ]),
         ),
         (
+            "digest_growth",
+            obj([
+                ("host_cores", Value::Number(host_cores as f64)),
+                ("flight_sim_s", Value::Number(GROWTH_FLIGHT_S)),
+                ("measured", Value::Number(growth)),
+                ("ceiling", Value::Number(DIGEST_GROWTH_CEILING)),
+                ("segment_items", Value::Number(SEGMENT_ITEMS as f64)),
+                ("rent_folds", Value::Number(f64::from(RENT_FOLDS))),
+                (
+                    "outbox_segment",
+                    segment_report(outbox_costs.0, outbox_costs.1),
+                ),
+                ("att_segment", segment_report(att_costs.0, att_costs.1)),
+            ]),
+        ),
+        (
             "acceptance",
             obj([
                 ("host_cores", Value::Number(host_cores as f64)),
@@ -305,6 +463,11 @@ fn main() {
                 (
                     "ladder_10k_orders_per_sec_floor",
                     Value::Number(ORDERS_PER_SEC_FLOOR_10K),
+                ),
+                ("digest_growth_measured", Value::Number(growth)),
+                (
+                    "digest_growth_ceiling",
+                    Value::Number(DIGEST_GROWTH_CEILING),
                 ),
                 ("pass", Value::Bool(pass)),
             ]),
@@ -328,6 +491,12 @@ fn main() {
         orders_per_wall_10k,
         100_000.0 / wall_100k,
     );
+    println!(
+        "digest growth over a {GROWTH_FLIGHT_S:.0} sim-s hover: {growth:.2}x (ceiling {DIGEST_GROWTH_CEILING:.1}x); \
+         segment table build / re-hash: outbox {:.1}, ATT log {:.1} (rent {RENT_FOLDS} folds)",
+        outbox_costs.1 / outbox_costs.0,
+        att_costs.1 / att_costs.0,
+    );
     println!("report written to {out_path}");
     assert!(
         pool_pass,
@@ -337,5 +506,9 @@ fn main() {
         ladder_pass,
         "scaling ladder gate failed: 10k rung {orders_per_wall_10k:.0} orders/s \
          (floor {ORDERS_PER_SEC_FLOOR_10K:.0}) or digest matrix diverged"
+    );
+    assert!(
+        growth_pass,
+        "digest growth gate failed: {growth:.2}x > {DIGEST_GROWTH_CEILING:.1}x ceiling"
     );
 }

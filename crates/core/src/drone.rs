@@ -609,9 +609,9 @@ impl Drone {
     /// fixed order. Each entry is `(component name, FNV-1a hash of
     /// its full sim state)`; two runs under the same seed must
     /// produce identical vectors at every observation point.
-    pub fn component_hashes(&self) -> Vec<(&'static str, u64)> {
+    pub fn component_hashes(&self) -> [(&'static str, u64); 5] {
         use androne_simkern::StateHash;
-        vec![
+        [
             ("kernel", self.kernel.borrow().hash_value()),
             ("binder", self.driver.hash_value()),
             ("sitl", self.sitl.hash_value()),

@@ -97,7 +97,10 @@ impl FlightProbe for HashProbe<'_> {
                 subsystems: drone.detailed_hashes(),
             });
         }
-        self.trace.ticks.push(TickHashes { tick, components });
+        self.trace.ticks.push(TickHashes {
+            tick,
+            components: components.to_vec(),
+        });
     }
 }
 

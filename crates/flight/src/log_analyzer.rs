@@ -11,6 +11,7 @@
 //! same analysis.
 
 use androne_hal::Attitude;
+use androne_simkern::{AppendLog, LogItem};
 
 use crate::physics::wrap_pi;
 
@@ -77,7 +78,7 @@ impl AedReport {
 /// An in-memory flight log (the DataFlash-log stand-in).
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
-    samples: Vec<AttSample>,
+    samples: AppendLog<AttSample>,
 }
 
 impl FlightRecorder {
@@ -114,7 +115,7 @@ impl FlightRecorder {
             let mut window_start: Option<f64> = None;
             let mut window_peak = 0.0f64;
             let mut last_t = 0.0;
-            for s in &self.samples {
+            for s in self.samples.iter() {
                 let err = match axis {
                     Axis::Roll => (s.estimated.roll - s.canonical.roll).abs(),
                     Axis::Pitch => (s.estimated.pitch - s.canonical.pitch).abs(),
@@ -158,14 +159,20 @@ impl FlightRecorder {
     }
 }
 
+/// A sample hashes as its time, then the estimated and canonical
+/// attitudes (roll, pitch, yaw), each `f64` by bit pattern.
+impl LogItem for AttSample {
+    fn write_log_bytes(&self, out: &mut Vec<u8>) {
+        let (e, c) = (&self.estimated, &self.canonical);
+        for v in [self.t, e.roll, e.pitch, e.yaw, c.roll, c.pitch, c.yaw] {
+            out.extend(v.to_bits().to_le_bytes());
+        }
+    }
+}
+
 impl androne_simkern::StateHash for FlightRecorder {
     fn state_hash(&self, h: &mut androne_simkern::StateHasher) {
-        h.write_usize(self.samples.len());
-        for s in &self.samples {
-            h.write_f64(s.t);
-            s.estimated.state_hash(h);
-            s.canonical.state_hash(h);
-        }
+        self.samples.state_hash(h);
     }
 }
 

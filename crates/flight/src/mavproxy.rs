@@ -23,7 +23,7 @@ use std::rc::Rc;
 use androne_hal::GeoPoint;
 use androne_mavlink::{deg_to_e7, FlightMode, MavCmd, Message};
 use androne_obs::{ObsHandle, Subsystem, TraceEvent};
-use androne_simkern::{LinkModel, LinkState, StateHash, StateHasher};
+use androne_simkern::{AppendLog, LinkModel, LinkState, StateHash, StateHasher};
 use rand::rngs::SmallRng;
 
 use crate::sitl::Sitl;
@@ -103,7 +103,7 @@ struct ClientConn {
     /// Pending messages. Shared references: one telemetry message
     /// fanned out to N identity-view clients is stored once, not N
     /// times.
-    outbox: Vec<Rc<Message>>,
+    outbox: AppendLog<Rc<Message>>,
     /// Commands from this client forwarded to the controller.
     forwarded: u64,
     /// Commands from this client denied by its VFC.
@@ -114,7 +114,7 @@ impl ClientConn {
     fn new(vfc: Option<Vfc>) -> Self {
         ClientConn {
             vfc,
-            outbox: Vec::new(),
+            outbox: AppendLog::new(),
             forwarded: 0,
             denied: 0,
         }
@@ -301,7 +301,7 @@ impl MavProxy {
     /// path for consumers that only inspect messages.
     pub fn client_recv_shared(&mut self, name: &str) -> Vec<Rc<Message>> {
         match self.clients.get_mut(name) {
-            Some(conn) => std::mem::take(&mut conn.outbox),
+            Some(conn) => conn.outbox.take(),
             None => Vec::new(),
         }
     }
@@ -565,13 +565,9 @@ fn hash_conn(conn: &ClientConn, h: &mut StateHasher) {
         }
         None => h.write_u8(0),
     }
-    // Queued messages hash by their wire form: msg id plus encoded
-    // payload is a stable, total serialization.
-    h.write_usize(conn.outbox.len());
-    for msg in &conn.outbox {
-        h.write_u8(msg.msg_id());
-        h.write_bytes(&msg.encode_payload());
-    }
+    // Queued messages hash by their wire form (msg id plus encoded
+    // payload), folded incrementally by the append-only outbox.
+    conn.outbox.state_hash(h);
     h.write_u64(conn.forwarded);
     h.write_u64(conn.denied);
 }

@@ -14,6 +14,10 @@ use crate::wire;
 /// MAVLink v1 start-of-frame marker.
 pub const STX: u8 = 0xFE;
 
+/// Longest payload any [`Message`] encodes (STATUSTEXT: severity,
+/// length and 50 text bytes).
+const MAX_PAYLOAD_LEN: usize = 52;
+
 /// A framed message with routing metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -28,18 +32,18 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Serializes the frame to wire bytes.
+    /// Serializes the frame to wire bytes. The payload is encoded in
+    /// place after the header, so a frame costs one allocation.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.msg.encode_payload();
-        let msg_id = self.msg.msg_id();
-        let mut out = Vec::with_capacity(8 + payload.len());
+        let mut out = Vec::with_capacity(8 + MAX_PAYLOAD_LEN);
         out.push(STX);
-        out.push(wire::len8(payload.len()));
+        out.push(0); // Length, patched once the payload is in place.
         out.push(self.seq);
         out.push(self.sysid);
         out.push(self.compid);
-        out.push(msg_id);
-        out.extend(&payload);
+        out.push(self.msg.msg_id());
+        self.msg.encode_payload_into(&mut out);
+        out[1] = wire::len8(out.len() - 6);
         let mut crc = CRC_INIT;
         for &b in &out[1..] {
             crc = accumulate(crc, b);

@@ -7,6 +7,8 @@
 //! MAVLink's size-sorted field reordering; the framing, checksums,
 //! and semantics are faithful).
 
+use androne_simkern::LogItem;
+
 use crate::error::MavError;
 use crate::wire;
 
@@ -338,6 +340,13 @@ impl Message {
     /// Serializes the payload (little-endian, declaration order).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_payload_into(&mut out);
+        out
+    }
+
+    /// Appends the payload [`Message::encode_payload`] returns to
+    /// `out`, without allocating a buffer of its own.
+    pub fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             Message::Heartbeat {
                 mode,
@@ -424,7 +433,6 @@ impl Message {
                 out.extend(&bytes[..n]);
             }
         }
-        out
     }
 
     /// Deserializes a payload for `msg_id`.
@@ -501,6 +509,15 @@ impl Message {
             return Err(MavError::Malformed("trailing payload bytes".into()));
         }
         Ok(msg)
+    }
+}
+
+/// A queued message hashes by its wire form: msg id plus encoded
+/// payload is a stable, total serialization.
+impl LogItem for Message {
+    fn write_log_bytes(&self, out: &mut Vec<u8>) {
+        out.push(self.msg_id());
+        self.encode_payload_into(out);
     }
 }
 

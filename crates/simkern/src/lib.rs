@@ -57,7 +57,7 @@ pub use rng::{
     adversary_stream_rng, attack_stream_rng, fault_stream_rng, fleet_fault_stream_rng,
     refill_jitter_ns, rt_monitor_stream_rng, stream_rng,
 };
-pub use statehash::{substream_seed, StateHash, StateHasher};
+pub use statehash::{substream_seed, AppendLog, LogItem, StateHash, StateHasher};
 pub use stats::{LogHistogram, Summary};
 pub use task::{ContainerId, Euid, Pid, SchedPolicy, Task, TaskState, TaskTable};
 pub use time::{SimDuration, SimTime};

@@ -18,6 +18,12 @@
 # depth; the 10k rung must be bit-identical across shards 1/4 and
 # threads 1/4 and clear an absolute 10k orders/sec floor.
 #
+# Finally it flies a 600 sim-s hover flight and gates the per-second
+# state digest's growth: mean digest ns per tick over the last 10% of
+# ticks over the mean over the first 10% must stay at or below 5 (the
+# report's `digest_growth` object, with the host's core count and the
+# per-segment re-hash and table-build costs behind the digest's rent).
+#
 # Usage: scripts/fleet_bench.sh [scale]
 #   scale: ANDRONE_BENCH_SCALE value (default 5; higher = faster,
 #          noisier). Pass 1 for a full-fidelity run.
@@ -39,6 +45,6 @@ fi
 if grep -q '"pass": true' "$OUT"; then
     echo "fleet bench PASS ($OUT)"
 else
-    echo "fleet bench FAIL: speedup or scaling-ladder gate not met (see $OUT)" >&2
+    echo "fleet bench FAIL: speedup, scaling-ladder or digest-growth gate not met (see $OUT)" >&2
     exit 1
 fi

@@ -115,7 +115,7 @@ fn run_with_faults_configured(
         let mut recorder = FnProbe::new(|tick, drone: &mut Drone| {
             trace.ticks.push(TickHashes {
                 tick,
-                components: drone.component_hashes(),
+                components: drone.component_hashes().to_vec(),
             });
             let d = drone.sitl.position().distance_m(&BASE);
             if d > max_base_distance_m {
@@ -245,7 +245,7 @@ fn empty_fault_plan_is_bit_identical_to_baseline() {
         let mut recorder = FnProbe::new(|tick, drone: &mut Drone| {
             trace.ticks.push(TickHashes {
                 tick,
-                components: drone.component_hashes(),
+                components: drone.component_hashes().to_vec(),
             });
         });
         let mut probes = ProbeStack::new();

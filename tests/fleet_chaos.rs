@@ -317,7 +317,7 @@ fn empty_fleet_plan_is_bit_identical_to_pr3_baseline() {
         let mut recorder = FnProbe::new(|tick, drone: &mut Drone| {
             trace.ticks.push(TickHashes {
                 tick,
-                components: drone.component_hashes(),
+                components: drone.component_hashes().to_vec(),
             });
         });
         let mut probes = ProbeStack::new();
