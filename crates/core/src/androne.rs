@@ -8,11 +8,12 @@
 //! can resume on a later flight).
 
 use androne_android::AndroneManifest;
-use androne_cloud::{CloudService, NotificationKind, PlacedOrder, SaveReason, SavedVirtualDrone};
+use androne_cloud::{CloudService, NotificationKind, PlacedOrder};
 use androne_hal::GeoPoint;
 use androne_planner::FlightPlan;
 
 use crate::drone::{Drone, DroneError};
+use crate::fleet::{deploy_owner, harvest_owner, OwnerSource};
 use crate::flight_exec::{execute_flight, AbortCheck, FlightOutcome};
 
 /// The assembled service.
@@ -78,50 +79,34 @@ impl Androne {
         self.seed = self.seed.wrapping_add(100);
         let mut drone = Drone::boot(self.base, self.seed)?;
 
-        // Deploy every virtual drone this plan serves.
-        let owners: Vec<String> = {
-            let mut o: Vec<String> = plan.legs.iter().map(|l| l.owner.clone()).collect();
-            o.dedup();
-            o.sort();
-            o.dedup();
-            o
-        };
-        // Prior progress per owner, for resumed drones' bookkeeping.
-        let mut prior: std::collections::BTreeMap<String, (usize, u32)> =
-            std::collections::BTreeMap::new();
-        for owner in &owners {
+        // Deploy every virtual drone this plan serves, keeping each
+        // one's order and prior progress for the post-flight save.
+        let mut owners: Vec<&str> = plan.legs.iter().map(|l| l.owner.as_str()).collect();
+        owners.sort();
+        owners.dedup();
+        let mut aboard: Vec<(&PlacedOrder, (usize, u32))> = Vec::new();
+        for owner in owners {
             let order = orders
                 .iter()
-                .find(|o| &o.vd_name == owner)
-                .ok_or_else(|| DroneError::UnknownVirtualDrone(owner.clone()))?;
+                .find(|o| o.vd_name == owner)
+                .ok_or_else(|| DroneError::UnknownVirtualDrone(owner.to_string()))?;
             // Resume from the VDR if stored, otherwise fresh deploy.
             // The entry is leased during the deploy: a failure
             // abandons the lease and the stored drone survives.
-            if let Some(saved) = self.cloud.vdr.checkout(owner) {
-                let manifests = self.manifests_for(order);
-                let spec = saved.resume_spec().unwrap_or_else(|| saved.spec.clone());
-                match drone.deploy_from_archive(&saved.archive, spec, &manifests, &saved.app_state)
-                {
-                    Ok(_) => {
-                        self.cloud.vdr.commit(owner);
-                        // A non-resumable entry redeploys its full
-                        // spec, so its mission progress restarts.
-                        let wp_prior = if saved.resumable() {
-                            saved.waypoints_completed
-                        } else {
-                            0
-                        };
-                        prior.insert(owner.clone(), (wp_prior, saved.flights_flown));
-                    }
-                    Err(e) => {
-                        self.cloud.vdr.abandon(owner);
-                        return Err(e);
-                    }
+            let manifests = self.manifests_for(order);
+            let source = match self.cloud.vdr.checkout(owner) {
+                Some(saved) => OwnerSource::Resume(saved),
+                None => OwnerSource::Fresh(order.spec.clone()),
+            };
+            let deployed = deploy_owner(&mut drone, owner, &source, &manifests);
+            if matches!(source, OwnerSource::Resume(_)) {
+                if deployed.is_ok() {
+                    self.cloud.vdr.commit(owner);
+                } else {
+                    self.cloud.vdr.abandon(owner);
                 }
-            } else {
-                let manifests = self.manifests_for(order);
-                drone.deploy_vdrone(owner, order.spec.clone(), &manifests)?;
             }
+            aboard.push((order, deployed?));
             // Notify the user their drone is taking off (paper
             // Section 2: email/text with access information).
             self.cloud.notify(
@@ -136,62 +121,19 @@ impl Androne {
         let flight_id = self.cloud.new_flight_id();
         let outcome = execute_flight(&mut drone, plan, max_sim_seconds, abort);
 
-        // Post-flight bookkeeping per virtual drone.
-        for owner in &owners {
-            let Some(order) = orders.iter().find(|o| &o.vd_name == owner) else {
-                continue;
-            };
-            // Collect marked files from the container before export.
-            let (marked, energy_used, completed_all, wp_this_flight, remaining_e, remaining_t) = {
-                let vdc = drone.vdc.borrow();
-                let rec = vdc.record(owner);
-                (
-                    rec.map(|r| r.marked_files.clone()).unwrap_or_default(),
-                    rec.map(|r| r.spec.energy_allotted - r.energy_remaining_j())
-                        .unwrap_or(0.0),
-                    rec.map(|r| r.waypoints_completed() >= r.spec.waypoints.len())
-                        .unwrap_or(false),
-                    rec.map(|r| r.waypoints_completed()).unwrap_or(0),
-                    rec.map(|r| r.energy_remaining_j()).unwrap_or(0.0),
-                    rec.map(|r| r.time_remaining_s()).unwrap_or(0.0),
-                )
-            };
-            let mut files = Vec::new();
-            for path in marked {
-                if let Some(vd) = drone.vdrones.get(owner) {
-                    let _ = vd;
-                }
-                let data = drone
-                    .runtime
-                    .get(owner)
-                    .and_then(|c| c.fs.read(&path))
-                    .unwrap_or_else(|| bytes::Bytes::from_static(b""));
-                files.push((path, data));
-            }
+        // Post-flight: offload marked files, bill the energy used,
+        // and save each virtual drone in the VDR.
+        for (order, prior) in aboard {
+            let mut post = harvest_owner(&mut drone, &order.vd_name, &outcome.log, prior)?;
+            self.cloud.complete_flight(
+                &order.user,
+                flight_id,
+                post.energy_used,
+                std::mem::take(&mut post.file_data),
+            );
             self.cloud
-                .complete_flight(&order.user, flight_id, energy_used, files);
-
-            // Save the virtual drone in the VDR with resume
-            // bookkeeping: absolute mission progress and the
-            // allotment left to carry onto the next flight.
-            let (wp_prior, flights_prior) = prior.get(owner).copied().unwrap_or((0, 0));
-            let (archive, app_state) = drone.save_vdrone(owner)?;
-            self.cloud.vdr.store(SavedVirtualDrone {
-                name: owner.clone(),
-                owner: order.user.clone(),
-                spec: order.spec.clone(),
-                archive,
-                app_state,
-                reason: if completed_all {
-                    SaveReason::Completed
-                } else {
-                    SaveReason::Interrupted
-                },
-                remaining_energy_j: remaining_e,
-                remaining_time_s: remaining_t,
-                waypoints_completed: wp_prior + wp_this_flight,
-                flights_flown: flights_prior + 1,
-            });
+                .vdr
+                .store(post.into_saved(order.user.clone(), order.spec.clone()));
         }
         Ok(outcome)
     }

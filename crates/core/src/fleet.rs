@@ -20,13 +20,13 @@
 //! plan: per-flight kernel seeds are FNV-mixed from
 //! `(seed, wave, flight_index)`, iteration orders are `BTreeMap`
 //! orders, and the RNG streams never observe wall clock. Two runs of
-//! [`execute_fleet`] with equal inputs are bit-identical — the fleet
+//! [`FleetSpec::run`] with equal inputs are bit-identical — the fleet
 //! chaos gate's first invariant.
 //!
 //! ## Deterministic parallel waves
 //!
-//! The fly phase runs on a [`WorkerPool`](crate::pool::WorkerPool)
-//! when [`FleetConfig::threads`] > 1. Each flight becomes a
+//! The fly phase runs on a [`WorkerPool`] when
+//! [`FleetConfig::threads`] > 1. Each flight becomes a
 //! single-threaded *island*: a `Send`-able work item (the plan, the
 //! deploy sources, the effective fault plan, and the flight's RNG
 //! substream seed) that boots its own drone on a worker thread. The
@@ -45,9 +45,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use androne_cloud::{
-    AdmissionConfig, AdmissionQueue, FallibleCloud, PlacedOrder, SaveReason, SavedVirtualDrone,
-};
+use androne_android::AndroneManifest;
+use androne_cloud::{FallibleCloud, PlacedOrder, SaveReason, SavedVirtualDrone};
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle, Subsystem, TraceSegment};
 use androne_planner::FlightPlan;
@@ -276,9 +275,9 @@ fn end_reason_tag(r: EndReason) -> u8 {
 
 /// Fleet-level adversarial workload: per-flight-index attack plans
 /// plus the enforcement posture shared by every attacked flight.
-/// [`FleetAttackPlan::none`] (what [`execute_fleet`] uses) drives
-/// zero attack machinery — the attacked executor with an empty plan
-/// is bit-identical to the legacy one.
+/// [`FleetAttackPlan::none`] (what [`FleetSpec::new`] starts from)
+/// drives zero attack machinery — a run with an empty plan is
+/// bit-identical to the unattacked executor.
 #[derive(Debug, Clone, Default)]
 pub struct FleetAttackPlan {
     /// Attack plans keyed by global flight index; missing indices fly
@@ -349,7 +348,7 @@ struct TenantState {
 /// checkout (resume) or the tenant's fresh order spec. Captured at
 /// partition time so the island owns everything it deploys.
 #[derive(Clone)]
-enum OwnerSource {
+pub(crate) enum OwnerSource {
     Resume(SavedVirtualDrone),
     Fresh(VirtualDroneSpec),
 }
@@ -389,21 +388,152 @@ struct PlanWork {
     flight_index: usize,
 }
 
-/// Per-owner bookkeeping an island brings back for the merge step.
-struct OwnerPost {
+/// Per-owner bookkeeping a flown drone hands back to the cloud side.
+pub(crate) struct OwnerPost {
     owner: String,
     wp_prior: usize,
     flights_prior: u32,
-    energy_used: f64,
+    pub(crate) energy_used: f64,
     time_used: f64,
     completed_all: bool,
     wp_flight: usize,
     rem_e: f64,
     rem_t: f64,
     revoked: bool,
-    file_data: Vec<(String, bytes::Bytes)>,
+    pub(crate) file_data: Vec<(String, bytes::Bytes)>,
     archive: androne_container::ContainerArchive,
     app_state: String,
+}
+
+impl OwnerPost {
+    /// The VDR entry for this drone, with resume bookkeeping: absolute
+    /// mission progress and the allotment left to carry onto the next
+    /// flight. Marked files are not part of it; take them first.
+    pub(crate) fn into_saved(self, user: String, spec: VirtualDroneSpec) -> SavedVirtualDrone {
+        SavedVirtualDrone {
+            name: self.owner,
+            owner: user,
+            spec,
+            archive: self.archive,
+            app_state: self.app_state,
+            reason: if self.completed_all {
+                SaveReason::Completed
+            } else {
+                SaveReason::Interrupted
+            },
+            remaining_energy_j: self.rem_e,
+            remaining_time_s: self.rem_t,
+            waypoints_completed: self.wp_prior + self.wp_flight,
+            flights_flown: self.flights_prior + 1,
+        }
+    }
+}
+
+/// Deploys `owner` onto `drone` from `source`: a resumed drone from
+/// its VDR archive (the truncated resume spec when it has one), a
+/// fresh drone from its order spec. Returns the owner's prior
+/// `(waypoints completed, flights flown)`; a non-resumable entry
+/// redeploys its full spec, so its mission progress restarts.
+pub(crate) fn deploy_owner(
+    drone: &mut Drone,
+    owner: &str,
+    source: &OwnerSource,
+    manifests: &[AndroneManifest],
+) -> Result<(usize, u32), DroneError> {
+    match source {
+        OwnerSource::Resume(saved) => {
+            let spec = saved.resume_spec().unwrap_or_else(|| saved.spec.clone());
+            drone.deploy_from_archive(&saved.archive, spec, manifests, &saved.app_state)?;
+            let wp = if saved.resumable() {
+                saved.waypoints_completed
+            } else {
+                0
+            };
+            Ok((wp, saved.flights_flown))
+        }
+        OwnerSource::Fresh(spec) => {
+            drone.deploy_vdrone(owner, spec.clone(), manifests)?;
+            Ok((0, 0))
+        }
+    }
+}
+
+/// Post-flight reads for one owner, then the save: restores a crash
+/// checkpoint left pending, reads the VDC record and the marked
+/// files, notes whether the watchdog revoked the drone during
+/// `log`'s flight, and exports it with `save_vdrone`. `prior` is what
+/// [`deploy_owner`] returned.
+pub(crate) fn harvest_owner(
+    drone: &mut Drone,
+    owner: &str,
+    log: &[FlightLog],
+    (wp_prior, flights_prior): (usize, u32),
+) -> Result<OwnerPost, DroneError> {
+    // A crash window that crossed the flight's end leaves its
+    // checkpoint pending; restore before saving.
+    if drone.pending_restarts.contains_key(owner) {
+        drone.supervised_restart_vdrone(owner)?;
+    }
+    let (files, energy_used, time_used, completed_all, wp_flight, rem_e, rem_t) = {
+        let vdc = drone.vdc.borrow();
+        let rec = vdc.record(owner);
+        (
+            rec.map(|r| r.marked_files.clone()).unwrap_or_default(),
+            rec.map(|r| r.spec.energy_allotted - r.energy_remaining_j())
+                .unwrap_or(0.0),
+            rec.map(|r| r.spec.max_duration - r.time_remaining_s())
+                .unwrap_or(0.0),
+            rec.map(|r| r.waypoints_completed() >= r.spec.waypoints.len())
+                .unwrap_or(false),
+            rec.map(|r| r.waypoints_completed()).unwrap_or(0),
+            rec.map(|r| r.energy_remaining_j()).unwrap_or(0.0),
+            rec.map(|r| r.time_remaining_s()).unwrap_or(0.0),
+        )
+    };
+    let file_data: Vec<(String, bytes::Bytes)> = files
+        .into_iter()
+        .map(|path| {
+            let data = drone
+                .runtime
+                .get(owner)
+                .and_then(|c| c.fs.read(&path))
+                .unwrap_or_else(|| bytes::Bytes::from_static(b""));
+            (path, data)
+        })
+        .collect();
+    // Revocation shows up as a WaypointEnd when it fired at an
+    // active waypoint, or only as the VDC record flag when the
+    // QoS ladder revoked the tenant mid-transit.
+    let revoked = log.iter().any(|e| {
+        matches!(
+            e,
+            FlightLog::WaypointEnd {
+                owner: o,
+                reason: EndReason::WatchdogRevoked,
+                ..
+            } if o == owner
+        )
+    }) || drone
+        .vdc
+        .borrow()
+        .record(owner)
+        .is_some_and(|r| r.revoked);
+    let (archive, app_state) = drone.save_vdrone(owner)?;
+    Ok(OwnerPost {
+        owner: owner.to_string(),
+        wp_prior,
+        flights_prior,
+        energy_used,
+        time_used,
+        completed_all,
+        wp_flight,
+        rem_e,
+        rem_t,
+        revoked,
+        file_data,
+        archive,
+        app_state,
+    })
 }
 
 /// A flight that actually flew, ready to merge.
@@ -456,37 +586,16 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
         panic!("worker chaos: injected panic at flight {}", item.flight_index);
     }
     let mut drone = Drone::boot(item.base, item.seed)?;
-    let mut prior: BTreeMap<String, (usize, u32)> = BTreeMap::new();
+    let mut priors: Vec<(usize, u32)> = Vec::with_capacity(item.owners.len());
     for (owner, source) in item.owners.iter().zip(item.sources.iter()) {
-        let failed = match source {
-            OwnerSource::Resume(saved) => {
-                let spec = saved.resume_spec().unwrap_or_else(|| saved.spec.clone());
-                match drone.deploy_from_archive(&saved.archive, spec, &[], &saved.app_state) {
-                    Ok(_) => {
-                        let wp = if saved.resumable() {
-                            saved.waypoints_completed
-                        } else {
-                            0
-                        };
-                        prior.insert(owner.clone(), (wp, saved.flights_flown));
-                        None
-                    }
-                    Err(e) => Some(e),
-                }
+        match deploy_owner(&mut drone, owner, source, &[]) {
+            Ok(prior) => priors.push(prior),
+            Err(e) => {
+                return Ok(IslandVerdict::Scrapped {
+                    owner: owner.clone(),
+                    error: e.to_string(),
+                })
             }
-            OwnerSource::Fresh(spec) => match drone.deploy_vdrone(owner, spec.clone(), &[]) {
-                Ok(_) => {
-                    prior.insert(owner.clone(), (0, 0));
-                    None
-                }
-                Err(e) => Some(e),
-            },
-        };
-        if let Some(e) = failed {
-            return Ok(IslandVerdict::Scrapped {
-                owner: owner.clone(),
-                error: e.to_string(),
-            });
         }
     }
     drone.vdc.borrow_mut().set_watchdog(item.watchdog);
@@ -524,75 +633,12 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
         )
     };
 
-    let mut per_owner: Vec<OwnerPost> = Vec::new();
-    for owner in item.owners.iter() {
-        // A crash window that crossed the flight's end leaves its
-        // checkpoint pending; restore before saving.
-        if drone.pending_restarts.contains_key(owner) {
-            drone.supervised_restart_vdrone(owner)?;
-        }
-        let (files, energy_used, time_used, completed_all, wp_flight, rem_e, rem_t) = {
-            let vdc = drone.vdc.borrow();
-            let rec = vdc.record(owner);
-            (
-                rec.map(|r| r.marked_files.clone()).unwrap_or_default(),
-                rec.map(|r| r.spec.energy_allotted - r.energy_remaining_j())
-                    .unwrap_or(0.0),
-                rec.map(|r| r.spec.max_duration - r.time_remaining_s())
-                    .unwrap_or(0.0),
-                rec.map(|r| r.waypoints_completed() >= r.spec.waypoints.len())
-                    .unwrap_or(false),
-                rec.map(|r| r.waypoints_completed()).unwrap_or(0),
-                rec.map(|r| r.energy_remaining_j()).unwrap_or(0.0),
-                rec.map(|r| r.time_remaining_s()).unwrap_or(0.0),
-            )
-        };
-        let file_data: Vec<(String, bytes::Bytes)> = files
-            .into_iter()
-            .map(|path| {
-                let data = drone
-                    .runtime
-                    .get(owner)
-                    .and_then(|c| c.fs.read(&path))
-                    .unwrap_or_else(|| bytes::Bytes::from_static(b""));
-                (path, data)
-            })
-            .collect();
-        // Revocation shows up as a WaypointEnd when it fired at an
-        // active waypoint, or only as the VDC record flag when the
-        // QoS ladder revoked the tenant mid-transit.
-        let revoked = outcome.log.iter().any(|e| {
-            matches!(
-                e,
-                FlightLog::WaypointEnd {
-                    owner: o,
-                    reason: EndReason::WatchdogRevoked,
-                    ..
-                } if o == owner
-            )
-        }) || drone
-            .vdc
-            .borrow()
-            .record(owner)
-            .is_some_and(|r| r.revoked);
-        let (wp_prior, flights_prior) = prior.get(owner).copied().unwrap_or((0, 0));
-        let (archive, app_state) = drone.save_vdrone(owner)?;
-        per_owner.push(OwnerPost {
-            owner: owner.clone(),
-            wp_prior,
-            flights_prior,
-            energy_used,
-            time_used,
-            completed_all,
-            wp_flight,
-            rem_e,
-            rem_t,
-            revoked,
-            file_data,
-            archive,
-            app_state,
-        });
-    }
+    let per_owner = item
+        .owners
+        .iter()
+        .zip(priors)
+        .map(|(owner, prior)| harvest_owner(&mut drone, owner, &outcome.log, prior))
+        .collect::<Result<Vec<OwnerPost>, DroneError>>()?;
 
     let metrics = drone.obs.with(|o| o.metrics.clone()).unwrap_or_default();
     let fault_trace = drone
@@ -626,36 +672,30 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
 ///     .threads(4)
 ///     .faults(plan)
 ///     .attacks(attack_plan)
-///     .admission(AdmissionConfig::batched(64, 4096))
 ///     .vdr_shards(4)
 ///     .run()?;
 /// ```
 ///
-/// The legacy free functions ([`execute_fleet`],
-/// [`execute_fleet_attacked`], [`execute_fleet_with_worker_chaos`])
-/// remain as thin deprecated wrappers; a spec with no riders is
-/// byte-identical to them — every pinned chaos/attack/pool digest
-/// holds through either door.
+/// A spec with no riders is the plain executor: every pinned
+/// chaos/attack/pool digest holds through this one door.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     cfg: FleetConfig,
     faults: FleetFaultPlan,
     attacks: FleetAttackPlan,
     panic_flight: Option<usize>,
-    admission: Option<AdmissionConfig>,
     vdr_shards: usize,
 }
 
 impl FleetSpec {
-    /// A spec with no riders: no faults, no attacks, no chaos, the
-    /// legacy admit-everything admission, one VDR shard.
+    /// A spec with no riders: no faults, no attacks, no chaos, one
+    /// VDR shard.
     pub fn new(cfg: FleetConfig) -> Self {
         FleetSpec {
             cfg,
             faults: FleetFaultPlan::empty(),
             attacks: FleetAttackPlan::none(),
             panic_flight: None,
-            admission: None,
             vdr_shards: 1,
         }
     }
@@ -686,15 +726,6 @@ impl FleetSpec {
         self
     }
 
-    /// Batched admission: pending tenants queue in per-tenant FIFO
-    /// lanes and at most `cfg.admit_per_wave` are planned per wave
-    /// (round-robin, starvation-free). `None` (the default) admits
-    /// every pending tenant every wave — the legacy behaviour.
-    pub fn admission(mut self, cfg: AdmissionConfig) -> Self {
-        self.admission = Some(cfg);
-        self
-    }
-
     /// Shards the cloud's Virtual Drone Repository `shards` ways
     /// (deterministic FNV of the drone name). Any shard count is
     /// digest-identical to `1`.
@@ -711,70 +742,24 @@ impl FleetSpec {
     /// Executes the run to quiescence. Reusable: `run` borrows the
     /// spec, so one spec can drive a whole thread/shard matrix.
     pub fn run(&self) -> Result<FleetOutcome, DroneError> {
-        execute_fleet_inner(
-            &self.cfg,
-            &self.faults,
-            &self.attacks,
-            self.panic_flight,
-            self.admission,
-            self.vdr_shards,
-        )
+        execute_fleet(self)
     }
 }
 
 /// Runs the full order → plan → fly → save/resume → refund lifecycle
-/// for `cfg.tenants` under `faults`. See the module docs for the
-/// wave structure and determinism contract.
-#[deprecated(note = "use FleetSpec::new(cfg).faults(plan).run()")]
-pub fn execute_fleet(
-    cfg: &FleetConfig,
-    faults: &FleetFaultPlan,
-) -> Result<FleetOutcome, DroneError> {
-    execute_fleet_inner(cfg, faults, &FleetAttackPlan::none(), None, None, 1)
-}
-
-/// [`execute_fleet`] with adversarial tenants aboard: each flight in
-/// `attacks` runs its attack plan through an
-/// [`AttackInjector`](crate::attack::AttackInjector) under the plan's
-/// enforcement posture, with an
-/// [`RtMonitor`](crate::attack::RtMonitor) watching the fast loop.
-#[deprecated(note = "use FleetSpec::new(cfg).faults(plan).attacks(attacks).run()")]
-pub fn execute_fleet_attacked(
-    cfg: &FleetConfig,
-    faults: &FleetFaultPlan,
-    attacks: &FleetAttackPlan,
-) -> Result<FleetOutcome, DroneError> {
-    execute_fleet_inner(cfg, faults, attacks, None, None, 1)
-}
-
-/// Test hook: [`execute_fleet`] with a worker panic injected at one
-/// flight index, proving panic containment (the flight scraps, its
-/// tenants defer, the run completes). Not part of the public API.
-#[doc(hidden)]
-#[deprecated(note = "use FleetSpec::new(cfg).faults(plan).chaos_panic_at(i).run()")]
-pub fn execute_fleet_with_worker_chaos(
-    cfg: &FleetConfig,
-    faults: &FleetFaultPlan,
-    panic_flight: Option<usize>,
-) -> Result<FleetOutcome, DroneError> {
-    execute_fleet_inner(cfg, faults, &FleetAttackPlan::none(), panic_flight, None, 1)
-}
-
-fn execute_fleet_inner(
-    cfg: &FleetConfig,
-    faults: &FleetFaultPlan,
-    attacks: &FleetAttackPlan,
-    panic_flight: Option<usize>,
-    admission: Option<AdmissionConfig>,
-    vdr_shards: usize,
-) -> Result<FleetOutcome, DroneError> {
+/// for the spec's tenants under its riders. See the module docs for
+/// the wave structure and determinism contract.
+fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
+    let FleetSpec {
+        cfg,
+        faults,
+        attacks,
+        panic_flight,
+        vdr_shards,
+    } = spec;
     let pool = WorkerPool::new(cfg.threads);
     let mut fleet_metrics = MetricsRegistry::new();
-    let mut cloud = FallibleCloud::with_shards(vdr_shards.max(1));
-    // Tenant-name lanes for batched admission; `None` = legacy
-    // admit-everything (no queue state, no new metrics, bit-identical
-    // to the pre-admission executor).
-    let mut admission_queue: Option<AdmissionQueue<()>> = admission.map(AdmissionQueue::new);
+    let mut cloud = FallibleCloud::with_shards(*vdr_shards);
     // Cloud-side observability: one attached handle for the whole
     // run, stamped to wave boundaries (1 simulated second per wave)
     // so degraded-mode trace records order by wave.
@@ -824,40 +809,7 @@ fn execute_fleet_inner(
         let mut orders: Vec<PlacedOrder> = Vec::new();
         let mut saved_map: BTreeMap<String, SavedVirtualDrone> = BTreeMap::new();
         let mut refunds: Vec<(String, String, f64)> = Vec::new();
-        // Batched admission gate. Every unresolved tenant whose lane
-        // is empty (re-)enqueues, then the admitter releases this
-        // wave's batch round-robin across lanes. Without an admission
-        // config the candidate list is all unresolved tenants in name
-        // order — exactly the legacy `states` iteration.
-        let candidates: Vec<String> = match admission_queue.as_mut() {
-            None => states
-                .iter()
-                .filter(|(_, s)| s.resolution.is_none())
-                .map(|(n, _)| n.clone())
-                .collect(),
-            Some(queue) => {
-                for (name, st) in states.iter() {
-                    if st.resolution.is_none() && queue.lane_pending(name) == 0 {
-                        match queue.enqueue(name, (), wave) {
-                            Ok(_) => cloud_obs.count("admission.enqueued", 1),
-                            Err((e, ())) => {
-                                cloud_obs.count("admission.backpressure", 1);
-                                cloud.log.push(format!("wave {wave}: {name}: {e}"));
-                            }
-                        }
-                    }
-                }
-                cloud_obs.gauge_max("admission.depth_peak", queue.peak_depth() as f64);
-                let batch: Vec<String> =
-                    queue.admit().into_iter().map(|a| a.lane).collect();
-                cloud_obs.count("admission.admitted", batch.len() as u64);
-                batch
-            }
-        };
-        for name in &candidates {
-            let Some(st) = states.get_mut(name) else {
-                continue;
-            };
+        for (name, st) in states.iter_mut() {
             if st.resolution.is_some() {
                 continue;
             }
@@ -1021,7 +973,7 @@ fn execute_fleet_inner(
                 if keys.is_empty() {
                     break;
                 }
-                let results = pool.run(items, |item| run_island(item, panic_flight));
+                let results = pool.run(items, |item| run_island(item, *panic_flight));
                 for (key, res) in keys.into_iter().zip(results) {
                     cache.insert(key, res);
                 }
@@ -1101,7 +1053,7 @@ fn execute_fleet_inner(
                             }
                         }
                         let flight_id = cloud.inner.new_flight_id();
-                        for post in island.per_owner {
+                        for mut post in island.per_owner {
                             let Some(st) = states.get_mut(&post.owner) else {
                                 return Err(DroneError::UnknownVirtualDrone(post.owner.clone()));
                             };
@@ -1109,42 +1061,30 @@ fn execute_fleet_inner(
                                 &st.user,
                                 flight_id,
                                 post.energy_used,
-                                post.file_data,
+                                std::mem::take(&mut post.file_data),
                             );
-                            st.flights_flown = post.flights_prior + 1;
-                            st.waypoints_completed = post.wp_prior + post.wp_flight;
                             st.billed_energy_j += post.energy_used;
                             st.billed_time_s += post.time_used;
-                            st.remaining_energy_j = post.rem_e;
-                            st.remaining_time_s = post.rem_t;
-
-                            cloud.inner.vdr.store(SavedVirtualDrone {
-                                name: post.owner.clone(),
-                                owner: st.user.clone(),
-                                spec: st.spec.clone(),
-                                archive: post.archive,
-                                app_state: post.app_state,
-                                reason: if post.completed_all {
-                                    SaveReason::Completed
-                                } else {
-                                    SaveReason::Interrupted
-                                },
-                                remaining_energy_j: post.rem_e,
-                                remaining_time_s: post.rem_t,
-                                waypoints_completed: post.wp_prior + post.wp_flight,
-                                flights_flown: post.flights_prior + 1,
-                            });
-                            if post.completed_all {
+                            let revoked = post.revoked;
+                            let saved = post.into_saved(st.user.clone(), st.spec.clone());
+                            let (name, completed) =
+                                (saved.name.clone(), saved.reason == SaveReason::Completed);
+                            st.flights_flown = saved.flights_flown;
+                            st.waypoints_completed = saved.waypoints_completed;
+                            st.remaining_energy_j = saved.remaining_energy_j;
+                            st.remaining_time_s = saved.remaining_time_s;
+                            cloud.inner.vdr.store(saved);
+                            if completed {
                                 st.resolution = Some(TenantResolution::Completed);
-                            } else if post.revoked {
+                            } else if revoked {
                                 // Policy enforcement is terminal: the
                                 // watchdog revoked this drone, so it
                                 // is not rescheduled; its unserved
                                 // remainder is refunded.
-                                st.refunded_energy_j += post.rem_e;
+                                let remaining = st.remaining_energy_j;
+                                st.refunded_energy_j += remaining;
                                 st.resolution = Some(TenantResolution::Refunded);
-                                let user = st.user.clone();
-                                cloud.refund_unserved(&user, &post.owner, post.rem_e);
+                                cloud.refund_unserved(&st.user, &name, remaining);
                             }
                         }
 

@@ -46,8 +46,6 @@ pub use fleet::{
     FleetAttackPlan, FleetConfig, FleetOutcome, FleetSpec, FleetTenant, FlightRecord,
     TenantOutcome, TenantResolution,
 };
-#[allow(deprecated)]
-pub use fleet::{execute_fleet, execute_fleet_attacked};
 pub use flight_exec::{
     execute_flight, execute_flight_probed, AbortCheck, EndReason, FlightLog, FlightOutcome,
 };

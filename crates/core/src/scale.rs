@@ -1,7 +1,7 @@
 //! The scaling-ladder executor: tens of thousands of synthetic
 //! tenants driven through the *real* sharded control plane.
 //!
-//! [`execute_fleet`](crate::fleet::FleetSpec) boots a full onboard
+//! [`FleetSpec::run`](crate::fleet::FleetSpec::run) boots a full onboard
 //! stack (kernel, containers, Binder, SITL) per flight — the right
 //! fidelity for six tenants, hopeless for a hundred thousand. This
 //! executor keeps the control plane real and makes the *flights*
@@ -18,8 +18,9 @@
 //!   control-plane mutation happens single-threaded at merge time —
 //!   so `threads = 1` and `threads = 8` produce identical digests.
 //! - **Shard count**: every VDR operation is keyed by name, listings
-//!   merge in name order, and [`VirtualDroneRepository::digest`]
-//!   (androne_cloud) folds entries in global name order — so
+//!   merge in name order, and
+//!   [`VirtualDroneRepository::digest`](androne_cloud::VirtualDroneRepository::digest)
+//!   folds entries in global name order — so
 //!   `shards = 1` and `shards = 4` produce identical digests.
 //!
 //! Tenants are generated from the config seed via the simkern

@@ -26,7 +26,8 @@ use crate::items::{CallRef, FileItems};
 /// truncation corrupts attacker-controlled bytes.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/core/src/fleet.rs", "execute_fleet"),
-    ("crates/core/src/fleet.rs", "execute_fleet_with_worker_chaos"),
+    ("crates/core/src/scale.rs", "execute_scale_fleet"),
+    ("crates/core/src/androne.rs", "execute_one_flight"),
     ("crates/core/src/fleet.rs", "run_island"),
     ("crates/binder/src/driver.rs", "translate_parcel"),
     ("crates/mavlink/src/codec.rs", "decode_frame"),

@@ -14,9 +14,9 @@
 //!     completed missions bill, everything else is terminally
 //!     refunded; the escalation ladder (budget → rate-halving →
 //!     suspension → revocation) degrades gracefully, never hangs.
-//! (e) **Zero-work when empty** — `execute_fleet_attacked` with
-//!     [`FleetAttackPlan::none`] is bit-identical to the legacy
-//!     `execute_fleet` path.
+//! (e) **Zero-work when empty** — a `FleetSpec` with
+//!     [`FleetAttackPlan::none`] attacks is bit-identical to the
+//!     riderless `FleetSpec` run.
 //!
 //! Breadth is controlled by `ATTACK_SEEDS` (default 4; the release
 //! gate in `scripts/attack.sh` runs the same count) and the thread

@@ -81,6 +81,23 @@ fn weather_abort_interrupts_and_flight_returns() {
     assert!(drone.sitl.on_ground(), "returned to base despite the abort");
 }
 
+/// `(VDR digest, alice's billed energy bits)` after each flight of
+/// [`interrupted_vdrone_resumes_on_a_later_flight`]: the fresh deploy
+/// and aborted flight, then the resume from the VDR. Captured before
+/// the facade and the fleet island shared one deploy/harvest path;
+/// they pin that the facade's cloud-visible effects did not move.
+const FACADE_PINS: [(u64, u64); 2] = [
+    (0xe636_b9f7_5614_532e, 0x0),
+    (0x692f_97ca_6fbb_f30e, 0x40b2_fd9a_55b5_d0c0),
+];
+
+fn facade_pin(androne: &Androne) -> (u64, u64) {
+    (
+        androne.cloud.vdr.digest(),
+        androne.cloud.billing.bill("alice").energy_j.to_bits(),
+    )
+}
+
 #[test]
 fn interrupted_vdrone_resumes_on_a_later_flight() {
     let mut androne = Androne::new(BASE, 1, 77);
@@ -122,6 +139,7 @@ fn interrupted_vdrone_resumes_on_a_later_flight() {
         )
         .unwrap();
     assert!(!outcome.completed);
+    assert_eq!(facade_pin(&androne), FACADE_PINS[0], "after the aborted flight");
     let saved = androne.cloud.vdr.get(&order.vd_name).unwrap();
     assert_eq!(saved.reason, SaveReason::Interrupted, "saved for resumption");
 
@@ -132,6 +150,7 @@ fn interrupted_vdrone_resumes_on_a_later_flight() {
         .execute_one_flight(std::slice::from_ref(&order), plans[0].clone(), 400.0, None)
         .unwrap();
     assert!(outcome.completed, "log: {:?}", outcome.log);
+    assert_eq!(facade_pin(&androne), FACADE_PINS[1], "after the resumed flight");
     assert_eq!(
         androne.cloud.vdr.get(&order.vd_name).unwrap().reason,
         SaveReason::Completed

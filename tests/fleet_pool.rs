@@ -13,8 +13,6 @@
 //!   tenant resolves normally, at every thread count.
 
 use androne::fleet::{FleetConfig, FleetSpec, FleetTenant, TenantResolution};
-#[allow(deprecated)]
-use androne::fleet::{execute_fleet, execute_fleet_with_worker_chaos};
 use androne::hal::GeoPoint;
 use androne::pool::{WorkerError, WorkerPool};
 use androne::simkern::FleetFaultPlan;
@@ -176,22 +174,6 @@ fn panic_past_the_first_flight_spares_the_flown_tenants() {
             "{name} left unresolved"
         );
     }
-}
-
-/// The deprecated doors are the plain executor: `execute_fleet`,
-/// the chaos hook with no panic index, and a riderless `FleetSpec`
-/// all produce identical bits.
-#[test]
-#[allow(deprecated)]
-fn chaos_hook_with_no_panic_is_the_plain_executor() {
-    let cfg = gate_config(0xF1EE_5EED, 3, 2);
-    let a = execute_fleet(&cfg, &FleetFaultPlan::empty()).expect("plain");
-    let b = execute_fleet_with_worker_chaos(&cfg, &FleetFaultPlan::empty(), None).expect("hook");
-    let c = FleetSpec::new(cfg).run().expect("spec");
-    assert_eq!(a.fleet_digest(), b.fleet_digest());
-    assert_eq!(a.metrics_digest(), b.metrics_digest());
-    assert_eq!(a.fleet_digest(), c.fleet_digest());
-    assert_eq!(a.metrics_digest(), c.metrics_digest());
 }
 
 /// Completion order is deliberately scrambled with real sleeps:

@@ -9,9 +9,8 @@
 //!   arbitrary interleavings of enqueue (with backpressure),
 //!   batched admission, and `requeue_front`, every lane releases its
 //!   orders in exact submission order.
-//! - **Wrapper equivalence** — the deprecated `execute_fleet_attacked`
-//!   door is byte-identical to `FleetSpec::attacks`, and a
-//!   `vdr_shards(4)` fleet run is byte-identical to the 1-shard run.
+//! - **Shard equivalence** — a `FleetSpec::vdr_shards(4)` fleet run
+//!   is byte-identical to the 1-shard run.
 //! - **Scaling ladder smoke** — the 10k-tenant rung runs to
 //!   quiescence with digests invariant across shards 1/4 and threads
 //!   1/4 (the `fleet-scale-smoke` CI leg), and an `#[ignore]`d
@@ -25,13 +24,10 @@ use androne::cloud::{
 };
 use androne::container::{ContainerArchive, ContainerKind, Layer};
 use androne::fleet::{FleetConfig, FleetSpec, FleetTenant};
-#[allow(deprecated)]
-use androne::fleet::execute_fleet_attacked;
 use androne::hal::GeoPoint;
 use androne::simkern::{CloudFaultKind, FleetFaultPlan};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
-use androne::workloads::AttackPlan;
-use androne::{execute_scale_fleet, AttackDefense, FleetAttackPlan, ScaleConfig};
+use androne::{execute_scale_fleet, ScaleConfig};
 use proptest::prelude::*;
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
@@ -303,33 +299,6 @@ fn gate_config(seed: u64, n_tenants: usize, threads: usize) -> FleetConfig {
     }
 }
 
-/// The deprecated attacked door is byte-identical to
-/// `FleetSpec::attacks` on a generated adversarial plan.
-#[test]
-#[allow(deprecated)]
-fn attacked_wrapper_is_byte_identical_to_the_spec() {
-    let seed = 0xA77A_C4ED;
-    let cfg = gate_config(seed, 3, 2);
-    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
-    let mut flights = BTreeMap::new();
-    flights.insert(0usize, AttackPlan::generate(seed, 120, &tenant_names));
-    let attacks = FleetAttackPlan {
-        flights,
-        defense: Some(AttackDefense::default()),
-        ..FleetAttackPlan::none()
-    };
-    let faults = FleetFaultPlan::generate(seed, 2, &tenant_names, 150);
-
-    let legacy = execute_fleet_attacked(&cfg, &faults, &attacks).expect("legacy door");
-    let spec = FleetSpec::new(cfg)
-        .faults(faults)
-        .attacks(attacks)
-        .run()
-        .expect("spec door");
-    assert_eq!(legacy.fleet_digest(), spec.fleet_digest());
-    assert_eq!(legacy.metrics_digest(), spec.metrics_digest());
-}
-
 /// Sharding the fleet executor's VDR is invisible in the bits: a
 /// `vdr_shards(4)` run reproduces the 1-shard digests on a faulted
 /// gate scenario (faults force interrupt/resume traffic through the
@@ -347,14 +316,25 @@ fn fleet_run_is_digest_invariant_across_vdr_shards() {
     assert_eq!(one.metrics_digest(), four.metrics_digest());
 }
 
+/// The 10k rung's `(fleet_digest, vdr_digest)`, captured before the
+/// fleet executor's wrapper doors and admission rider were removed.
+/// Width invariance alone would miss a drift that is equal at every
+/// width; this pins the absolute bits.
+const SCALE_10K_PIN: (u64, u64) = (0x9e3c_5fdf_eaf9_d91b, 0x61a8_abd3_1013_2e23);
+
 /// The `fleet-scale-smoke` CI leg: the 10k-tenant rung runs to
 /// quiescence, every tenant resolves terminally, backpressure
-/// engages, and the digests are invariant across shards 1/4 and
-/// threads 1/4.
+/// engages, its digests equal [`SCALE_10K_PIN`], and they are
+/// invariant across shards 1/4 and threads 1/4.
 #[test]
 fn scale_10k_digests_invariant_across_shards_and_threads() {
     let reference = execute_scale_fleet(&ScaleConfig::rung(10_000));
     assert!(reference.quiescent, "10k rung did not reach quiescence");
+    assert_eq!(
+        (reference.fleet_digest(), reference.vdr_digest),
+        SCALE_10K_PIN,
+        "10k rung drifted from its pinned digests"
+    );
     assert_eq!(
         reference.completed() + reference.exhausted(),
         10_000,
