@@ -29,11 +29,12 @@ use std::rc::Rc;
 
 use androne_container::DeviceNamespaceId;
 use androne_obs::{ObsHandle, Subsystem, TraceEvent};
-use androne_simkern::{refill_jitter_ns, ContainerId, Euid, Pid, SimDuration, StateHash, StateHasher};
+use androne_simkern::{ContainerId, Euid, Pid, SimDuration, StateHash, StateHasher};
 
 use crate::error::BinderError;
 use crate::fd::FileRef;
 use crate::parcel::{PValue, Parcel};
+use crate::qos::QosPolicy;
 
 /// The PID the driver reports for kernel-originated registrations
 /// (the `PUBLISH_*` ioctl paths).
@@ -233,165 +234,6 @@ pub const BINDER_LATENCY_BOUNDS: &[u64] = &[
     32_000, 33_000, 35_000, 40_000, 50_000, 75_000, 100_000, 250_000, 1_000_000,
 ];
 
-/// Per-tenant QoS budget. Entirely opt-in: a tenant without a budget
-/// is unlimited, and a driver with no budgets configured runs the
-/// exact pre-QoS code path (and hashes identically to it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantQos {
-    /// Token-bucket refill: transactions admitted per sim-second.
-    pub rate_per_s: u64,
-    /// Token-bucket capacity (burst headroom).
-    pub burst: u64,
-    /// Per-transaction parcel size ceiling, bytes.
-    pub max_parcel_bytes: u64,
-    /// File descriptors one tenant may install, lifetime total.
-    pub max_fds: u32,
-    /// Concurrent telemetry subscriptions one tenant may hold.
-    pub max_subscriptions: u32,
-}
-
-impl TenantQos {
-    /// A budget generous enough that well-behaved tenants (telemetry
-    /// at MAVLink rates, a camera stream, waypoint traffic) never
-    /// notice it, while floods, bombs, and storms trip it within one
-    /// observer tick.
-    pub const DEFENSIVE_DEFAULT: TenantQos = TenantQos {
-        rate_per_s: 120,
-        burst: 240,
-        max_parcel_bytes: 65_536,
-        max_fds: 256,
-        max_subscriptions: 32,
-    };
-}
-
-/// Aggregate (all-tenant) admission pressure cap: one token bucket
-/// shared by every *budgeted* tenant, charged after the per-tenant
-/// bucket admits. Per-tenant budgets bound each attacker alone;
-/// this bounds what colluding attackers can admit *together* —
-/// tenants that rotate or synchronize bursts so that no individual
-/// bucket rejects still cannot push the aggregate admitted load
-/// past the cap. Unbudgeted (trusted mission) traffic is never
-/// charged, so the cap cannot be weaponized to starve victims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AggregateQos {
-    /// Aggregate token-bucket refill: admissions per sim-second
-    /// across all budgeted tenants.
-    pub rate_per_s: u64,
-    /// Aggregate bucket capacity (the hard per-tick admission
-    /// ceiling, which bounds the kernel interference any admitted
-    /// adversarial load can generate).
-    pub burst: u64,
-}
-
-impl AggregateQos {
-    /// The hardened default: roomy enough for one well-behaved
-    /// budgeted tenant at [`TenantQos::DEFENSIVE_DEFAULT`] rates,
-    /// tight enough that the worst admitted burst keeps the
-    /// admitted-load interference ceiling under the 2500 µs
-    /// fast-loop deadline (see
-    /// `androne_simkern::latency::profiles::attack_admitted`).
-    pub const HARDENED_DEFAULT: AggregateQos = AggregateQos {
-        rate_per_s: 200,
-        burst: 300,
-    };
-}
-
-/// Runtime state for the aggregate admission bucket.
-#[derive(Debug, Clone)]
-struct AggregateState {
-    cfg: AggregateQos,
-    tokens: u64,
-    last_refill_ns: u64,
-}
-
-impl AggregateState {
-    /// Plain whole-second refill (the defender's own bucket carries
-    /// no jitter; only per-tenant refill boundaries are jittered).
-    fn refill(&mut self, now_ns: u64) {
-        const NANOS_PER_SEC: u64 = 1_000_000_000;
-        let whole_s = now_ns.saturating_sub(self.last_refill_ns) / NANOS_PER_SEC;
-        if whole_s > 0 {
-            self.tokens = self
-                .tokens
-                .saturating_add(whole_s.saturating_mul(self.cfg.rate_per_s))
-                .min(self.cfg.burst);
-            self.last_refill_ns += whole_s * NANOS_PER_SEC;
-        }
-    }
-}
-
-/// Runtime QoS state for one budgeted tenant.
-#[derive(Debug, Clone)]
-struct TenantQosState {
-    cfg: TenantQos,
-    /// The budget as originally armed, before any escalation-ladder
-    /// halving — what [`BinderDriver::restore_tenant_rate`] steps
-    /// back to when the hysteresis decay walks a quiet tenant down.
-    base: TenantQos,
-    /// Tokens currently in the bucket.
-    tokens: u64,
-    /// Sim time of the last whole-second refill.
-    last_refill_ns: u64,
-    /// File descriptors installed so far.
-    fds_installed: u32,
-    /// Telemetry subscriptions currently held.
-    subscriptions: u32,
-    /// Whether the tenant is currently in the throttled state (edge
-    /// detection for the `BinderThrottle` trace event).
-    throttled: bool,
-    /// Total admissions rejected for this tenant.
-    throttle_events: u64,
-}
-
-/// Upper bound on the per-epoch refill-boundary jitter. 1.5 sim
-/// seconds — deliberately *longer* than the refill period, so at the
-/// 1 Hz granularity an attacker can observe (ticks), the visible
-/// refill quantum per tick wobbles between zero, one, and two
-/// quanta. A sub-second jitter would shift the boundary within a
-/// tick and change nothing a tick-granular prober can see.
-const REFILL_JITTER_MAX_NS: u64 = 1_500_000_000;
-
-impl TenantQosState {
-    /// Lazily refills the token bucket for whole elapsed sim-seconds.
-    /// Integer-only, so refill is a pure function of `(cfg, last
-    /// refill, now)` — no float drift across thread widths.
-    fn refill(&mut self, now_ns: u64) {
-        const NANOS_PER_SEC: u64 = 1_000_000_000;
-        let whole_s = now_ns.saturating_sub(self.last_refill_ns) / NANOS_PER_SEC;
-        if whole_s > 0 {
-            self.tokens = self
-                .tokens
-                .saturating_add(whole_s.saturating_mul(self.cfg.rate_per_s))
-                .min(self.cfg.burst);
-            self.last_refill_ns += whole_s * NANOS_PER_SEC;
-        }
-    }
-
-    /// Jittered refill: epochs stay on the absolute-second grid, but
-    /// epoch `e` only pays out once `e*1s + jitter(seed, tenant, e)`
-    /// has passed. Epochs are processed in index order and the scan
-    /// stops at the first not-yet-due epoch, so the refill remains a
-    /// pure function of `(cfg, seed, tenant, now)` — identical on
-    /// every same-seed run — while the *cadence* an adaptive tenant
-    /// observes through its own admissions is no longer learnable.
-    fn refill_jittered(&mut self, now_ns: u64, seed: u64, tenant_key: u64) {
-        const NANOS_PER_SEC: u64 = 1_000_000_000;
-        loop {
-            let epoch = self.last_refill_ns / NANOS_PER_SEC + 1;
-            let due = epoch * NANOS_PER_SEC
-                + refill_jitter_ns(seed, tenant_key, epoch, REFILL_JITTER_MAX_NS);
-            if now_ns < due {
-                return;
-            }
-            self.tokens = self
-                .tokens
-                .saturating_add(self.cfg.rate_per_s)
-                .min(self.cfg.burst);
-            self.last_refill_ns = epoch * NANOS_PER_SEC;
-        }
-    }
-}
-
 /// The metrics label for one tenant's labeled counter/histogram
 /// members ("ctr3" for container 3).
 pub fn tenant_label(container: ContainerId) -> String {
@@ -438,20 +280,10 @@ pub struct BinderDriver {
     transact_attempts: u64,
     /// Observability handle; detached (free) unless the owning drone
     /// attached one.
-    obs: ObsHandle,
-    /// Per-tenant QoS budgets (empty = the pre-QoS driver). Keyed by
-    /// container so one hostile app cannot dodge its budget by
-    /// spreading load across processes.
-    qos: BTreeMap<ContainerId, TenantQosState>,
-    /// Aggregate (all-budgeted-tenant) admission cap; `None` is the
-    /// per-tenant-only posture.
-    aggregate: Option<AggregateState>,
-    /// Seed for refill-boundary jitter; `None` keeps the exact
-    /// whole-second refill grid (the pre-jitter driver, byte-exact).
-    refill_jitter_seed: Option<u64>,
-    /// Sim time the token buckets refill against, advanced by the
-    /// flight executor via [`Self::set_now_ns`].
-    now_ns: u64,
+    pub(crate) obs: ObsHandle,
+    /// Tenant QoS, consulted only where traffic is admitted; its
+    /// configuration API lives with it in `qos.rs`.
+    pub(crate) qos: QosPolicy,
 }
 
 /// Counter-based deterministic Binder fault injection: every
@@ -487,10 +319,7 @@ impl BinderDriver {
             fault: None,
             transact_attempts: 0,
             obs: ObsHandle::default(),
-            qos: BTreeMap::new(),
-            aggregate: None,
-            refill_jitter_seed: None,
-            now_ns: 0,
+            qos: QosPolicy::default(),
         }
     }
 
@@ -523,257 +352,6 @@ impl BinderDriver {
         self.fault = fault;
     }
 
-    /// The currently armed fault injection, if any.
-    pub fn fault_injection(&self) -> Option<BinderFaultInjection> {
-        self.fault
-    }
-
-    /// Advances the sim time token buckets refill against. The
-    /// flight executor calls this once per observer tick; with no
-    /// budgets configured it is a plain store with no hashed effect.
-    pub fn set_now_ns(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
-    }
-
-    /// Arms a QoS budget for `container`. The bucket starts full at
-    /// the current sim time.
-    pub fn set_tenant_budget(&mut self, container: ContainerId, cfg: TenantQos) {
-        let now_ns = self.now_ns;
-        self.qos.insert(
-            container,
-            TenantQosState {
-                cfg,
-                base: cfg,
-                tokens: cfg.burst,
-                last_refill_ns: now_ns,
-                fds_installed: 0,
-                subscriptions: 0,
-                throttled: false,
-                throttle_events: 0,
-            },
-        );
-    }
-
-    /// Arms (or with `None` disarms) the aggregate admission cap
-    /// shared by every budgeted tenant. The bucket starts full.
-    pub fn set_aggregate_cap(&mut self, cfg: Option<AggregateQos>) {
-        let now_ns = self.now_ns;
-        self.aggregate = cfg.map(|cfg| AggregateState {
-            cfg,
-            tokens: cfg.burst,
-            last_refill_ns: now_ns,
-        });
-    }
-
-    /// The aggregate cap currently armed, if any.
-    pub fn aggregate_cap(&self) -> Option<AggregateQos> {
-        self.aggregate.as_ref().map(|s| s.cfg)
-    }
-
-    /// Arms (or with `None` disarms) refill-boundary jitter: each
-    /// tenant's token-bucket refill epoch `e` lands at
-    /// `e*1s + refill_jitter_ns(seed, tenant, e)` instead of exactly
-    /// on the second, so an adaptive tenant cannot learn the refill
-    /// cadence from its own admission feedback. Disarmed, refill is
-    /// byte-exact with the pre-jitter driver.
-    pub fn set_refill_jitter(&mut self, seed: Option<u64>) {
-        self.refill_jitter_seed = seed;
-    }
-
-    /// The refill-jitter seed currently armed, if any.
-    pub fn refill_jitter(&self) -> Option<u64> {
-        self.refill_jitter_seed
-    }
-
-    /// Disarms `container`'s budget (back to unlimited). Returns
-    /// whether a budget was armed.
-    pub fn clear_tenant_budget(&mut self, container: &ContainerId) -> bool {
-        self.qos.remove(container).is_some()
-    }
-
-    /// The budget currently armed for `container`, if any.
-    pub fn tenant_budget(&self, container: &ContainerId) -> Option<TenantQos> {
-        self.qos.get(container).map(|s| s.cfg)
-    }
-
-    /// Total admissions rejected for `container` so far.
-    pub fn throttle_count(&self, container: &ContainerId) -> u64 {
-        self.qos.get(container).map_or(0, |s| s.throttle_events)
-    }
-
-    /// Escalation-ladder step: halves `container`'s transaction rate
-    /// and burst (floored at 1/s so the tenant can still make
-    /// progress toward a terminal outcome). Returns whether a budget
-    /// was armed to halve.
-    pub fn halve_tenant_rate(&mut self, container: &ContainerId) -> bool {
-        match self.qos.get_mut(container) {
-            Some(s) => {
-                s.cfg.rate_per_s = (s.cfg.rate_per_s / 2).max(1);
-                s.cfg.burst = (s.cfg.burst / 2).max(1);
-                s.tokens = s.tokens.min(s.cfg.burst);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Hysteresis-decay step: restores `container`'s budget to the
-    /// rate/burst it was originally armed with, undoing any
-    /// escalation-ladder halving. Tokens are clamped, never granted —
-    /// stepping down cannot mint a burst. Returns whether a halved
-    /// budget was actually restored.
-    pub fn restore_tenant_rate(&mut self, container: &ContainerId) -> bool {
-        match self.qos.get_mut(container) {
-            Some(s) if s.cfg != s.base => {
-                s.cfg = s.base;
-                s.tokens = s.tokens.min(s.cfg.burst);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Marks one rejected admission for `container`: bumps the
-    /// counters and, on the un-throttled -> throttled edge, emits the
-    /// [`TraceEvent::BinderThrottle`] record. Returns the error for
-    /// the caller to surface.
-    fn throttle(&mut self, container: ContainerId, dimension: &'static str) -> BinderError {
-        let edge = match self.qos.get_mut(&container) {
-            Some(s) => {
-                s.throttle_events += 1;
-                let edge = !s.throttled;
-                s.throttled = true;
-                edge
-            }
-            None => false,
-        };
-        let label = tenant_label(container);
-        self.obs.count("binder.throttled", 1);
-        self.obs.count_labeled("binder.throttled.by_tenant", &label, 1);
-        if edge {
-            self.obs.emit(Subsystem::Binder, || TraceEvent::BinderThrottle {
-                container: container.0,
-                dimension,
-                throttled: true,
-            });
-        }
-        BinderError::Throttled(dimension)
-    }
-
-    /// Token-bucket + parcel-ceiling admission for one transaction
-    /// from `container`. Tenants without a budget pass untouched; a
-    /// budget-free driver is one `is_empty` branch.
-    fn admit(&mut self, container: ContainerId, wire: u64) -> Result<(), BinderError> {
-        if self.qos.is_empty() {
-            return Ok(());
-        }
-        let now_ns = self.now_ns;
-        let jitter_seed = self.refill_jitter_seed;
-        let verdict = match self.qos.get_mut(&container) {
-            None => return Ok(()),
-            Some(s) => {
-                match jitter_seed {
-                    Some(seed) => s.refill_jittered(now_ns, seed, u64::from(container.0)),
-                    None => s.refill(now_ns),
-                }
-                if wire > s.cfg.max_parcel_bytes {
-                    Err("parcel-size")
-                } else if s.tokens == 0 {
-                    Err("rate")
-                } else {
-                    s.tokens -= 1;
-                    let recovered = s.throttled;
-                    s.throttled = false;
-                    Ok(recovered)
-                }
-            }
-        };
-        // Aggregate cap: charged only after the per-tenant bucket
-        // admits, and only for budgeted tenants — trusted unbudgeted
-        // traffic never touches it, so colluders cannot starve the
-        // mission by draining the shared bucket.
-        let verdict = match (verdict, self.aggregate.as_mut()) {
-            (Ok(recovered), Some(agg)) => {
-                agg.refill(now_ns);
-                if agg.tokens == 0 {
-                    Err("aggregate-rate")
-                } else {
-                    agg.tokens -= 1;
-                    Ok(recovered)
-                }
-            }
-            (v, _) => v,
-        };
-        match verdict {
-            Ok(recovered) => {
-                if recovered {
-                    self.obs.emit(Subsystem::Binder, || TraceEvent::BinderThrottle {
-                        container: container.0,
-                        dimension: "recovered",
-                        throttled: false,
-                    });
-                }
-                Ok(())
-            }
-            Err(dimension) => Err(self.throttle(container, dimension)),
-        }
-    }
-
-    /// Charges one installed fd against `container`'s budget.
-    fn charge_fd(&mut self, container: ContainerId) -> Result<(), BinderError> {
-        if self.qos.is_empty() {
-            return Ok(());
-        }
-        let over = match self.qos.get_mut(&container) {
-            None => return Ok(()),
-            Some(s) => {
-                if s.fds_installed >= s.cfg.max_fds {
-                    true
-                } else {
-                    s.fds_installed += 1;
-                    false
-                }
-            }
-        };
-        if over {
-            Err(self.throttle(container, "fd-budget"))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Takes one telemetry subscription slot for `container`.
-    /// Unbudgeted tenants subscribe freely (and untracked).
-    pub fn try_subscribe(&mut self, container: ContainerId) -> Result<(), BinderError> {
-        if self.qos.is_empty() {
-            return Ok(());
-        }
-        let over = match self.qos.get_mut(&container) {
-            None => return Ok(()),
-            Some(s) => {
-                if s.subscriptions >= s.cfg.max_subscriptions {
-                    true
-                } else {
-                    s.subscriptions += 1;
-                    false
-                }
-            }
-        };
-        if over {
-            Err(self.throttle(container, "subscription-budget"))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Releases every subscription slot `container` holds (attack
-    /// disarm, tenant teardown).
-    pub fn release_subscriptions(&mut self, container: &ContainerId) {
-        if let Some(s) = self.qos.get_mut(container) {
-            s.subscriptions = 0;
-        }
-    }
-
     /// A synthetic adversarial transaction: runs the real admission
     /// path (token bucket, parcel ceiling) and, when admitted, the
     /// real accounting (stats, latency histogram, per-tenant labels)
@@ -785,15 +363,22 @@ impl BinderDriver {
         container: ContainerId,
         wire_size: usize,
     ) -> Result<(), BinderError> {
-        self.admit(container, wire_size as u64)?;
+        self.qos.admit(container, wire_size as u64, &self.obs)?;
         self.stats.transactions += 1;
         self.stats.payload_bytes += wire_size as u64;
         let latency_ns = transaction_cost(wire_size).as_nanos();
-        let label = tenant_label(container);
         self.obs.count("binder.txn", 1);
         self.obs.count("binder.attack.txn", 1);
         self.obs
             .observe("binder.latency_ns", BINDER_LATENCY_BOUNDS, latency_ns);
+        self.count_tenant_txn(container, latency_ns);
+        Ok(())
+    }
+
+    /// Counts one transaction of `latency_ns` under `container`'s
+    /// member of the per-tenant metric families.
+    fn count_tenant_txn(&self, container: ContainerId, latency_ns: u64) {
+        let label = tenant_label(container);
         self.obs.count_labeled("binder.txn.by_tenant", &label, 1);
         self.obs.observe_labeled(
             "binder.latency_ns.by_tenant",
@@ -801,13 +386,12 @@ impl BinderDriver {
             BINDER_LATENCY_BOUNDS,
             latency_ns,
         );
-        Ok(())
     }
 
     /// A synthetic adversarial fd install: charges `container`'s fd
     /// budget without touching a real process table.
     pub fn attack_install_fd(&mut self, container: ContainerId) -> Result<(), BinderError> {
-        self.charge_fd(container)?;
+        self.qos.charge_fd(container, &self.obs)?;
         self.obs.count("binder.attack.fd", 1);
         Ok(())
     }
@@ -895,11 +479,6 @@ impl BinderDriver {
             }
         }
         Ok(())
-    }
-
-    /// Returns the Context Manager node for a namespace, if any.
-    pub fn context_manager(&self, ns: DeviceNamespaceId) -> Option<NodeId> {
-        self.context_managers.get(&ns).copied()
     }
 
     fn resolve_handle(&self, pid: Pid, handle: u32) -> Result<NodeId, BinderError> {
@@ -1105,7 +684,7 @@ impl BinderDriver {
             }
         }
         let caller_container = self.proc(caller)?.container;
-        self.admit(caller_container, data.wire_size() as u64)?;
+        let budgeted = self.qos.admit(caller_container, data.wire_size() as u64, &self.obs)?;
         let node_id = self.resolve_handle(caller, handle)?;
         let (target_pid, handler) = {
             let node = self.node(node_id).ok_or(BinderError::DeadObject)?;
@@ -1139,15 +718,8 @@ impl BinderDriver {
         // Per-tenant labels only for budgeted tenants: labeling every
         // tenant unconditionally would perturb the metrics digest of
         // runs with no QoS configured (the pinned baselines).
-        if self.qos.contains_key(&caller_container) {
-            let label = tenant_label(caller_container);
-            self.obs.count_labeled("binder.txn.by_tenant", &label, 1);
-            self.obs.observe_labeled(
-                "binder.latency_ns.by_tenant",
-                &label,
-                BINDER_LATENCY_BOUNDS,
-                latency_ns,
-            );
+        if budgeted {
+            self.count_tenant_txn(caller_container, latency_ns);
         }
         self.obs.emit(Subsystem::Binder, || TraceEvent::BinderTxn {
             caller: caller.0,
@@ -1281,7 +853,7 @@ impl BinderDriver {
     /// deliberately not charged — the receiver did not choose them.
     pub fn install_fd(&mut self, pid: Pid, file: FileRef) -> Result<u32, BinderError> {
         let container = self.proc(pid)?.container;
-        self.charge_fd(container)?;
+        self.qos.charge_fd(container, &self.obs)?;
         Ok(self.proc_mut(pid)?.insert_fd(file))
     }
 
@@ -1337,11 +909,6 @@ impl BinderDriver {
                 }
             }
         }
-    }
-
-    /// Whether a node is still alive (diagnostics).
-    pub fn node_alive(&self, node: NodeId) -> bool {
-        self.node(node).is_some_and(|n| n.alive)
     }
 }
 
@@ -1435,38 +1002,9 @@ impl StateHash for BinderDriver {
             None => h.write_u8(0),
         }
         h.write_u64(self.transact_attempts);
-        // QoS state hashes only when configured: a budget-free driver
-        // appends nothing, so the pinned pre-QoS digests hold.
-        if !self.qos.is_empty() {
-            h.write_usize(self.qos.len());
-            for (container, s) in &self.qos {
-                container.state_hash(h);
-                h.write_u64(s.cfg.rate_per_s);
-                h.write_u64(s.cfg.burst);
-                h.write_u64(s.cfg.max_parcel_bytes);
-                h.write_u32(s.cfg.max_fds);
-                h.write_u32(s.cfg.max_subscriptions);
-                h.write_u64(s.tokens);
-                h.write_u64(s.last_refill_ns);
-                h.write_u32(s.fds_installed);
-                h.write_u32(s.subscriptions);
-                h.write_bool(s.throttled);
-                h.write_u64(s.throttle_events);
-            }
-            h.write_u64(self.now_ns);
-        }
-        // Same discipline for the PR-10 hardening state: each block
-        // hashes only when armed, so every pre-existing digest —
-        // budget-free *and* per-tenant-only — holds unchanged.
-        if let Some(agg) = &self.aggregate {
-            h.write_u64(agg.cfg.rate_per_s);
-            h.write_u64(agg.cfg.burst);
-            h.write_u64(agg.tokens);
-            h.write_u64(agg.last_refill_ns);
-        }
-        if let Some(seed) = self.refill_jitter_seed {
-            h.write_u64(seed);
-        }
+        // Last, so a budget-free policy (which appends nothing)
+        // leaves the pinned pre-QoS digests intact.
+        self.qos.state_hash(h);
     }
 }
 
@@ -1474,8 +1012,9 @@ impl StateHash for BinderDriver {
 mod tests {
     use super::*;
 
-    /// A service that echoes the parcel back with an extra i32.
-    struct Echo;
+    /// A service that echoes the parcel back with an extra i32
+    /// (shared with the QoS tests).
+    pub(super) struct Echo;
 
     impl BinderService for Echo {
         fn on_transact(
@@ -1658,6 +1197,7 @@ mod tests {
 #[cfg(test)]
 mod qos_tests {
     use super::*;
+    use crate::{AggregateQos, TenantQos};
     use androne_simkern::StateHash;
 
     const TIGHT: TenantQos = TenantQos {
@@ -1915,12 +1455,9 @@ mod qos_tests {
         let baseline = a.hash_value();
         a.set_now_ns(5_000_000_000);
         assert_eq!(a.hash_value(), baseline);
-        // Arming (and even clearing) a budget is hash-visible while
-        // armed.
+        // Arming a budget is hash-visible.
         a.set_tenant_budget(ContainerId(7), TIGHT);
         assert_ne!(a.hash_value(), baseline);
-        a.clear_tenant_budget(&ContainerId(7));
-        assert_eq!(a.hash_value(), baseline);
     }
 
     #[test]
@@ -1931,7 +1468,7 @@ mod qos_tests {
         d.open(server, Euid(1000), ContainerId(1), DeviceNamespaceId(1));
         d.open(client, Euid(10_050), ContainerId(7), DeviceNamespaceId(2));
         let server_handle = d
-            .create_node(server, Rc::new(RefCell::new(tests_support::Echo)))
+            .create_node(server, Rc::new(RefCell::new(super::tests::Echo)))
             .unwrap();
         let mut p = Parcel::new();
         p.push_binder(server_handle);
@@ -1947,26 +1484,6 @@ mod qos_tests {
         );
         // The server's own (unbudgeted) container is unaffected.
         assert_eq!(d.throttle_count(&ContainerId(1)), 0);
-    }
-}
-
-#[cfg(test)]
-mod tests_support {
-    use super::*;
-
-    /// A service that echoes the parcel back (shared by QoS tests).
-    pub struct Echo;
-
-    impl BinderService for Echo {
-        fn on_transact(
-            &mut self,
-            _code: u32,
-            data: &Parcel,
-            _ctx: &TransactionContext,
-            _driver: &mut BinderDriver,
-        ) -> Result<Parcel, BinderError> {
-            Ok(data.clone())
-        }
     }
 }
 

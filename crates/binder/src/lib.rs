@@ -13,18 +13,24 @@
 //!   tables, synchronous transaction routing, publish ioctls.
 //! - [`service_manager`]: the per-container ServiceManager with
 //!   AnDrone's cross-container publishing behaviour.
+//! - `qos`: tenant QoS, the adversarial-tenant admission policy the
+//!   driver consults where traffic enters ([`TenantQos`] budgets, the
+//!   [`AggregateQos`] cap, refill jitter). Not part of the paper's
+//!   protocol.
 
 pub mod driver;
 pub mod error;
 pub mod fd;
 pub mod parcel;
+mod qos;
 pub mod service_manager;
 
 pub use driver::{
-    scoped_service_name, tenant_label, transaction_cost, AggregateQos, BinderDriver,
-    BinderFaultInjection, BinderService, DriverStats, NodeId, ServiceRef, TenantQos,
-    TransactionContext, BINDER_LATENCY_BOUNDS, KERNEL_PID,
+    scoped_service_name, tenant_label, transaction_cost, BinderDriver, BinderFaultInjection,
+    BinderService, DriverStats, NodeId, ServiceRef, TransactionContext, BINDER_LATENCY_BOUNDS,
+    KERNEL_PID,
 };
+pub use qos::{AggregateQos, TenantQos};
 pub use error::BinderError;
 pub use fd::{new_shmem, new_stream, FileDescription, FilePayload, FileRef};
 pub use parcel::{PValue, Parcel};

@@ -5,12 +5,14 @@
 //! translating each brain's next-tick command into real admission
 //! traffic through the Binder driver.
 //!
-//! The defense side mirrors [`crate::attack::AttackInjector`]: the
-//! per-tenant budget and escalation ladder arm at `arm_tick`, and an
-//! [`AttackDefense`] that carries the hardening (aggregate admission
-//! cap, refill-boundary jitter, hysteresis decay) arms those on the
-//! driver too. Interference on the fast loop scales with the load
-//! the driver actually *admitted* each tick
+//! The defense side is [`crate::attack::AttackInjector`]'s own: the
+//! same arm step puts the per-tenant budget, the ladder entry and
+//! any hardening (aggregate admission cap, refill-boundary jitter,
+//! hysteresis decay) on each attacker at `arm_tick`, and the same
+//! ladder walk advances it. A tenant whose budget the open-loop
+//! injector on the same flight already armed stays on that
+//! injector's ladder alone. Interference on the fast loop scales
+//! with the load the driver actually *admitted* each tick
 //! ([`profiles::attack_admitted`]) — a throttled attacker does not
 //! get to hurt the flight with transactions that never got in, which
 //! is precisely why collusion (many tenants, each individually
@@ -24,7 +26,7 @@
 use androne_simkern::latency::profiles;
 use androne_workloads::adaptive::{AdaptivePlan, AttackerBrain, AttackerObservation};
 
-use crate::attack::{arm_hardening, observe_enforcement, AttackDefense, LadderRung, LadderState};
+use crate::attack::{observe_enforcement, record_edge, AttackDefense, LadderRung, LadderState};
 use crate::drone::Drone;
 use crate::probe::FlightProbe;
 
@@ -104,22 +106,6 @@ impl AdaptiveInjector {
         self.total_rejected
     }
 
-    fn record(&mut self, drone: &Drone, attacker: &str, armed: bool, action: String) {
-        drone.obs.count("attack.transitions", 1);
-        let attacker = attacker.to_string();
-        drone
-            .obs
-            .emit(androne_obs::Subsystem::Fault, || {
-                androne_obs::TraceEvent::AttackEdge {
-                    kind: "adaptive",
-                    attacker,
-                    armed,
-                    detail: action.clone(),
-                }
-            });
-        self.actions.push(action);
-    }
-
     fn arm(&mut self, tick: u64, drone: &mut Drone) {
         for i in 0..self.plan.attackers.len() {
             let attacker = self.plan.attackers[i].name.clone();
@@ -127,18 +113,14 @@ impl AdaptiveInjector {
             let Some(container) = drone.vdrones.get(&attacker).map(|v| v.container) else {
                 let action =
                     format!("t={tick} arm adaptive/{} {attacker}: not deployed", strategy.name());
-                self.record(drone, &attacker, true, action);
+                record_edge(drone, &mut self.actions, "adaptive", &attacker, true, action);
                 continue;
             };
             if let Some(d) = self.defense {
-                if drone.driver.tenant_budget(&container).is_none() {
-                    drone.driver.set_tenant_budget(container, d.budget);
-                }
-                self.ladder.note_budgeted(&attacker);
-                arm_hardening(drone, &d, self.plan.seed);
+                self.ladder.arm(drone, &d, &attacker, container, self.plan.seed);
             }
             let action = format!("t={tick} arm adaptive/{} {attacker}", strategy.name());
-            self.record(drone, &attacker, true, action);
+            record_edge(drone, &mut self.actions, "adaptive", &attacker, true, action);
         }
         self.armed = true;
     }
@@ -190,15 +172,11 @@ impl AdaptiveInjector {
                 self.total_rejected += rejected;
             }
         } else if self.interference_live {
-            self.record(
-                drone,
-                "*",
-                false,
-                format!(
-                    "t={tick} disarm adaptive (admitted={}, rejected={})",
-                    self.total_admitted, self.total_rejected
-                ),
+            let action = format!(
+                "t={tick} disarm adaptive (admitted={}, rejected={})",
+                self.total_admitted, self.total_rejected
             );
+            record_edge(drone, &mut self.actions, "adaptive", "*", false, action);
         }
         // The fast-loop pressure tracks what actually got through the
         // driver this tick.
@@ -217,22 +195,7 @@ impl AdaptiveInjector {
         // can finish stepping quiet tenants back down.
         if let Some(d) = self.defense {
             let attackers = self.plan.attacker_names();
-            for step in self.ladder.advance(&d, &attackers, drone) {
-                let counter = if step.up {
-                    "attack.ladder.steps"
-                } else {
-                    "attack.ladder.decays"
-                };
-                drone.obs.count(counter, 1);
-                let arrow = if step.up { "->" } else { "~>" };
-                let action = format!(
-                    "t={tick} ladder {} {arrow} {} (throttles={})",
-                    step.attacker,
-                    step.rung.name(),
-                    step.throttles
-                );
-                self.record(drone, &step.attacker, step.up, action);
-            }
+            self.ladder.walk(tick, &d, &attackers, drone, "adaptive", &mut self.actions);
             observe_enforcement(drone, &attackers, &mut self.prev_throttles, 0);
         }
     }

@@ -3,8 +3,8 @@
 //!
 //! Two probes compose on the flight executor:
 //!
-//! - [`AttackInjector`] arms and disarms attack events exactly as
-//!   [`crate::injector::FaultInjector`] does fault events, then
+//! - [`AttackInjector`] arms and disarms attack events on the same
+//!   clock [`crate::injector::FaultInjector`] uses for faults, then
 //!   *drives* each armed attack every simulated second: Binder
 //!   transaction floods and oversized-parcel bombs through the real
 //!   admission path, telemetry subscription storms, CPU-quota
@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 use androne_binder::{AggregateQos, TenantQos};
 use androne_obs::{Subsystem, TraceEvent};
 use androne_simkern::latency::profiles;
-use androne_simkern::{rt_monitor_stream_rng, ClientId, ContainerId, ResourceKind};
-use androne_workloads::{AttackClock, AttackKind, AttackPlan, ARDUPILOT_DEADLINE_US};
+use androne_simkern::{rt_monitor_stream_rng, ClientId, ContainerId, FaultClock, ResourceKind};
+use androne_workloads::{AttackKind, AttackPlan, ARDUPILOT_DEADLINE_US};
 use rand::rngs::SmallRng;
 
 use crate::drone::Drone;
@@ -128,7 +128,7 @@ impl LadderRung {
 }
 
 /// One ladder movement [`LadderState::advance`] performed this tick.
-pub(crate) struct LadderStep {
+struct LadderStep {
     pub attacker: String,
     pub rung: LadderRung,
     /// `true` = escalation, `false` = hysteresis decay (step-down).
@@ -137,11 +137,11 @@ pub(crate) struct LadderStep {
     pub throttles: u64,
 }
 
-/// The escalation-ladder walk shared by the open-loop
-/// [`AttackInjector`] and the closed-loop
-/// [`crate::adaptive::AdaptiveInjector`]: per-attacker rung, the
-/// throttle baseline thresholds are measured against, and the
-/// quiet-tick counter the hysteresis decay runs on.
+/// The escalation ladder shared by the open-loop [`AttackInjector`]
+/// and the closed-loop [`crate::adaptive::AdaptiveInjector`] — one
+/// arm step, one walk — with the per-attacker rung, the throttle
+/// baseline thresholds are measured against, and the quiet-tick
+/// counter the hysteresis decay runs on.
 ///
 /// Escalation is measured on throttles *since the last step-down*
 /// (`base`), not the raw cumulative count — otherwise a decayed
@@ -161,10 +161,70 @@ pub(crate) struct LadderState {
 impl LadderState {
     /// Marks `attacker` as budgeted (bottom rung) if enforcement has
     /// not touched it yet.
-    pub fn note_budgeted(&mut self, attacker: &str) {
+    fn note_budgeted(&mut self, attacker: &str) {
         self.rungs
             .entry(attacker.to_string())
             .or_insert(LadderRung::Budgeted);
+    }
+
+    /// Arms `d` on `attacker` (running in `container`): its Binder
+    /// budget, its entry on this ladder, and — once per flight — the
+    /// drone-wide hardening (aggregate cap, refill jitter keyed by
+    /// the plan `seed`, so identical plans see identical jitter).
+    ///
+    /// The ladder entry goes with the budget: an injector walks an
+    /// attacker only if it armed that attacker's budget itself, so a
+    /// tenant another injector on the same flight already budgeted
+    /// is never walked by two ladders off one throttle counter.
+    pub fn arm(
+        &mut self,
+        drone: &mut Drone,
+        d: &AttackDefense,
+        attacker: &str,
+        container: ContainerId,
+        seed: u64,
+    ) {
+        if drone.driver.tenant_budget(&container).is_none() {
+            drone.driver.set_tenant_budget(container, d.budget);
+            self.note_budgeted(attacker);
+        }
+        if let Some(agg) = d.aggregate {
+            if drone.driver.aggregate_cap().is_none() {
+                drone.driver.set_aggregate_cap(Some(agg));
+            }
+        }
+        if d.refill_jitter && drone.driver.refill_jitter().is_none() {
+            drone.driver.set_refill_jitter(Some(seed));
+        }
+    }
+
+    /// Advances the ladder ([`Self::advance`]) and records every
+    /// movement as an attack edge of trace kind `kind`.
+    pub fn walk(
+        &mut self,
+        tick: u64,
+        d: &AttackDefense,
+        attackers: &[String],
+        drone: &mut Drone,
+        kind: &'static str,
+        actions: &mut Vec<String>,
+    ) {
+        for step in self.advance(d, attackers, drone) {
+            let counter = if step.up {
+                "attack.ladder.steps"
+            } else {
+                "attack.ladder.decays"
+            };
+            drone.obs.count(counter, 1);
+            let arrow = if step.up { "->" } else { "~>" };
+            let action = format!(
+                "t={tick} ladder {} {arrow} {} (throttles={})",
+                step.attacker,
+                step.rung.name(),
+                step.throttles
+            );
+            record_edge(drone, actions, kind, &step.attacker, step.up, action);
+        }
     }
 
     pub fn rung(&self, attacker: &str) -> Option<LadderRung> {
@@ -178,8 +238,8 @@ impl LadderState {
     /// Walks every budgeted attacker one rung at most — up when its
     /// post-baseline throttle count crosses the next threshold, down
     /// when `decay_after` consecutive quiet ticks have passed.
-    /// Returns the movements; the caller records them.
-    pub fn advance(
+    /// Returns the movements for [`Self::walk`] to record.
+    fn advance(
         &mut self,
         d: &AttackDefense,
         attackers: &[String],
@@ -265,19 +325,26 @@ impl LadderState {
     }
 }
 
-/// Arms the drone-wide hardening a defense carries — the aggregate
-/// admission cap and the refill-boundary jitter — once per flight.
-/// `seed` keys the jitter stream (the plan seed, so identical plans
-/// see identical jitter).
-pub(crate) fn arm_hardening(drone: &mut Drone, d: &AttackDefense, seed: u64) {
-    if let Some(agg) = d.aggregate {
-        if drone.driver.aggregate_cap().is_none() {
-            drone.driver.set_aggregate_cap(Some(agg));
-        }
-    }
-    if d.refill_jitter && drone.driver.refill_jitter().is_none() {
-        drone.driver.set_refill_jitter(Some(seed));
-    }
+/// Records one attack-layer action: bumps `attack.transitions`, emits
+/// an `AttackEdge` trace record of `kind`, and appends the line to
+/// `actions`.
+pub(crate) fn record_edge(
+    drone: &Drone,
+    actions: &mut Vec<String>,
+    kind: &'static str,
+    attacker: &str,
+    armed: bool,
+    action: String,
+) {
+    drone.obs.count("attack.transitions", 1);
+    let attacker = attacker.to_string();
+    drone.obs.emit(Subsystem::Fault, || TraceEvent::AttackEdge {
+        kind,
+        attacker,
+        armed,
+        detail: action.clone(),
+    });
+    actions.push(action);
 }
 
 /// Histogram bounds for the per-tick Binder throttle trajectory the
@@ -318,7 +385,8 @@ pub(crate) fn observe_enforcement(
 /// Applies an attack plan to a drone, one simulated second at a time.
 /// See the module docs for the drive/enforcement model.
 pub struct AttackInjector {
-    clock: AttackClock,
+    plan: AttackPlan,
+    clock: FaultClock,
     defense: Option<AttackDefense>,
     actions: Vec<String>,
     /// Ladder state per attacker name; absent = not yet budgeted.
@@ -332,7 +400,8 @@ impl AttackInjector {
     /// Wraps a plan. `defense: None` runs the attacks unthrottled.
     pub fn new(plan: AttackPlan, defense: Option<AttackDefense>) -> Self {
         AttackInjector {
-            clock: AttackClock::new(plan),
+            clock: FaultClock::new(plan.events.iter().map(|e| (e.arm_tick, e.disarm_tick))),
+            plan,
             defense,
             actions: Vec::new(),
             ladder: LadderState::default(),
@@ -342,7 +411,7 @@ impl AttackInjector {
 
     /// The plan being driven.
     pub fn plan(&self) -> &AttackPlan {
-        self.clock.plan()
+        &self.plan
     }
 
     /// Human-readable log of every transition and ladder step so far.
@@ -362,50 +431,34 @@ impl AttackInjector {
         self.ladder.iter()
     }
 
-    fn container_of(drone: &Drone, attacker: &str) -> Option<ContainerId> {
-        drone.vdrones.get(attacker).map(|v| v.container)
-    }
-
-    fn record(&mut self, drone: &Drone, kind: &'static str, attacker: &str, armed: bool, action: String) {
-        drone.obs.count("attack.transitions", 1);
-        let attacker = attacker.to_string();
-        drone.obs.emit(Subsystem::Fault, || TraceEvent::AttackEdge {
-            kind,
-            attacker,
-            armed,
-            detail: action.clone(),
-        });
-        self.actions.push(action);
-    }
-
     /// Applies every attack transition scheduled at `tick`, then
     /// drives each armed attack's per-tick load and advances the
     /// escalation ladder. Call once per simulated second.
     pub fn apply_tick(&mut self, tick: u64, drone: &mut Drone) {
-        if self.clock.plan().is_empty() {
+        if self.plan.is_empty() {
             return;
         }
         let transitions = self.clock.transitions_at(tick);
         for t in transitions {
-            let Some(event) = self.clock.plan().events.get(t.index).cloned() else {
+            let Some(event) = self.plan.events.get(t.index).cloned() else {
                 continue;
             };
             self.apply_transition(tick, &event.attacker, event.kind, t.armed, drone);
         }
         self.drive_armed(drone);
-        self.advance_ladder(tick, drone);
-        let quota_millicores = match self.defense {
-            Some(d) => {
-                let armed_cpu = (0..self.clock.plan().events.len())
-                    .filter(|&i| self.clock.is_armed(i))
-                    .filter_map(|i| self.clock.plan().events.get(i))
-                    .filter(|e| matches!(e.kind, AttackKind::CpuSaturation { .. }))
-                    .count() as u64;
-                armed_cpu * (d.cpu_quota * 1_000.0) as u64
-            }
-            None => 0,
-        };
-        let attackers = self.clock.plan().attackers();
+        let attackers = self.plan.attackers();
+        let mut quota_millicores = 0;
+        if let Some(d) = self.defense {
+            // One rung per tick at most — graceful degradation (and
+            // recovery), not a cliff.
+            self.ladder.walk(tick, &d, &attackers, drone, "ladder", &mut self.actions);
+            let armed_cpu = (0..self.plan.events.len())
+                .filter(|&i| self.clock.is_armed(i))
+                .filter_map(|i| self.plan.events.get(i))
+                .filter(|e| matches!(e.kind, AttackKind::CpuSaturation { .. }))
+                .count() as u64;
+            quota_millicores = armed_cpu * (d.cpu_quota * 1_000.0) as u64;
+        }
         observe_enforcement(drone, &attackers, &mut self.prev_throttles, quota_millicores);
     }
 
@@ -418,9 +471,9 @@ impl AttackInjector {
         drone: &mut Drone,
     ) {
         let verb = if armed { "arm" } else { "disarm" };
-        let Some(container) = Self::container_of(drone, attacker) else {
+        let Some(container) = drone.vdrones.get(attacker).map(|v| v.container) else {
             let action = format!("t={tick} {verb} {} {attacker}: not deployed", kind.name());
-            self.record(drone, kind.name(), attacker, armed, action);
+            record_edge(drone, &mut self.actions, kind.name(), attacker, armed, action);
             return;
         };
         if armed {
@@ -429,11 +482,7 @@ impl AttackInjector {
             // throttled profile when defended, the raw one when not.
             let profile = match self.defense {
                 Some(d) => {
-                    if drone.driver.tenant_budget(&container).is_none() {
-                        drone.driver.set_tenant_budget(container, d.budget);
-                        self.ladder.note_budgeted(attacker);
-                    }
-                    arm_hardening(drone, &d, self.clock.plan().seed);
+                    self.ladder.arm(drone, &d, attacker, container, self.plan.seed);
                     profiles::attack_throttled(kind.source_name())
                 }
                 None => profiles::attack_unenforced(kind.source_name()),
@@ -463,19 +512,19 @@ impl AttackInjector {
             _ => {}
         }
         let action = format!("t={tick} {verb} {} {attacker}", kind.name());
-        self.record(drone, kind.name(), attacker, armed, action);
+        record_edge(drone, &mut self.actions, kind.name(), attacker, armed, action);
     }
 
     /// One second of load from every armed attack.
     fn drive_armed(&mut self, drone: &mut Drone) {
-        for index in 0..self.clock.plan().events.len() {
+        for index in 0..self.plan.events.len() {
             if !self.clock.is_armed(index) {
                 continue;
             }
-            let Some(event) = self.clock.plan().events.get(index).cloned() else {
+            let Some(event) = self.plan.events.get(index).cloned() else {
                 continue;
             };
-            let Some(container) = Self::container_of(drone, &event.attacker) else {
+            let Some(container) = drone.vdrones.get(&event.attacker).map(|v| v.container) else {
                 continue;
             };
             match event.kind {
@@ -506,33 +555,6 @@ impl AttackInjector {
                     }
                 }
             }
-        }
-    }
-
-    /// Walks each budgeted attacker along the ladder — up as its
-    /// post-baseline throttle count crosses the thresholds, down
-    /// under hysteresis decay. One rung per tick at most — graceful
-    /// degradation (and recovery), not a cliff.
-    fn advance_ladder(&mut self, tick: u64, drone: &mut Drone) {
-        let Some(d) = self.defense else {
-            return;
-        };
-        let attackers = self.clock.plan().attackers();
-        for step in self.ladder.advance(&d, &attackers, drone) {
-            let counter = if step.up {
-                "attack.ladder.steps"
-            } else {
-                "attack.ladder.decays"
-            };
-            drone.obs.count(counter, 1);
-            let arrow = if step.up { "->" } else { "~>" };
-            let action = format!(
-                "t={tick} ladder {} {arrow} {} (throttles={})",
-                step.attacker,
-                step.rung.name(),
-                step.throttles
-            );
-            self.record(drone, "ladder", &step.attacker, step.up, action);
         }
     }
 }

@@ -1,11 +1,12 @@
 //! The fault injector: drives a [`FaultPlan`] against a live drone.
 //!
-//! One injector wraps one plan's [`FaultClock`] and is called once
-//! per simulated second (from the flight loop's observer hook) with
-//! the tick index and the drone. At each tick it applies every fault
-//! transition scheduled there — arming faults into the subsystem the
-//! fault targets, disarming them back out — and records what it did
-//! in a human-readable action log for tests.
+//! One injector drives one plan through a [`FaultClock`] over the
+//! plan's arm/disarm windows, and is called once per simulated second
+//! (from the flight loop's observer hook) with the tick index and the
+//! drone. At each tick it applies every fault transition scheduled
+//! there — arming faults into the subsystem the fault targets,
+//! disarming them back out — and records what it did in a
+//! human-readable action log for tests.
 //!
 //! Determinism contract: with an empty plan the injector does zero
 //! work and draws nothing from any RNG stream, so an
@@ -25,6 +26,7 @@ use crate::probe::FlightProbe;
 
 /// Applies a fault plan to a drone, one simulated second at a time.
 pub struct FaultInjector {
+    plan: FaultPlan,
     clock: FaultClock,
     actions: Vec<String>,
 }
@@ -33,14 +35,15 @@ impl FaultInjector {
     /// Wraps a plan.
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
-            clock: FaultClock::new(plan),
+            clock: FaultClock::new(plan.events.iter().map(|e| (e.arm_tick, e.disarm_tick))),
+            plan,
             actions: Vec::new(),
         }
     }
 
     /// The plan being driven.
     pub fn plan(&self) -> &FaultPlan {
-        self.clock.plan()
+        &self.plan
     }
 
     /// Human-readable log of every transition applied so far.
@@ -52,13 +55,12 @@ impl FaultInjector {
     /// simulated seconds since launch). Call once per second from the
     /// flight observer.
     pub fn apply_tick(&mut self, tick: u64, drone: &mut Drone) {
-        if self.clock.plan().is_empty() {
+        if self.plan.is_empty() {
             return;
         }
         let transitions = self.clock.transitions_at(tick);
         for t in transitions {
-            let Some(kind) = self.clock.plan().events.get(t.index).map(|e| e.kind.clone())
-            else {
+            let Some(kind) = self.plan.events.get(t.index).map(|e| e.kind.clone()) else {
                 continue;
             };
             self.apply_transition(tick, kind, t.armed, drone);

@@ -11,11 +11,12 @@
 //!   byte-identical to a flight on a build with no fault machinery.
 //!
 //! The plan itself is pure data; it knows nothing about drones. A
-//! [`FaultClock`] walks the schedule tick by tick and reports which
-//! events arm or disarm, and the consumer (the fault injector in the
-//! core crate) maps each [`FaultKind`] onto the simulated hardware.
-//! Everything hashes through [`StateHash`] so armed faults are part
-//! of the dual-run determinism check.
+//! [`FaultClock`] walks the schedule's arm/disarm windows tick by
+//! tick and reports which events arm or disarm, and the consumer (the
+//! fault injector in the core crate) maps each [`FaultKind`] onto the
+//! simulated hardware. The attack injector drives the same clock
+//! over its attack plan's windows. Plans hash through [`StateHash`],
+//! so the schedule is part of the dual-run determinism check.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -244,11 +245,6 @@ impl FaultPlan {
 
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The tick after which no event is armed any more.
-    pub fn last_disarm_tick(&self) -> u64 {
-        self.events.iter().map(|e| e.disarm_tick).max().unwrap_or(0)
     }
 }
 
@@ -534,58 +530,53 @@ impl StateHash for FleetFaultPlan {
     }
 }
 
-/// A transition reported by the [`FaultClock`]: event `index` of the
-/// plan armed (`armed == true`) or disarmed at the queried tick.
+/// A transition reported by the [`FaultClock`]: window `index` armed
+/// (`armed == true`) or disarmed at the queried tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultTransition {
     pub index: usize,
     pub armed: bool,
 }
 
-/// Walks a [`FaultPlan`] tick by tick, reporting arm/disarm edges.
+/// Walks a schedule's `(arm_tick, disarm_tick)` windows tick by tick,
+/// reporting arm/disarm edges. The clock knows only the windows: each
+/// injector (faults, attacks) keeps its own plan and maps a
+/// transition's `index` back onto its own event.
 #[derive(Debug, Clone)]
 pub struct FaultClock {
-    plan: FaultPlan,
+    windows: Vec<(u64, u64)>,
     active: Vec<bool>,
 }
 
 impl FaultClock {
-    pub fn new(plan: FaultPlan) -> FaultClock {
-        let active = vec![false; plan.events.len()];
-        FaultClock { plan, active }
+    /// A clock over `windows`, one per event in plan order; each arms
+    /// at its first tick (inclusive) and disarms at its second
+    /// (exclusive).
+    pub fn new(windows: impl IntoIterator<Item = (u64, u64)>) -> FaultClock {
+        let windows: Vec<(u64, u64)> = windows.into_iter().collect();
+        let active = vec![false; windows.len()];
+        FaultClock { windows, active }
     }
 
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Whether event `index` is currently armed.
+    /// Whether window `index` is currently armed.
     pub fn is_armed(&self, index: usize) -> bool {
         self.active.get(index).copied().unwrap_or(false)
     }
 
     /// Advances the clock to `tick` and returns the edges that fire
     /// there, in plan order (arms before disarms never interleave
-    /// within one event since windows are non-empty).
+    /// within one window since windows are non-empty). Skipped ticks
+    /// still deliver their edges on the next query.
     pub fn transitions_at(&mut self, tick: u64) -> Vec<FaultTransition> {
         let mut out = Vec::new();
-        for (i, e) in self.plan.events.iter().enumerate() {
-            let should_be_armed = tick >= e.arm_tick && tick < e.disarm_tick;
+        for (i, &(arm, disarm)) in self.windows.iter().enumerate() {
+            let should_be_armed = tick >= arm && tick < disarm;
             if should_be_armed != self.active[i] {
                 self.active[i] = should_be_armed;
                 out.push(FaultTransition { index: i, armed: should_be_armed });
             }
         }
         out
-    }
-}
-
-impl StateHash for FaultClock {
-    fn state_hash(&self, h: &mut StateHasher) {
-        self.plan.state_hash(h);
-        for a in &self.active {
-            h.write_bool(*a);
-        }
     }
 }
 
@@ -824,8 +815,7 @@ mod tests {
 
     #[test]
     fn clock_reports_arm_and_disarm_edges() {
-        let plan = FaultPlan::single(FaultKind::GpsLoss, 10, 20);
-        let mut clock = FaultClock::new(plan);
+        let mut clock = FaultClock::new([(10, 20)]);
         assert!(clock.transitions_at(9).is_empty());
         assert_eq!(
             clock.transitions_at(10),
@@ -843,7 +833,7 @@ mod tests {
 
     #[test]
     fn empty_plan_never_transitions() {
-        let mut clock = FaultClock::new(FaultPlan::empty());
+        let mut clock = FaultClock::new([]);
         for tick in 0..300 {
             assert!(clock.transitions_at(tick).is_empty());
         }
@@ -853,8 +843,7 @@ mod tests {
     fn clock_handles_skipped_ticks() {
         // A flight that ends early may jump the clock past windows;
         // the disarm edge still fires on the next query.
-        let plan = FaultPlan::single(FaultKind::LinkPartition, 5, 8);
-        let mut clock = FaultClock::new(plan);
+        let mut clock = FaultClock::new([(5, 8)]);
         assert_eq!(clock.transitions_at(6).len(), 1);
         assert_eq!(clock.transitions_at(30).len(), 1);
         assert!(!clock.is_armed(0));

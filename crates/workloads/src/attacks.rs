@@ -14,15 +14,15 @@
 //!   byte-identical to a flight on a build with no attack machinery.
 //!
 //! The plan is pure data; it knows nothing about drones or Binder.
-//! An [`AttackClock`] walks the schedule tick by tick and reports
-//! which events arm or disarm, and the consumer (the attack injector
-//! in the core crate) maps each [`AttackKind`] onto the simulated
-//! system: Binder transaction floods and parcel bombs hit the
-//! driver's per-tenant QoS budgets, CPU saturation hits the
-//! cgroup-style bandwidth caps, fd exhaustion hits the fd budget,
-//! telemetry storms hit the subscription budget. Everything hashes
-//! through [`StateHash`] so armed attacks are part of the dual-run
-//! determinism check.
+//! The consumer (the attack injector in the core crate) walks the
+//! schedule's arm/disarm windows with the same
+//! [`androne_simkern::FaultClock`] the fault injector uses, and maps
+//! each [`AttackKind`] onto the simulated system: Binder transaction
+//! floods and parcel bombs hit the driver's per-tenant QoS budgets,
+//! CPU saturation hits the cgroup-style bandwidth caps, fd exhaustion
+//! hits the fd budget, telemetry storms hit the subscription budget.
+//! Plans hash through [`StateHash`], so the schedule is part of the
+//! dual-run determinism check.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -212,11 +212,6 @@ impl AttackPlan {
         self.events.is_empty()
     }
 
-    /// The tick after which no event is armed any more.
-    pub fn last_disarm_tick(&self) -> u64 {
-        self.events.iter().map(|e| e.disarm_tick).max().unwrap_or(0)
-    }
-
     /// The sorted, deduplicated set of tenants named as attackers
     /// anywhere in the plan.
     pub fn attackers(&self) -> Vec<String> {
@@ -234,61 +229,6 @@ impl StateHash for AttackPlan {
         h.write_usize(self.events.len());
         for e in &self.events {
             e.state_hash(h);
-        }
-    }
-}
-
-/// A transition reported by the [`AttackClock`]: event `index` of the
-/// plan armed (`armed == true`) or disarmed at the queried tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttackTransition {
-    pub index: usize,
-    pub armed: bool,
-}
-
-/// Walks an [`AttackPlan`] tick by tick, reporting arm/disarm edges.
-#[derive(Debug, Clone)]
-pub struct AttackClock {
-    plan: AttackPlan,
-    active: Vec<bool>,
-}
-
-impl AttackClock {
-    pub fn new(plan: AttackPlan) -> AttackClock {
-        let active = vec![false; plan.events.len()];
-        AttackClock { plan, active }
-    }
-
-    pub fn plan(&self) -> &AttackPlan {
-        &self.plan
-    }
-
-    /// Whether event `index` is currently armed.
-    pub fn is_armed(&self, index: usize) -> bool {
-        self.active.get(index).copied().unwrap_or(false)
-    }
-
-    /// Advances the clock to `tick` and returns the edges that fire
-    /// there, in plan order. Skipped ticks still deliver their edges
-    /// on the next query.
-    pub fn transitions_at(&mut self, tick: u64) -> Vec<AttackTransition> {
-        let mut out = Vec::new();
-        for (i, e) in self.plan.events.iter().enumerate() {
-            let should_be_armed = tick >= e.arm_tick && tick < e.disarm_tick;
-            if should_be_armed != self.active[i] {
-                self.active[i] = should_be_armed;
-                out.push(AttackTransition { index: i, armed: should_be_armed });
-            }
-        }
-        out
-    }
-}
-
-impl StateHash for AttackClock {
-    fn state_hash(&self, h: &mut StateHasher) {
-        self.plan.state_hash(h);
-        for a in &self.active {
-            h.write_bool(*a);
         }
     }
 }
@@ -378,48 +318,6 @@ mod tests {
         for k in kinds {
             assert!(k.source_name().starts_with("attack:"));
         }
-    }
-
-    #[test]
-    fn clock_reports_arm_and_disarm_edges() {
-        let plan =
-            AttackPlan::single(AttackKind::BinderFlood { per_tick: 400 }, "vd-evil", 10, 20);
-        let mut clock = AttackClock::new(plan);
-        assert!(clock.transitions_at(9).is_empty());
-        assert_eq!(
-            clock.transitions_at(10),
-            vec![AttackTransition { index: 0, armed: true }]
-        );
-        assert!(clock.transitions_at(15).is_empty());
-        assert!(clock.is_armed(0));
-        assert_eq!(
-            clock.transitions_at(20),
-            vec![AttackTransition { index: 0, armed: false }]
-        );
-        assert!(!clock.is_armed(0));
-        assert!(clock.transitions_at(21).is_empty());
-    }
-
-    #[test]
-    fn empty_plan_never_transitions() {
-        let mut clock = AttackClock::new(AttackPlan::empty());
-        for tick in 0..300 {
-            assert!(clock.transitions_at(tick).is_empty());
-        }
-        assert!(clock.plan().is_empty());
-        assert_eq!(clock.plan().last_disarm_tick(), 0);
-    }
-
-    #[test]
-    fn clock_handles_skipped_ticks() {
-        // A flight that ends early may jump the clock past windows;
-        // the disarm edge still fires on the next query.
-        let plan =
-            AttackPlan::single(AttackKind::CpuSaturation { demand: 8.0 }, "vd-evil", 5, 8);
-        let mut clock = AttackClock::new(plan);
-        assert_eq!(clock.transitions_at(6).len(), 1);
-        assert_eq!(clock.transitions_at(30).len(), 1);
-        assert!(!clock.is_armed(0));
     }
 
     #[test]

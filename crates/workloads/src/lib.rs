@@ -26,7 +26,7 @@ pub use adaptive::{
     AdaptiveAttacker, AdaptivePlan, AdaptiveStrategy, AttackerBrain, AttackerCommand,
     AttackerObservation, ADAPTIVE_WIRE_SIZE,
 };
-pub use attacks::{AttackClock, AttackEvent, AttackKind, AttackPlan, AttackTransition};
+pub use attacks::{AttackEvent, AttackKind, AttackPlan};
 pub use cyclictest::{run as run_cyclictest, CyclictestResult, ARDUPILOT_DEADLINE_US};
 pub use passmark::{run_concurrent, stock_baseline, PassmarkScores, CONTAINER_OVERHEAD};
 pub use stress::{start_stress, Iperf, StressConfig, StressHandle};

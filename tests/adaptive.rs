@@ -207,6 +207,16 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
     }
 }
 
+/// `(fleet_digest, metrics_digest)` of the collusion campaign under
+/// the per-tenant-only posture. Thread-matrix and dual-run equality
+/// cannot see a drift that is the same in every run; these absolute
+/// pins can.
+const COLLUSION_PER_TENANT_PIN: (u64, u64) = (0xf7e663437c7f47b7, 0xcad9cc022b709fe7);
+
+/// `(fleet_digest, metrics_digest)` of the same campaign under the
+/// hardened posture.
+const COLLUSION_HARDENED_PIN: (u64, u64) = (0xad55dfc8c6bd883e, 0x8aaf6a6549f78085);
+
 /// Invariant (b), pinned: synchronized collusion — three co-resident
 /// tenants cycling save → burst → glide on the same phase — breaches
 /// the fast loop under the pre-hardening per-tenant-only defense
@@ -238,6 +248,11 @@ fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it(
     };
     let run = FleetSpec::new(cfg.clone()).attacks(per_tenant_only.clone()).run()
         .expect("run");
+    assert_eq!(
+        (run.fleet_digest(), run.metrics_digest()),
+        COLLUSION_PER_TENANT_PIN,
+        "the per-tenant-only collusion run drifted from its pinned digests"
+    );
     let (samples, misses, max_us) = run.flights[0]
         .rt_deadline
         .expect("the adaptive flight carries the monitor");
@@ -275,6 +290,11 @@ fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it(
         ..FleetAttackPlan::none()
     };
     let run = FleetSpec::new(cfg.clone()).attacks(hardened.clone()).run().expect("run");
+    assert_eq!(
+        (run.fleet_digest(), run.metrics_digest()),
+        COLLUSION_HARDENED_PIN,
+        "the hardened collusion run drifted from its pinned digests"
+    );
     let (samples, misses, max_us) = run.flights[0].rt_deadline.expect("monitor rode the flight");
     assert!(samples > 0);
     assert_eq!(

@@ -32,7 +32,9 @@ use androne::hal::GeoPoint;
 use androne::simkern::latency::profiles;
 use androne::simkern::{ContainerId, FleetFaultPlan, Kernel, KernelConfig};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
-use androne::workloads::{run_cyclictest, AttackKind, AttackPlan, ARDUPILOT_DEADLINE_US};
+use androne::workloads::{
+    run_cyclictest, AdaptivePlan, AdaptiveStrategy, AttackKind, AttackPlan, ARDUPILOT_DEADLINE_US,
+};
 use androne::AttackDefense;
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
@@ -322,6 +324,15 @@ fn cyclictest_bounds_the_throttled_attack_and_exposes_the_raw_one() {
     );
 }
 
+/// `(fleet_digest, metrics_digest)` of the escalation-ladder run.
+/// Thread-matrix and dual-run equality cannot see a drift that is the
+/// same in every run; these absolute pins can.
+const LADDER_PIN: (u64, u64) = (0x0822b5162adda403, 0x95767b378e9f4e0b);
+
+/// `(fleet_digest, metrics_digest)` of the hysteresis-recovery run
+/// (identical at every thread width).
+const RECOVERY_PIN: (u64, u64) = (0xf46142c3e08ae990, 0x983a8a67a80f561c);
+
 /// Invariant (d) in depth: an aggressive flood against tight ladder
 /// thresholds walks budget → rate-halved → suspended → revoked, the
 /// revoked tenant is terminally refunded, and the flight still ends
@@ -354,6 +365,11 @@ fn escalation_ladder_walks_to_revocation_and_still_resolves() {
         ..FleetAttackPlan::none()
     };
     let run = FleetSpec::new(cfg.clone()).attacks(attacks.clone()).run().expect("run");
+    assert_eq!(
+        (run.fleet_digest(), run.metrics_digest()),
+        LADDER_PIN,
+        "the escalation-ladder run drifted from its pinned digests"
+    );
     let f = &run.flights[0];
     let ladder: Vec<&String> = f.injected.iter().filter(|l| l.contains("ladder")).collect();
     for rung in ["rate-halved", "suspended", "revoked"] {
@@ -374,6 +390,64 @@ fn escalation_ladder_walks_to_revocation_and_still_resolves() {
     let (_, misses, max_us) = f.rt_deadline.expect("monitor rode the flight");
     assert_eq!(misses, 0, "enforced even while escalating (max {max_us:.1} µs)");
     assert_terminal_outcomes(&run, "ladder");
+}
+
+/// One flight carrying an open-loop plan and an adaptive plan that
+/// name the same attacker walks that attacker on ONE ladder. The
+/// open-loop injector arms the budget first (tick 2), so it owns the
+/// ladder entry; the adaptive injector (armed at tick 3) finds the
+/// budget already armed and leaves the attacker off its own ladder.
+/// Two ladders reading one throttle counter would step the tenant
+/// twice per rung — suspended and rate-halved in the same tick,
+/// revoked twice.
+#[test]
+fn one_attacker_under_both_plan_kinds_walks_one_ladder() {
+    let cfg = FleetConfig {
+        base: BASE,
+        seed: 0x1ADDE2,
+        fleet_size: 1,
+        tenants: fleet_tenants(1),
+        max_waves: 6,
+        max_sim_seconds: MAX_SIM_S,
+        watchdog: None,
+        threads: 1,
+    };
+    let mut flights = BTreeMap::new();
+    flights.insert(
+        0usize,
+        AttackPlan::single(AttackKind::BinderFlood { per_tick: 800 }, "vd1", 2, 200),
+    );
+    let mut adaptive = BTreeMap::new();
+    adaptive.insert(0usize, AdaptivePlan::single(AdaptiveStrategy::RefillProbe, "vd1", 3, 200));
+    let attacks = FleetAttackPlan {
+        flights,
+        adaptive,
+        defense: Some(AttackDefense {
+            halve_after: 8,
+            suspend_after: 600,
+            revoke_after: 2_000,
+            ..AttackDefense::default()
+        }),
+    };
+    let run = FleetSpec::new(cfg).attacks(attacks).run().expect("run");
+    let ladder: Vec<&String> = run.flights[0]
+        .injected
+        .iter()
+        .filter(|l| l.contains(" ladder vd1 "))
+        .collect();
+    for rung in ["rate-halved", "suspended", "revoked"] {
+        let steps = ladder.iter().filter(|l| l.contains(&format!("-> {rung} "))).count();
+        assert_eq!(steps, 1, "vd1 should reach {rung} exactly once: {ladder:?}");
+    }
+    let mut ticks: Vec<&str> = ladder
+        .iter()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let all = ticks.len();
+    ticks.sort_unstable();
+    ticks.dedup();
+    assert_eq!(ticks.len(), all, "vd1 stepped twice in one tick: {ladder:?}");
+    assert_terminal_outcomes(&run, "both plan kinds");
 }
 
 /// Invariant (e): the attacked executor with no attack plan is
@@ -443,6 +517,11 @@ fn suspended_tenant_recovers_and_completes_after_going_quiet() {
         FleetSpec::new(cfg.clone()).attacks(attacks.clone()).run().expect("run")
     };
     let run = run_at(1);
+    assert_eq!(
+        (run.fleet_digest(), run.metrics_digest()),
+        RECOVERY_PIN,
+        "the hysteresis-recovery run drifted from its pinned digests"
+    );
     let f = &run.flights[0];
     let ladder: Vec<&String> = f.injected.iter().filter(|l| l.contains("ladder")).collect();
     // Up while the flood runs...
