@@ -124,7 +124,7 @@ impl Androne {
         // Post-flight: offload marked files, bill the energy used,
         // and save each virtual drone in the VDR.
         for (order, prior) in aboard {
-            let mut post = harvest_owner(&mut drone, &order.vd_name, &outcome.log, prior)?;
+            let mut post = harvest_owner(&mut drone, &order.vd_name, prior)?;
             self.cloud.complete_flight(
                 &order.user,
                 flight_id,

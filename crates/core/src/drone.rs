@@ -290,8 +290,10 @@ impl Drone {
 
     /// Deploys a virtual drone from its definition: creates and
     /// starts the container, boots its Android instance, installs its
-    /// apps (granting their manifest permissions), registers it with
-    /// the VDC, and attaches its VFC to MAVProxy.
+    /// apps (granting their manifest permissions and recording the
+    /// installs in the container image, so the diff travels to the
+    /// VDR), registers it with the VDC, and attaches its VFC to
+    /// MAVProxy.
     pub fn deploy_vdrone(
         &mut self,
         name: &str,
@@ -305,6 +307,48 @@ impl Drone {
             ANDROID_THINGS_IMAGE,
             ResourceLimits::UNLIMITED,
         )?;
+        self.boot_vdrone(name, spec, manifests)?;
+        let ctr = self
+            .runtime
+            .get_mut(name)
+            .ok_or(DroneError::BootInvariant("vdrone container exists"))?;
+        for manifest in manifests {
+            ctr.fs
+                .write(format!("/data/app/{}.apk", manifest.package), "apk-bytes");
+        }
+        Ok(())
+    }
+
+    /// Resumes a stored virtual drone from a VDR archive. Boot
+    /// proceeds exactly like a fresh deployment (containers are
+    /// stateless; state lives in the filesystem + bundles), then the
+    /// apps' saved state is restored.
+    pub fn deploy_from_archive(
+        &mut self,
+        archive: &ContainerArchive,
+        spec: VirtualDroneSpec,
+        manifests: &[androne_android::AndroneManifest],
+        app_state: &str,
+    ) -> Result<(), DroneError> {
+        self.runtime
+            .create_from_archive(archive, ResourceLimits::UNLIMITED)?;
+        self.boot_vdrone(&archive.name, spec, manifests)?
+            .apps
+            .deserialize_saved_state(app_state);
+        Ok(())
+    }
+
+    /// The deployment steps shared by a fresh and a resumed virtual
+    /// drone: starts its created container, boots its Android
+    /// instance, installs its apps (granting their manifest
+    /// permissions), registers it with the VDC, and attaches its VFC
+    /// to MAVProxy.
+    fn boot_vdrone(
+        &mut self,
+        name: &str,
+        spec: VirtualDroneSpec,
+        manifests: &[androne_android::AndroneManifest],
+    ) -> Result<&mut DeployedVdrone, DroneError> {
         self.runtime.start(name)?;
         let ctr = self
             .runtime
@@ -326,7 +370,6 @@ impl Drone {
             )?
         };
 
-        // Install apps and grant their manifest permissions.
         let mut apps = AppRegistry::new();
         for manifest in manifests {
             let euid = apps.install(manifest.clone());
@@ -335,16 +378,8 @@ impl Drone {
             for perm in &manifest.permissions {
                 am.grant(&manifest.package, perm.device.android_permission());
             }
-            // Record the install in the container image (so the diff
-            // travels to the VDR).
-            self.runtime
-                .get_mut(name)
-                .ok_or(DroneError::BootInvariant("vdrone container exists"))?
-                .fs
-                .write(format!("/data/app/{}.apk", manifest.package), "apk-bytes");
         }
 
-        // VDC registration and VFC attachment.
         self.vdc.borrow_mut().register(name, container, spec.clone());
         let first_wp = spec.waypoints[0];
         let fence = Geofence::new(first_wp.position(), first_wp.max_radius);
@@ -358,88 +393,17 @@ impl Drone {
             .add_vfc_client(Vfc::new(name, whitelist, fence, continuous_view));
 
         let sdk = AndroneSdk::new(self.vdc.clone(), name);
-        self.vdrones.insert(
-            name.to_string(),
-            DeployedVdrone {
+        Ok(self
+            .vdrones
+            .entry(name.to_string())
+            .insert_entry(DeployedVdrone {
                 name: name.to_string(),
                 container,
                 instance,
                 apps,
                 sdk,
-            },
-        );
-        Ok(())
-    }
-
-    /// Resumes a stored virtual drone from a VDR archive.
-    pub fn deploy_from_archive(
-        &mut self,
-        archive: &ContainerArchive,
-        spec: VirtualDroneSpec,
-        manifests: &[androne_android::AndroneManifest],
-        app_state: &str,
-    ) -> Result<(), DroneError> {
-        let name = archive.name.clone();
-        self.runtime
-            .create_from_archive(archive, ResourceLimits::UNLIMITED)?;
-        self.runtime.start(&name)?;
-        // Boot proceeds exactly like a fresh deployment (containers
-        // are stateless; state lives in the filesystem + bundles).
-        let ctr = self
-            .runtime
-            .get(&name)
-            .ok_or(DroneError::BootInvariant("restored container just created"))?;
-        let container = ctr.id;
-        let device_ns = ctr.namespaces.device_ns;
-        let instance = {
-            let mut k = self.kernel.borrow_mut();
-            boot_android_instance(
-                &mut k,
-                &mut self.driver,
-                container,
-                device_ns,
-                &SystemServerConfig::virtual_drone(),
-                None,
-                self.vdc.borrow().access(),
-            )?
-        };
-        let mut apps = AppRegistry::new();
-        for manifest in manifests {
-            let euid = apps.install(manifest.clone());
-            let mut am = instance.activity_manager.borrow_mut();
-            am.register_app(&manifest.package, euid);
-            for perm in &manifest.permissions {
-                am.grant(&manifest.package, perm.device.android_permission());
-            }
-        }
-        apps.deserialize_saved_state(app_state);
-
-        self.vdc.borrow_mut().register(&name, container, spec.clone());
-        let first_unvisited = spec.waypoints[0];
-        let fence = Geofence::new(first_unvisited.position(), first_unvisited.max_radius);
-        let whitelist = if spec.wants_flight_control() {
-            CommandWhitelist::standard()
-        } else {
-            CommandWhitelist::guided_only()
-        };
-        self.proxy.add_vfc_client(Vfc::new(
-            &name,
-            whitelist,
-            fence,
-            !spec.continuous_devices.is_empty(),
-        ));
-        let sdk = AndroneSdk::new(self.vdc.clone(), &name);
-        self.vdrones.insert(
-            name.clone(),
-            DeployedVdrone {
-                name,
-                container,
-                instance,
-                apps,
-                sdk,
-            },
-        );
-        Ok(())
+            })
+            .into_mut())
     }
 
     /// Stops a virtual drone and exports it for the VDR, returning
@@ -618,35 +582,5 @@ impl Drone {
             ("proxy", self.proxy.hash_value()),
             ("vdc", self.vdc.borrow().hash_value()),
         ]
-    }
-
-    /// Fine-grained state hashes for divergence localization: one
-    /// entry per kernel task, per proxy client, per VDC record, and
-    /// per SITL subcomponent, in a fixed order. Much larger than
-    /// [`Drone::component_hashes`]; the sanitizer captures these only
-    /// under verbose tracing.
-    pub fn detailed_hashes(&self) -> Vec<(String, u64)> {
-        use androne_simkern::StateHash;
-        let mut out = Vec::new();
-        {
-            let k = self.kernel.borrow();
-            for t in k.tasks.live() {
-                out.push((format!("kernel/task/{}", t.pid.0), t.hash_value()));
-            }
-        }
-        for (name, hash) in self.proxy.client_hashes() {
-            out.push((format!("proxy/client/{name}"), hash));
-        }
-        for rec in self.vdc.borrow().records() {
-            out.push((format!("vdc/record/{}", rec.name), rec.hash_value()));
-        }
-        out.push((
-            "sitl/truth".into(),
-            self.board.borrow().truth.borrow().hash_value(),
-        ));
-        out.push(("sitl/physics".into(), self.sitl.physics.hash_value()));
-        out.push(("sitl/estimator".into(), self.sitl.estimator.hash_value()));
-        out.push(("sitl/fc".into(), self.sitl.fc.hash_value()));
-        out
     }
 }

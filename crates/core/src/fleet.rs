@@ -57,7 +57,7 @@ use androne_workloads::{AdaptivePlan, AttackPlan};
 use crate::adaptive::AdaptiveInjector;
 use crate::attack::{AttackDefense, AttackInjector, RtMonitor};
 use crate::drone::{Drone, DroneError};
-use crate::flight_exec::{execute_flight_probed, EndReason, FlightLog};
+use crate::flight_exec::{execute_flight_probed, EndReason};
 use crate::injector::FaultInjector;
 use crate::pool::{WorkerError, WorkerPool};
 use crate::probe::{DigestProbe, ProbeStack};
@@ -460,13 +460,12 @@ pub(crate) fn deploy_owner(
 
 /// Post-flight reads for one owner, then the save: restores a crash
 /// checkpoint left pending, reads the VDC record and the marked
-/// files, notes whether the watchdog revoked the drone during
-/// `log`'s flight, and exports it with `save_vdrone`. `prior` is what
-/// [`deploy_owner`] returned.
+/// files, notes whether the watchdog or the QoS ladder revoked the
+/// drone during the flight, and exports it with `save_vdrone`.
+/// `prior` is what [`deploy_owner`] returned.
 pub(crate) fn harvest_owner(
     drone: &mut Drone,
     owner: &str,
-    log: &[FlightLog],
     (wp_prior, flights_prior): (usize, u32),
 ) -> Result<OwnerPost, DroneError> {
     // A crash window that crossed the flight's end leaves its
@@ -501,19 +500,7 @@ pub(crate) fn harvest_owner(
             (path, data)
         })
         .collect();
-    // Revocation shows up as a WaypointEnd when it fired at an
-    // active waypoint, or only as the VDC record flag when the
-    // QoS ladder revoked the tenant mid-transit.
-    let revoked = log.iter().any(|e| {
-        matches!(
-            e,
-            FlightLog::WaypointEnd {
-                owner: o,
-                reason: EndReason::WatchdogRevoked,
-                ..
-            } if o == owner
-        )
-    }) || drone
+    let revoked = drone
         .vdc
         .borrow()
         .record(owner)
@@ -637,7 +624,7 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
         .owners
         .iter()
         .zip(priors)
-        .map(|(owner, prior)| harvest_owner(&mut drone, owner, &outcome.log, prior))
+        .map(|(owner, prior)| harvest_owner(&mut drone, owner, prior))
         .collect::<Result<Vec<OwnerPost>, DroneError>>()?;
 
     let metrics = drone.obs.with(|o| o.metrics.clone()).unwrap_or_default();

@@ -198,9 +198,6 @@ pub fn execute_flight_probed(
     let mut active: Option<ActiveService> = None;
     let mut breaches_seen = 0u64;
     let energy_at_start = drone.sitl.energy_consumed_j();
-    // Virtual drones the watchdog has revoked: their remaining legs
-    // are overflown without a handover.
-    let mut revoked: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     // The failsafe only terminates a flight that actually launched.
     let mut airborne_seen = false;
     let mut link_lost = false;
@@ -238,17 +235,15 @@ pub fn execute_flight_probed(
                     push_event(&mut log, probe, tick, drone, FlightLog::Launched)
                 }
                 PilotEvent::ArrivedAtWaypoint { index, owner } => {
-                    let vdc_revoked = drone
+                    if drone
                         .vdc
                         .borrow()
                         .record(&owner)
-                        .is_some_and(|r| r.revoked);
-                    if revoked.contains(&owner) || vdc_revoked {
-                        // A watchdog-revoked virtual drone gets no
-                        // handover; the pilot overflies its leg. The
-                        // VDC flag covers revocations initiated
-                        // outside this loop (the QoS escalation
-                        // ladder).
+                        .is_some_and(|r| r.revoked)
+                    {
+                        // A revoked virtual drone (by this loop's
+                        // watchdog or the QoS escalation ladder) gets
+                        // no handover; the pilot overflies its leg.
                         pilot.release_waypoint();
                         continue;
                     }
@@ -423,7 +418,6 @@ pub fn execute_flight_probed(
                             || busy_loop
                         {
                             a.end_reason = EndReason::WatchdogRevoked;
-                            revoked.insert(a.owner.clone());
                             drone.vdc.borrow_mut().on_watchdog_revoked(&a.owner);
                             pilot.release_waypoint();
                         }
@@ -442,7 +436,6 @@ pub fn execute_flight_probed(
                         .is_some_and(|r| r.revoked)
                 {
                     a.end_reason = EndReason::WatchdogRevoked;
-                    revoked.insert(a.owner.clone());
                     pilot.release_waypoint();
                 }
             }

@@ -56,11 +56,7 @@ pub use scale::{
     execute_scale_fleet, ScaleConfig, ScaleFlightRecord, ScaleOutcome, ScaleResolution,
     ScaleTenantOutcome,
 };
-pub use sanitizer::{
-    first_divergence, first_divergence_verbose, trace_flight, trace_flight_perturbed,
-    trace_flight_with, Divergence, TickHashes, Trace, Verbosity, VerboseDivergence,
-    VerboseTickHashes, VerboseTrace,
-};
+pub use sanitizer::{first_divergence, trace_flight, Divergence, TickHashes, Trace};
 
 pub use androne_android as android;
 pub use androne_binder as binder;

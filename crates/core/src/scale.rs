@@ -38,6 +38,7 @@ use androne_energy::DorlingModel;
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle};
 use androne_planner::{bin_pack, PackItem};
+use androne_simkern::stats::percentile;
 use androne_simkern::StateHasher;
 use androne_vdc::WaypointSpec;
 
@@ -716,14 +717,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         })
         .collect();
     latencies.sort_by(f64::total_cmp);
-    let p99 = if latencies.is_empty() {
-        0.0
-    } else {
-        let idx = ((latencies.len() as f64 * 0.99).ceil() as usize)
-            .saturating_sub(1)
-            .min(latencies.len() - 1);
-        latencies[idx]
-    };
+    let p99 = percentile(&latencies, 99.0);
 
     let metrics = obs.with(|o| o.metrics.clone()).unwrap_or_default();
 

@@ -30,7 +30,8 @@ pub enum CallRef {
 pub struct FnItem {
     /// The function name.
     pub name: String,
-    /// The `impl` self type this fn is a method of, if any.
+    /// The `impl` self type this fn is a method of, if any. A
+    /// trait's provided (and declared) methods carry the trait name.
     pub self_ty: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
@@ -132,7 +133,8 @@ pub fn parse_items(lines: &[CodeLine]) -> FileItems {
     let mut out = FileItems::default();
     let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
 
-    // Impl-block stack: (self type, depth the block opened at).
+    // Impl- and trait-block stack: (self type, depth the block opened
+    // at).
     let mut impl_stack: Vec<(String, i64)> = Vec::new();
     let mut depth: i64 = 0;
     let mut i = 0;
@@ -187,6 +189,23 @@ pub fn parse_items(lines: &[CodeLine]) -> FileItems {
                 }
                 i = j;
             }
+            "trait" => {
+                // `trait Foo {`, `pub trait Foo<T>: Bar {`: the trait
+                // name is the self type of its provided methods, so a
+                // `.provided()` call resolves to their bodies.
+                let mut j = i + 1;
+                while j < toks.len() && t(j) != Some("{") && t(j) != Some(";") {
+                    j += 1;
+                }
+                if t(j) == Some("{") {
+                    if let Some(name) = t(i + 1).filter(|s| is_type_name(s)) {
+                        impl_stack.push((name.to_string(), depth));
+                    }
+                    depth += 1;
+                    j += 1;
+                }
+                i = j;
+            }
             "fn" => {
                 let Some(name) = t(i + 1) else {
                     i += 1;
@@ -199,15 +218,17 @@ pub fn parse_items(lines: &[CodeLine]) -> FileItems {
 
                 // Signature: up to the body `{` or a `;` (trait decl),
                 // collecting type idents. `where` clauses are part of
-                // the signature and harmless to include.
+                // the signature and harmless to include. Brackets
+                // count with parens: the `;` in an array return type
+                // `-> [u64; 5]` does not end the signature.
                 let mut j = i + 2;
                 let mut sig_types = Vec::new();
                 let mut paren: i64 = 0;
                 let mut angle: i64 = 0;
                 while j < toks.len() {
                     match t(j) {
-                        Some("(") => paren += 1,
-                        Some(")") => paren -= 1,
+                        Some("(") | Some("[") => paren += 1,
+                        Some(")") | Some("]") => paren -= 1,
                         Some("<") => angle += 1,
                         Some(">") => angle = (angle - 1).max(0),
                         Some("{") if paren == 0 && angle == 0 => break,
@@ -499,6 +520,30 @@ mod tests {
         let f = items("use std::rc::Rc;\nuse androne_simkern::Kernel;\nmod sub;\npub mod other;\n");
         assert_eq!(f.use_heads, vec!["std".to_string(), "androne_simkern".to_string()]);
         assert_eq!(f.mods, 2);
+    }
+
+    #[test]
+    fn array_returning_fn_records_its_body_calls() {
+        let f = items("fn hashes(&self) -> [(&'static str, u64); 2] {\n    [(\"a\", self.a.digest()), (\"b\", fold(1))]\n}\n");
+        assert_eq!(f.fns.len(), 1);
+        assert_eq!(f.fns[0].span, (1, 3));
+        assert_eq!(
+            f.fns[0].calls,
+            vec![
+                CallRef::Method("digest".into()),
+                CallRef::Bare("fold".into())
+            ]
+        );
+    }
+
+    #[test]
+    fn trait_provided_method_carries_the_trait_as_self_type() {
+        let f = items("pub trait Hash: Sized {\n    fn write(&self, h: &mut H);\n    fn value(&self) -> u64 {\n        self.write(h);\n    }\n}\nfn free() {}\n");
+        assert_eq!(f.fns.len(), 3);
+        assert_eq!(f.fns[1].name, "value");
+        assert_eq!(f.fns[1].self_ty.as_deref(), Some("Hash"));
+        assert_eq!(f.fns[1].calls, vec![CallRef::Method("write".into())]);
+        assert_eq!(f.fns[2].self_ty, None, "the trait block closes");
     }
 
     #[test]

@@ -456,6 +456,30 @@ mod tests {
     }
 
     #[test]
+    fn trait_default_methods_carry_reachability_to_impls() {
+        let sources = vec![
+            src_pair(
+                "crates/core/src/fleet.rs",
+                "pub fn run_island(k: Kernel) -> u64 { k.hash_value() }\n",
+            ),
+            src_pair(
+                "crates/simkern/src/statehash.rs",
+                "pub trait StateHash {\n    fn state_hash(&self, h: &mut StateHasher);\n    fn hash_value(&self) -> u64 {\n        self.state_hash(&mut h)\n    }\n}\n",
+            ),
+            src_pair(
+                "crates/hal/src/statehash.rs",
+                "impl StateHash for Truth {\n    fn state_hash(&self, h: &mut StateHasher) {}\n}\n",
+            ),
+        ];
+        let a = analyze_sources(&sources);
+        assert!(a.scopes.r3_applies("crates/simkern/src/statehash.rs"));
+        assert!(
+            a.scopes.r3_applies("crates/hal/src/statehash.rs"),
+            "the impl is reached through the trait's provided method"
+        );
+    }
+
+    #[test]
     fn analyze_sources_flags_r8_at_the_definition_and_respects_allows() {
         let impure = src_pair(
             "crates/core/src/fleet.rs",

@@ -18,4 +18,4 @@ pub mod power_meter;
 pub use battery::BatteryPack;
 pub use billing::{Bill, BillingLedger, PriceSchedule};
 pub use dorling::{DorlingModel, RHO};
-pub use power_meter::{PowerMeter, PowerModel};
+pub use power_meter::PowerModel;

@@ -1,4 +1,4 @@
-//! SBC power metering (the Monsoon Power Monitor stand-in).
+//! SBC power model (the Monsoon Power Monitor stand-in).
 //!
 //! Figure 13 measures the Raspberry Pi's power at rest in every
 //! AnDrone configuration, normalized to stock Android Things: all
@@ -46,29 +46,6 @@ impl PowerModel {
     }
 }
 
-/// Integrates board power into energy over simulated time.
-#[derive(Debug, Clone, Default)]
-pub struct PowerMeter {
-    energy_j: f64,
-}
-
-impl PowerMeter {
-    /// Creates a meter at zero.
-    pub fn new() -> Self {
-        PowerMeter::default()
-    }
-
-    /// Accumulates `watts` over `seconds`.
-    pub fn integrate(&mut self, watts: f64, seconds: f64) {
-        self.energy_j += watts.max(0.0) * seconds.max(0.0);
-    }
-
-    /// Total energy recorded, joules.
-    pub fn energy_j(&self) -> f64 {
-        self.energy_j
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,13 +73,5 @@ mod tests {
         // to allow a power draw of well over 100 W".
         let m = PowerModel::rpi3();
         assert!(m.power_w(1.0, 5) / 150.0 < 0.03);
-    }
-
-    #[test]
-    fn meter_integrates() {
-        let mut meter = PowerMeter::new();
-        meter.integrate(2.0, 10.0);
-        meter.integrate(-5.0, 10.0); // Clamped.
-        assert_eq!(meter.energy_j(), 20.0);
     }
 }

@@ -541,20 +541,6 @@ impl MavProxy {
     pub fn recovering(&self) -> bool {
         self.recovery.is_some()
     }
-
-    /// Per-client state digests (VFC + outbox + counters), for the
-    /// sanitizer's verbose dump: a divergence in one client's outbox
-    /// names that client instead of the whole proxy.
-    pub fn client_hashes(&self) -> Vec<(String, u64)> {
-        self.clients
-            .iter()
-            .map(|(name, conn)| {
-                let mut h = StateHasher::new();
-                hash_conn(conn, &mut h);
-                (name.clone(), h.finish())
-            })
-            .collect()
-    }
 }
 
 fn hash_conn(conn: &ClientConn, h: &mut StateHasher) {

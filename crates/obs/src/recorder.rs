@@ -109,10 +109,6 @@ fn event_value(event: &TraceEvent) -> Value {
             fields.push(("phase", Value::String(phase.to_string())));
             fields.push(("detail", Value::String(detail.clone())));
         }
-        TraceEvent::TickHash { tick, digest } => {
-            fields.push(("tick", num(*tick)));
-            fields.push(("digest", Value::String(format!("{digest:016x}"))));
-        }
         TraceEvent::BinderTxn {
             caller,
             code,

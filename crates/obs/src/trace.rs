@@ -69,15 +69,6 @@ pub enum TraceEvent {
         /// Free-form detail (owner, waypoint, end reason).
         detail: String,
     },
-    /// The per-second folded component digest (one per sanitizer
-    /// tick) — lets offline tooling line trace records up against
-    /// the dual-run hash trace.
-    TickHash {
-        /// Simulated second.
-        tick: u64,
-        /// FNV-1a fold of all component hashes at this tick.
-        digest: u64,
-    },
     /// One Binder transaction through the driver.
     BinderTxn {
         /// Calling process id.
@@ -172,7 +163,6 @@ impl TraceEvent {
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::FlightPhase { .. } => "flight_phase",
-            TraceEvent::TickHash { .. } => "tick_hash",
             TraceEvent::BinderTxn { .. } => "binder_txn",
             TraceEvent::MavCommand { .. } => "mav_command",
             TraceEvent::LinkFailsafe { .. } => "link_failsafe",

@@ -13,8 +13,5 @@ pub mod sdk;
 
 pub use cli::run_command;
 pub use listener::{RecordingListener, WaypointListener};
-pub use retry::{
-    get_service_with_retry, retry_with_backoff, submit_with_backpressure, transact_with_retry,
-    Backpressure, RetryError, RetryFailure, RetryPolicy, SubmitError,
-};
+pub use retry::{retry_with_backoff, Backpressure, RetryFailure, RetryPolicy};
 pub use sdk::AndroneSdk;

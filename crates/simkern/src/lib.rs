@@ -1,15 +1,16 @@
 //! # androne-simkern
 //!
-//! Deterministic, discrete-event simulated kernel substrate for the
-//! AnDrone reproduction.
+//! Deterministic simulated kernel substrate for the AnDrone
+//! reproduction.
 //!
 //! The AnDrone paper (EuroSys '19) runs on a Raspberry Pi 3 with a
 //! Linux kernel patched for real-time preemption (PREEMPT_RT). This
 //! crate stands in for that hardware/kernel pair with explicit,
 //! calibrated models:
 //!
-//! - [`time`] / [`event`]: a virtual nanosecond clock and a
-//!   deterministic discrete-event queue every other crate runs on.
+//! - [`time`]: the virtual nanosecond clock every other crate runs
+//!   on. The flight executor advances it in fixed 2.5 ms steps (a
+//!   400 Hz loop); nothing reads the host clock.
 //! - [`task`]: a task table carrying the identity Binder and the VDC
 //!   observe (PID, EUID, container, scheduling policy).
 //! - [`mem`]: physical memory accounting with the prototype's 880 MB
@@ -30,7 +31,6 @@
 
 pub mod cpu;
 pub mod error;
-pub mod event;
 pub mod faults;
 pub mod kernel;
 pub mod latency;
@@ -44,7 +44,6 @@ pub mod time;
 
 pub use cpu::{ClientId, ResourceKind, ResourceSet, SharedResource};
 pub use error::KernelError;
-pub use event::EventQueue;
 pub use faults::{
     CloudFaultEvent, CloudFaultKind, FaultClock, FaultEvent, FaultKind, FaultPlan,
     FaultTransition, FleetFaultPlan, SensorChannel,

@@ -9,7 +9,7 @@
 # 2. dronelint --self-check: the lint crate itself must be clean under
 #    its own rules, with no baseline escape hatch.
 # 3. The state-hash sanitizer: runs the full-system mission twice
-#    under one seed and bisects to the first divergent tick if the
+#    under one seed and scans to the first divergent tick if the
 #    per-second component hashes ever differ.
 #
 # Usage: scripts/lint.sh                 run the full gate

@@ -22,7 +22,7 @@
 
 use androne::hal::GeoPoint;
 use androne::planner::{FlightPlan, Leg};
-use androne::sanitizer::{first_divergence, TickHashes, Trace};
+use androne::sanitizer::{first_divergence, Trace};
 use androne::simkern::{BurstLoss, FaultKind, FaultPlan, SensorChannel};
 use androne::vdc::{VirtualDroneSpec, WatchdogConfig, WaypointSpec};
 use androne::{execute_flight_probed, Drone, EndReason, FaultInjector, FlightLog, FnProbe, ProbeStack};
@@ -112,11 +112,7 @@ fn run_with_faults_configured(
     let mut trace = Trace::default();
     let mut max_base_distance_m: f64 = 0.0;
     let outcome = {
-        let mut recorder = FnProbe::new(|tick, drone: &mut Drone| {
-            trace.ticks.push(TickHashes {
-                tick,
-                components: drone.component_hashes().to_vec(),
-            });
+        let mut recorder = FnProbe::new(|_, drone: &mut Drone| {
             let d = drone.sitl.position().distance_m(&BASE);
             if d > max_base_distance_m {
                 max_base_distance_m = d;
@@ -124,6 +120,7 @@ fn run_with_faults_configured(
         });
         let mut probes = ProbeStack::new();
         probes.push(&mut injector);
+        probes.push(&mut trace);
         probes.push(&mut recorder);
         execute_flight_probed(&mut drone, plan(), MAX_SIM_S, None, &mut probes)
     };
@@ -242,15 +239,9 @@ fn empty_fault_plan_is_bit_identical_to_baseline() {
     let mut injector = FaultInjector::new(FaultPlan::empty());
     let mut trace = Trace::default();
     let outcome = {
-        let mut recorder = FnProbe::new(|tick, drone: &mut Drone| {
-            trace.ticks.push(TickHashes {
-                tick,
-                components: drone.component_hashes().to_vec(),
-            });
-        });
         let mut probes = ProbeStack::new();
         probes.push(&mut injector);
-        probes.push(&mut recorder);
+        probes.push(&mut trace);
         execute_flight_probed(&mut drone, plan(), MAX_SIM_S, None, &mut probes)
     };
     // Captured from the seed revision (pre-fault-kernel) at SEED=1337.

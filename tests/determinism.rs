@@ -7,7 +7,7 @@
 
 use androne::hal::GeoPoint;
 use androne::planner::{FlightPlan, Leg};
-use androne::sanitizer::{first_divergence, trace_flight, trace_flight_perturbed, Trace};
+use androne::sanitizer::{first_divergence, trace_flight, Trace};
 use androne::simkern::FaultPlan;
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use androne::{execute_flight_probed, Drone, FaultInjector, FlightProbe, FnProbe};
@@ -58,7 +58,7 @@ fn traced_mission(perturb: Option<&mut dyn FlightProbe>) -> Trace {
     drone
         .deploy_vdrone("vd1", spec(vec![wp(60.0, 0.0, 40.0)]), &[])
         .expect("deploy");
-    let (outcome, trace) = trace_flight_perturbed(&mut drone, plan(), 240.0, perturb);
+    let (outcome, trace) = trace_flight(&mut drone, plan(), 240.0, perturb);
     assert!(outcome.completed, "mission completes: {:?}", outcome.log);
     assert!(trace.ticks.len() > 10, "trace covers the flight");
     trace
@@ -132,7 +132,7 @@ fn trace_flight_is_the_unperturbed_entry_point() {
     drone
         .deploy_vdrone("vd1", spec(vec![wp(60.0, 0.0, 40.0)]), &[])
         .expect("deploy");
-    let (outcome, trace) = trace_flight(&mut drone, plan(), 240.0);
+    let (outcome, trace) = trace_flight(&mut drone, plan(), 240.0, None);
     assert!(outcome.completed);
     assert_eq!(trace.ticks.first().map(|t| t.tick), Some(0));
     // Every tick carries the full fixed component vector.

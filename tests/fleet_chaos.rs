@@ -27,7 +27,7 @@ use androne::android::DeviceClass;
 use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, FleetTenant, TenantResolution};
 use androne::hal::GeoPoint;
 use androne::mavlink::{deg_to_e7, Message};
-use androne::sanitizer::{TickHashes, Trace};
+use androne::sanitizer::Trace;
 use androne::simkern::{
     CloudFaultEvent, CloudFaultKind, FaultEvent, FaultKind, FaultPlan, FleetFaultPlan,
 };
@@ -314,15 +314,9 @@ fn empty_fleet_plan_is_bit_identical_to_pr3_baseline() {
     let mut injector = FaultInjector::new(fleet.effective_plan(0));
     let mut trace = Trace::default();
     let outcome = {
-        let mut recorder = FnProbe::new(|tick, drone: &mut Drone| {
-            trace.ticks.push(TickHashes {
-                tick,
-                components: drone.component_hashes().to_vec(),
-            });
-        });
         let mut probes = ProbeStack::new();
         probes.push(&mut injector);
-        probes.push(&mut recorder);
+        probes.push(&mut trace);
         execute_flight_probed(&mut drone, pr3_plan(), MAX_SIM_S, None, &mut probes)
     };
     // The PR 3 baseline literals, captured at SEED=1337.
