@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the hot paths: Binder transaction
 //! routing, MAVLink encode/decode, the physics step, the latency
-//! sampler, and the VRP solver.
+//! sampler, and the VRP solver (unconstrained, and constrained at the
+//! cloud planner's fleet shape).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -126,9 +127,52 @@ fn bench_vrp(c: &mut Criterion) {
     });
 }
 
+/// The cloud planner's solve at the first wave of the `fleet_dense`
+/// benchmark workload: 22 tenants x 3 waypoints 10–40 m from the
+/// base, 4 drones, at most 3 tenants a flight, 20k iterations. The
+/// party cap binds, so every candidate runs the capacity repair.
+fn bench_vrp_constrained(c: &mut Criterion) {
+    use androne::energy::{BatteryPack, DorlingModel};
+    use androne::planner::{RouteConstraints, VrpProblem, WaypointTask};
+    use androne::simkern::substream_seed;
+    let depot = GeoPoint::new(43.6084298, -85.8110359, 0.0);
+    let mut tasks = Vec::new();
+    let mut parties = Vec::new();
+    for i in 0..22 {
+        let mut party = Vec::new();
+        for j in 0..3 {
+            let h = substream_seed(0xDE45E, 7, i * 8 + j);
+            let north = 10.0 + (h & 0xFFFF) as f64 / 65_535.0 * 30.0;
+            let east = 10.0 + ((h >> 16) & 0xFFFF) as f64 / 65_535.0 * 30.0;
+            let sn = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+            let se = if (h >> 33) & 1 == 0 { 1.0 } else { -1.0 };
+            party.push(tasks.len());
+            tasks.push(WaypointTask {
+                owner: format!("vd{i:03}"),
+                position: depot.offset_m(sn * north, se * east, 15.0),
+                service_energy_j: 10_000.0,
+                service_time_s: 1.0,
+            });
+        }
+        parties.push(party);
+    }
+    let problem = VrpProblem {
+        depot,
+        tasks,
+        fleet_size: 4,
+        battery_budget_j: BatteryPack::turnigy_3s_5000().plannable_j(),
+        model: DorlingModel::f450_prototype(),
+    };
+    let constraints = RouteConstraints::none().with_party_capacity(parties, 3);
+    c.bench_function("vrp_solve_constrained_22x3_20k_iters", |b| {
+        b.iter(|| black_box(problem.solve_constrained(20_000, 0xA17D, &constraints)))
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_binder, bench_mavlink, bench_physics, bench_latency_sampler, bench_vrp
+    targets = bench_binder, bench_mavlink, bench_physics, bench_latency_sampler, bench_vrp,
+        bench_vrp_constrained
 );
 criterion_main!(benches);

@@ -36,7 +36,10 @@ pub struct RouteConstraints {
     /// Parties for the capacity cap: each inner vec is one party's
     /// task indices. Unlike [`groups`](Self::groups), parties carry
     /// no contiguity requirement — they only count against
-    /// [`max_parties_per_route`](Self::max_parties_per_route).
+    /// [`max_parties_per_route`](Self::max_parties_per_route). A task
+    /// listed by several parties counts for each of them, but
+    /// [`repair`](Self::repair) is only guaranteed to terminate when
+    /// parties are disjoint.
     pub parties: Vec<Vec<usize>>,
     /// Maximum distinct parties one route may host (a physical
     /// drone's virtual-drone container capacity). `None` = unlimited.
@@ -132,12 +135,13 @@ impl RouteConstraints {
         }
         if self.capacity_active() {
             let cap = self.max_parties_per_route.unwrap_or(usize::MAX).max(1);
+            let mut index = self.party_index();
             for (r, route) in sol.routes.iter().enumerate() {
-                let hosted = self.parties_on(route);
-                if hosted.len() > cap {
+                let hosted = index.parties_on(&route.stops).len();
+                if hosted > cap {
                     return Err(ConstraintViolation::RouteOverCapacity {
                         route: r,
-                        parties: hosted.len(),
+                        parties: hosted,
                     });
                 }
             }
@@ -145,15 +149,10 @@ impl RouteConstraints {
         Ok(())
     }
 
-    /// Distinct party indices with at least one stop on `route`, in
-    /// ascending party order.
-    fn parties_on(&self, route: &Route) -> Vec<usize> {
-        self.parties
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| route.stops.iter().any(|s| p.contains(s)))
-            .map(|(i, _)| i)
-            .collect()
+    /// The task→party index of [`parties`](Self::parties), with
+    /// fresh scratch buffers.
+    pub(crate) fn party_index(&self) -> PartyIndex {
+        PartyIndex::new(&self.parties)
     }
 
     /// Repairs a solution in place so every constraint holds.
@@ -165,6 +164,12 @@ impl RouteConstraints {
     /// terminates because each step strictly reduces a violation
     /// count bounded by the constraint list.
     pub fn repair(&self, sol: &mut VrpSolution) {
+        self.repair_indexed(sol, &mut self.party_index());
+    }
+
+    /// [`repair`](Self::repair) with a caller-held index, so a solver
+    /// builds the index once and every repair reuses its buffers.
+    pub(crate) fn repair_indexed(&self, sol: &mut VrpSolution, index: &mut PartyIndex) {
         // Gather groups contiguously.
         for group in &self.groups {
             if group.len() < 2 {
@@ -198,7 +203,8 @@ impl RouteConstraints {
             };
             // Extract every member (preserving their relative order
             // of appearance across the whole solution).
-            let mut members = Vec::new();
+            let members = &mut index.transit;
+            members.clear();
             for route in &mut sol.routes {
                 route.stops.retain(|s| {
                     if group.contains(s) {
@@ -209,14 +215,9 @@ impl RouteConstraints {
                     }
                 });
             }
-            // Reinsert contiguously at the front-most feasible spot.
-            let at = sol.routes[target_route]
-                .stops
-                .len()
-                .min(self.group_anchor_pos(&sol.routes[target_route]));
-            for (i, m) in members.into_iter().enumerate() {
-                sol.routes[target_route].stops.insert(at + i, m);
-            }
+            // Reinsert contiguously at the end of the target route;
+            // the annealer slides the block around via normal moves.
+            sol.routes[target_route].stops.extend_from_slice(members);
         }
 
         // Fix ordering pairs (iterate until stable; bounded).
@@ -270,61 +271,112 @@ impl RouteConstraints {
         // cannot re-violate it. Each step evicts one whole party from
         // an over-capacity route onto a route that either already
         // hosts it or has spare capacity (opening a fresh route as a
-        // last resort), so the total excess strictly decreases and
-        // the pass terminates. Eviction appends the party's stops as
+        // last resort), so with disjoint parties the total excess
+        // strictly decreases and the pass terminates. (Overlapping
+        // parties can bounce a shared stop between two routes
+        // forever.) Eviction appends the party's stops as
         // a block in visit order; intra-party ordering pairs survive,
         // cross-party ordering does not compose with capacity.
         if self.capacity_active() {
             let cap = self.max_parties_per_route.unwrap_or(usize::MAX).max(1);
-            while let Some((r, hosted)) = sol
-                .routes
-                .iter()
-                .map(|route| self.parties_on(route))
-                .enumerate()
-                .find(|(_, hosted)| hosted.len() > cap)
+            while let Some(r) = (0..sol.routes.len())
+                .find(|&r| index.parties_on(&sol.routes[r].stops).len() > cap)
             {
                 // Victim: the hosted party with the fewest stops on
                 // this route (ties to the lowest party index).
-                let stops_of = |party: usize, route: &Route| -> Vec<usize> {
-                    route
-                        .stops
-                        .iter()
-                        .copied()
-                        .filter(|s| self.parties[party].contains(s))
-                        .collect()
-                };
-                let victim = hosted
+                let Some(victim) = index
+                    .hosted
                     .iter()
                     .copied()
-                    .min_by_key(|&p| stops_of(p, &sol.routes[r]).len())
-                    .unwrap_or(hosted[0]);
+                    .min_by_key(|&p| index.stops_of[p])
+                else {
+                    break;
+                };
                 // Destination: a route already hosting the victim,
-                // else the fullest route still under the cap, else a
-                // fresh route.
-                let dest = sol
-                    .routes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(d, _)| d != r)
-                    .map(|(d, route)| (d, self.parties_on(route)))
-                    .filter(|(_, h)| h.contains(&victim) || h.len() < cap)
-                    .max_by_key(|(d, h)| (h.contains(&victim), h.len(), usize::MAX - d))
-                    .map(|(d, _)| d);
-                let moved = stops_of(victim, &sol.routes[r]);
-                sol.routes[r].stops.retain(|s| !moved.contains(s));
+                // else the fullest route still under the cap (ties to
+                // the lowest route index), else a fresh route.
+                let mut dest: Option<(usize, (bool, usize))> = None;
+                for d in (0..sol.routes.len()).filter(|&d| d != r) {
+                    let hosted = index.parties_on(&sol.routes[d].stops).len();
+                    let key = (index.stops_of[victim] > 0, hosted);
+                    if (key.0 || hosted < cap) && dest.is_none_or(|(_, best)| key > best) {
+                        dest = Some((d, key));
+                    }
+                }
+                // Move the victim's stops, in visit order.
+                let (of_task, moved) = (&index.of_task, &mut index.transit);
+                moved.clear();
+                sol.routes[r].stops.retain(|s| {
+                    let hit = of_task.get(*s).is_some_and(|ps| ps.contains(&victim));
+                    if hit {
+                        moved.push(*s);
+                    }
+                    !hit
+                });
                 match dest {
-                    Some(d) => sol.routes[d].stops.extend(moved),
-                    None => sol.routes.push(Route { stops: moved }),
+                    Some((d, _)) => sol.routes[d].stops.extend_from_slice(moved),
+                    None => sol.routes.push(Route { stops: moved.clone() }),
                 }
             }
         }
         sol.routes.retain(|r| !r.stops.is_empty());
     }
+}
 
-    fn group_anchor_pos(&self, route: &Route) -> usize {
-        // Insert groups at the end of the target route by default;
-        // the annealer will slide them around via normal moves.
-        route.stops.len()
+/// Every task's parties, built once per solve, plus the scratch the
+/// capacity pass reuses across repairs. Built from
+/// [`RouteConstraints::parties`], which may overlap: a task maps to
+/// every party that lists it.
+pub(crate) struct PartyIndex {
+    /// `of_task[t]`: the parties listing task `t`, ascending, once
+    /// each; tasks past the end belong to no party.
+    of_task: Vec<Vec<usize>>,
+    /// Per party, its stops on the route [`parties_on`](Self::parties_on)
+    /// last tallied; zero for every party not in `hosted`.
+    stops_of: Vec<usize>,
+    /// The parties of that route, ascending.
+    hosted: Vec<usize>,
+    /// Stops in transit: a group's members, or an evicted party's.
+    transit: Vec<usize>,
+}
+
+impl PartyIndex {
+    fn new(parties: &[Vec<usize>]) -> Self {
+        let tasks = parties.iter().flatten().max().map_or(0, |&t| t + 1);
+        let mut of_task = vec![Vec::new(); tasks];
+        for (p, party) in parties.iter().enumerate() {
+            for &t in party {
+                if of_task[t].last() != Some(&p) {
+                    of_task[t].push(p);
+                }
+            }
+        }
+        PartyIndex {
+            of_task,
+            stops_of: vec![0; parties.len()],
+            hosted: Vec::new(),
+            transit: Vec::new(),
+        }
+    }
+
+    /// Distinct parties with at least one of `stops`, in ascending
+    /// party order, in time linear in `stops` (for parties that do
+    /// not overlap). Also leaves each one's stop count in `stops_of`.
+    fn parties_on(&mut self, stops: &[usize]) -> &[usize] {
+        for &p in &self.hosted {
+            self.stops_of[p] = 0;
+        }
+        self.hosted.clear();
+        for &s in stops {
+            for &p in self.of_task.get(s).map_or(&[][..], Vec::as_slice) {
+                if self.stops_of[p] == 0 {
+                    self.hosted.push(p);
+                }
+                self.stops_of[p] += 1;
+            }
+        }
+        self.hosted.sort_unstable();
+        &self.hosted
     }
 }
 
@@ -517,6 +569,77 @@ mod tests {
         c.repair(&mut s);
         c.check(&s).unwrap();
         assert_eq!(s.routes.len(), 4, "each party gets its own route");
+    }
+
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Up to 8 random parties over tasks `0..n + 3` (so some name
+    /// tasks no route visits), overlapping and with repeats.
+    fn random_parties(rng: &mut SmallRng, n: usize) -> Vec<Vec<usize>> {
+        (0..rng.gen_range(0..8))
+            .map(|_| (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..n + 3)).collect())
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn indexed_parties_match_the_scan(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..16);
+            let c = RouteConstraints::none().with_party_capacity(random_parties(&mut rng, n), 1);
+            // One index for every route: stale tallies must not leak.
+            let mut index = c.party_index();
+            for _ in 0..6 {
+                let stops: Vec<usize> =
+                    (0..rng.gen_range(0..12)).map(|_| rng.gen_range(0..n + 3)).collect();
+                let scan: Vec<usize> = (0..c.parties.len())
+                    .filter(|&p| stops.iter().any(|s| c.parties[p].contains(s)))
+                    .collect();
+                prop_assert_eq!(index.parties_on(&stops), &scan[..]);
+                for &p in &scan {
+                    let on_route = stops.iter().filter(|s| c.parties[p].contains(s)).count();
+                    prop_assert_eq!(index.stops_of[p], on_route);
+                }
+            }
+        }
+
+        #[test]
+        fn a_reused_index_repairs_like_a_fresh_one(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..20);
+            // Disjoint parties: the capacity pass terminates on them.
+            let mut parties = vec![Vec::new(); rng.gen_range(1..8)];
+            for t in 0..n {
+                let p = rng.gen_range(0..parties.len());
+                parties[p].push(t);
+            }
+            let cap = rng.gen_range(1..4);
+            let c = RouteConstraints::none()
+                .with_party_capacity(parties, cap)
+                .in_order(&[0, 1])
+                .grouped(&[n - 1, n / 2]);
+            let mut index = c.party_index();
+            for _ in 0..6 {
+                let mut routes = vec![Route { stops: Vec::new() }; rng.gen_range(1..5)];
+                for t in 0..n {
+                    let r = rng.gen_range(0..routes.len());
+                    routes[r].stops.push(t);
+                }
+                let mut reused = VrpSolution { routes };
+                let mut fresh = reused.clone();
+                c.repair_indexed(&mut reused, &mut index);
+                c.repair(&mut fresh);
+                prop_assert_eq!(&reused, &fresh);
+                // Capacity is enforced last, so it holds even where
+                // the evictions broke a cross-party ordering pair.
+                let mut tally = c.party_index();
+                for route in &reused.routes {
+                    prop_assert!(tally.parties_on(&route.stops).len() <= cap);
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub struct Route {
 /// A solution: one route per drone used.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VrpSolution {
-    /// Routes (at most `fleet_size`).
+    /// Routes. [`VrpProblem::solve`] returns at most `fleet_size`
+    /// (one if `fleet_size` is 0); [`VrpProblem::solve_constrained`]
+    /// may return more when the party-capacity repair opens routes.
     pub routes: Vec<Route>,
 }
 
@@ -121,7 +123,11 @@ impl VrpProblem {
         makespan + 0.05 * total + penalty
     }
 
-    /// Validates coverage, battery, and fleet constraints.
+    /// Validates coverage, battery, and fleet constraints. The fleet
+    /// check is the unconstrained contract (at most `fleet_size`
+    /// routes): a capacity-repaired plan from
+    /// [`solve_constrained`](Self::solve_constrained) may legitimately
+    /// fail it.
     pub fn validate(&self, sol: &VrpSolution) -> Result<(), VrpError> {
         if sol.routes.len() > self.fleet_size {
             return Err(VrpError::FleetViolation);
@@ -203,6 +209,13 @@ impl VrpProblem {
     /// an extension. Every candidate the annealer evaluates is first
     /// repaired to feasibility, so the returned solution always
     /// satisfies `constraints`.
+    ///
+    /// The solution has at most `fleet_size` routes unless the
+    /// party-capacity repair had to open more: a route never
+    /// overloads a drone's container capacity, so a wave with more
+    /// parties than `fleet_size` drones can host returns extra routes
+    /// (and fails [`validate`](Self::validate)'s fleet check). The
+    /// fleet flies every route it is given.
     pub fn solve_constrained(
         &self,
         iterations: usize,
@@ -210,16 +223,20 @@ impl VrpProblem {
         constraints: &crate::constraints::RouteConstraints,
     ) -> VrpSolution {
         let mut rng = androne_simkern::stream_rng(seed);
+        let legs = LegTable::new(self);
+        let mut index = constraints.party_index();
+        let repairs = !constraints.is_empty();
         let mut current = self.greedy();
-        if !constraints.is_empty() {
-            constraints.repair(&mut current);
+        if repairs {
+            constraints.repair_indexed(&mut current, &mut index);
         }
         // Ensure every allowed route exists so moves can use them.
         while current.routes.len() < self.fleet_size {
             current.routes.push(Route { stops: Vec::new() });
         }
         let mut best = current.clone();
-        let mut cur_cost = self.cost(&current);
+        let mut cand = current.clone();
+        let mut cur_cost = legs.cost(&current);
         let mut best_cost = cur_cost;
         if self.tasks.is_empty() {
             return VrpSolution { routes: Vec::new() };
@@ -227,26 +244,26 @@ impl VrpProblem {
         let t0 = (cur_cost * 0.2).max(1.0);
         for iter in 0..iterations {
             let temp = t0 * (1.0 - iter as f64 / iterations as f64).max(1e-3);
-            let mut cand = current.clone();
+            copy_solution(&mut cand, &current);
             match rng.gen_range(0..3) {
                 0 => relocate(&mut cand, &mut rng),
                 1 => swap(&mut cand, &mut rng),
                 _ => two_opt(&mut cand, &mut rng),
             }
-            if !constraints.is_empty() {
-                constraints.repair(&mut cand);
+            if repairs {
+                constraints.repair_indexed(&mut cand, &mut index);
                 while cand.routes.len() < self.fleet_size {
                     cand.routes.push(Route { stops: Vec::new() });
                 }
             }
-            let cand_cost = self.cost(&cand);
+            let cand_cost = legs.cost(&cand);
             let accept = cand_cost < cur_cost
                 || rng.gen::<f64>() < ((cur_cost - cand_cost) / temp).exp();
             if accept {
-                current = cand;
+                std::mem::swap(&mut current, &mut cand);
                 cur_cost = cand_cost;
                 if cur_cost < best_cost {
-                    best = current.clone();
+                    copy_solution(&mut best, &current);
                     best_cost = cur_cost;
                 }
             }
@@ -256,19 +273,119 @@ impl VrpProblem {
     }
 }
 
+/// Leg energy and time between every pair of nodes, built once per
+/// solve so the annealer never re-runs the trigonometry of
+/// [`GeoPoint::distance_m`] or the energy model. Node 0 is the depot
+/// and node `i + 1` is task `i`; entry `a * nodes + b` is the leg
+/// from `a` to `b`, costed exactly as [`VrpProblem::route_energy_j`]
+/// and [`VrpProblem::route_time_s`] cost it.
+struct LegTable<'a> {
+    problem: &'a VrpProblem,
+    nodes: usize,
+    energy_j: Vec<f64>,
+    time_s: Vec<f64>,
+}
+
+impl<'a> LegTable<'a> {
+    fn new(problem: &'a VrpProblem) -> Self {
+        let nodes = problem.tasks.len() + 1;
+        let pos = |n: usize| {
+            if n == 0 {
+                problem.depot
+            } else {
+                problem.tasks[n - 1].position
+            }
+        };
+        let mut energy_j = Vec::with_capacity(nodes * nodes);
+        let mut time_s = Vec::with_capacity(nodes * nodes);
+        for a in 0..nodes {
+            for b in 0..nodes {
+                let d = pos(a).distance_m(&pos(b));
+                energy_j.push(problem.model.leg_energy_j(d, 0.0));
+                time_s.push(problem.model.leg_time_s(d));
+            }
+        }
+        LegTable {
+            problem,
+            nodes,
+            energy_j,
+            time_s,
+        }
+    }
+
+    /// [`VrpProblem::route_time_s`] from the table, summed in the
+    /// same order.
+    fn route_time_s(&self, stops: &[usize]) -> f64 {
+        let mut time = 0.0;
+        let mut here = 0;
+        for &i in stops {
+            time += self.time_s[here * self.nodes + i + 1];
+            time += self.problem.tasks[i].service_time_s;
+            here = i + 1;
+        }
+        time += self.time_s[here * self.nodes];
+        time
+    }
+
+    /// [`VrpProblem::route_energy_j`] from the table, summed in the
+    /// same order.
+    fn route_energy_j(&self, stops: &[usize]) -> f64 {
+        let mut energy = 0.0;
+        let mut here = 0;
+        for &i in stops {
+            energy += self.energy_j[here * self.nodes + i + 1];
+            energy += self.problem.tasks[i].service_energy_j;
+            here = i + 1;
+        }
+        energy += self.energy_j[here * self.nodes];
+        energy
+    }
+
+    /// [`VrpProblem::cost`] from the table, bit for bit: the same
+    /// terms added in the same order.
+    fn cost(&self, sol: &VrpSolution) -> f64 {
+        let mut makespan = 0.0f64;
+        let mut total = 0.0;
+        let mut penalty = 0.0;
+        for route in &sol.routes {
+            let t = self.route_time_s(&route.stops);
+            makespan = makespan.max(t);
+            total += t;
+            let e = self.route_energy_j(&route.stops);
+            let budget = self.problem.battery_budget_j;
+            if e > budget {
+                penalty += 10_000.0 + (e - budget);
+            }
+        }
+        makespan + 0.05 * total + penalty
+    }
+}
+
+/// Overwrites `dst` with `src`, reusing `dst`'s route buffers.
+fn copy_solution(dst: &mut VrpSolution, src: &VrpSolution) {
+    dst.routes.truncate(src.routes.len());
+    for (d, s) in dst.routes.iter_mut().zip(&src.routes) {
+        d.stops.clear();
+        d.stops.extend_from_slice(&s.stops);
+    }
+    let reused = dst.routes.len();
+    dst.routes.extend_from_slice(&src.routes[reused..]);
+}
+
+/// A uniformly drawn non-empty route: one `gen_range` over the
+/// non-empty routes, none when every route is empty.
 fn nonempty_route(sol: &VrpSolution, rng: &mut SmallRng) -> Option<usize> {
-    let candidates: Vec<usize> = sol
-        .routes
+    let count = sol.routes.iter().filter(|r| !r.stops.is_empty()).count();
+    if count == 0 {
+        return None;
+    }
+    let k = rng.gen_range(0..count);
+    sol.routes
         .iter()
         .enumerate()
         .filter(|(_, r)| !r.stops.is_empty())
+        .nth(k)
         .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates[rng.gen_range(0..candidates.len())])
-    }
 }
 
 /// Move one stop to a random position in a random route.
@@ -504,5 +621,108 @@ mod tests {
         let sol = p.solve(100, 1);
         assert!(sol.routes.is_empty());
         p.validate(&sol).unwrap();
+    }
+
+    use crate::constraints::RouteConstraints;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    /// A random problem, a random solution to it (a permutation of
+    /// the tasks split over 1–5 routes, some of them empty) and
+    /// random constraints over its tasks (disjoint parties, so the
+    /// capacity repair terminates).
+    fn random_case(seed: u64) -> (VrpProblem, VrpSolution, RouteConstraints) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(0..24usize);
+        let tasks = (0..n)
+            .map(|_| WaypointTask {
+                owner: String::new(),
+                position: DEPOT.offset_m(
+                    rng.gen_range(-800.0..800.0),
+                    rng.gen_range(-800.0..800.0),
+                    rng.gen_range(0.0..40.0),
+                ),
+                service_energy_j: rng.gen_range(0.0..40_000.0),
+                service_time_s: rng.gen_range(0.0..120.0),
+            })
+            .collect();
+        let mut p = problem(tasks, rng.gen_range(1..5));
+        // From budgets a single stop breaks to ones nothing breaks.
+        p.battery_budget_j = rng.gen_range(1_000.0..400_000.0);
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let mut routes = vec![Route { stops: Vec::new() }; rng.gen_range(1..6)];
+        for t in order {
+            let r = rng.gen_range(0..routes.len());
+            routes[r].stops.push(t);
+        }
+        let mut c = RouteConstraints::none();
+        if n >= 2 {
+            let mut parties = vec![Vec::new(); rng.gen_range(1..8)];
+            for t in 0..n {
+                let party = rng.gen_range(0..parties.len());
+                parties[party].push(t);
+            }
+            c = c.with_party_capacity(parties, rng.gen_range(1..4));
+            for _ in 0..rng.gen_range(0..3) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    c = c.in_order(&[a, b]);
+                }
+            }
+            if rng.gen_bool(0.5) {
+                c = c.grouped(&[rng.gen_range(0..n), rng.gen_range(0..n)]);
+            }
+        }
+        (p, VrpSolution { routes }, c)
+    }
+
+    proptest! {
+        #[test]
+        fn leg_table_cost_is_bit_identical(seed in any::<u64>()) {
+            let (p, mut sol, c) = random_case(seed);
+            let legs = LegTable::new(&p);
+            prop_assert_eq!(legs.cost(&sol).to_bits(), p.cost(&sol).to_bits());
+            for route in &sol.routes {
+                prop_assert_eq!(
+                    legs.route_energy_j(&route.stops).to_bits(),
+                    p.route_energy_j(route).to_bits()
+                );
+                prop_assert_eq!(
+                    legs.route_time_s(&route.stops).to_bits(),
+                    p.route_time_s(route).to_bits()
+                );
+            }
+            c.repair(&mut sol);
+            prop_assert_eq!(legs.cost(&sol).to_bits(), p.cost(&sol).to_bits());
+        }
+
+        #[test]
+        fn solver_moves_keep_the_table_cost_exact(seed in any::<u64>()) {
+            // Walk the annealer's own moves (and repairs) through a
+            // reused candidate buffer, checking the cost at each step.
+            let (p, sol, c) = random_case(seed);
+            let legs = LegTable::new(&p);
+            let mut index = c.party_index();
+            let mut rng = androne_simkern::stream_rng(seed);
+            let mut current = sol.clone();
+            let mut cand = VrpSolution { routes: Vec::new() };
+            for step in 0..40 {
+                copy_solution(&mut cand, &current);
+                prop_assert_eq!(&cand, &current);
+                match step % 3 {
+                    0 => relocate(&mut cand, &mut rng),
+                    1 => swap(&mut cand, &mut rng),
+                    _ => two_opt(&mut cand, &mut rng),
+                }
+                if step % 2 == 0 {
+                    c.repair_indexed(&mut cand, &mut index);
+                }
+                prop_assert_eq!(legs.cost(&cand).to_bits(), p.cost(&cand).to_bits());
+                std::mem::swap(&mut current, &mut cand);
+            }
+        }
     }
 }
