@@ -323,41 +323,56 @@ fn waypoint_need(model: &DorlingModel, wp: &GeoPoint) -> (f64, f64) {
     )
 }
 
-/// Live per-tenant state between admission and terminal resolution.
+/// Cold per-tenant state between admission and terminal resolution,
+/// indexed by the tenant's dense id (its admission order). The
+/// numbers the per-wave affordability pass reads live in [`Gate`].
 struct TenantState {
     user: String,
     /// Per-waypoint `(energy_j, time_s)` needs from the placed spec.
     needs: Vec<(f64, f64)>,
-    /// `(dist_m, energy_j, time_s)` per waypoint for island data.
+    /// Per-waypoint ground distance from the base, metres (island
+    /// data).
     dists: Vec<f64>,
     next_wp: usize,
-    remaining_e: f64,
-    remaining_t: f64,
     billed_e: f64,
     refunded_e: f64,
     flights_flown: u32,
-    submitted_clock_s: f64,
     resolution: Option<(ScaleResolution, f64)>,
     spec: androne_vdc::VirtualDroneSpec,
 }
 
-/// Plain data one flight carries onto a worker thread.
-struct ScaleWork {
-    wave: u64,
-    flight_index: u64,
-    legs: Vec<ScaleLeg>,
+/// Hot per-tenant state, indexed by dense id: the next waypoint's
+/// need and the remaining allotment — everything the per-wave
+/// affordability pass reads, and the only copy of the remaining
+/// energy and time.
+#[derive(Clone, Copy)]
+struct Gate {
+    need_e: f64,
+    need_t: f64,
+    remaining_e: f64,
+    remaining_t: f64,
 }
 
-struct ScaleLeg {
-    owner: String,
+/// Plain data one flight carries onto a worker thread.
+struct ScaleWork<'a> {
+    wave: u64,
+    flight_index: u64,
+    legs: Vec<ScaleLeg<'a>>,
+}
+
+struct ScaleLeg<'a> {
+    id: usize,
+    /// The owner's virtual drone name, folded into the flight digest.
+    owner: &'a str,
     dist_m: f64,
 }
 
-/// What the worker hands back: per-leg billing plus the flight fold.
+/// What the worker hands back: per-leg `(id, energy_j, time_s)`
+/// billing plus the flight fold.
 struct ScaleFlightOut {
     wave: u64,
     flight_index: u64,
-    served: Vec<(String, f64, f64)>,
+    served: Vec<(usize, f64, f64)>,
     energy_j: f64,
     duration_s: f64,
     digest: u64,
@@ -365,7 +380,7 @@ struct ScaleFlightOut {
 
 /// Flies one packed flight in closed form. Pure: billing numbers and
 /// the digest depend only on the leg list and the model constants.
-fn fly_island(model: DorlingModel, work: ScaleWork) -> ScaleFlightOut {
+fn fly_island(model: DorlingModel, work: ScaleWork<'_>) -> ScaleFlightOut {
     let mut h = StateHasher::new();
     h.write_u64(work.wave);
     h.write_u64(work.flight_index);
@@ -375,13 +390,13 @@ fn fly_island(model: DorlingModel, work: ScaleWork) -> ScaleFlightOut {
     for leg in &work.legs {
         let e = model.leg_energy_j(2.0 * leg.dist_m, 0.0) + SERVICE_ENERGY_J;
         let t = model.leg_time_s(2.0 * leg.dist_m) + SERVICE_TIME_S;
-        h.write_str(&leg.owner);
+        h.write_str(leg.owner);
         h.write_f64(leg.dist_m);
         h.write_f64(e);
         h.write_f64(t);
         energy += e;
         duration += t;
-        served.push((leg.owner.clone(), e, t));
+        served.push((leg.id, e, t));
     }
     ScaleFlightOut {
         wave: work.wave,
@@ -416,6 +431,10 @@ fn synthetic_archive(name: &str, waypoints_completed: usize) -> ContainerArchive
 /// flown as closed-form islands on the worker pool, VDR lease cycles
 /// with telescoped saves and periodic compaction, billing and
 /// terminal refunds.
+///
+/// Inside the loop a tenant is a dense index in admission order;
+/// its name is read only where the control plane needs it (VDR,
+/// billing, refunds, the flight digest and the outcome).
 pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
     let model = DorlingModel::f450_prototype();
     let pool = WorkerPool::new(cfg.threads);
@@ -435,8 +454,21 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         * (model.leg_energy_j(2.0 * worst_dist, 0.0) + SERVICE_ENERGY_J)
         + 1.0;
 
-    let mut states: BTreeMap<String, TenantState> = BTreeMap::new();
-    let mut ready: VecDeque<String> = VecDeque::new();
+    // Three parallel vectors indexed by dense tenant id.
+    let mut names: Vec<String> = Vec::new();
+    let mut states: Vec<TenantState> = Vec::new();
+    let mut gates: Vec<Gate> = Vec::new();
+    // Tenants with a terminal resolution; quiescence needs all of them.
+    let mut resolved = 0usize;
+    // Every id here has a next waypoint: completed tenants never
+    // return, and an empty mission never enters.
+    let mut ready: VecDeque<usize> = VecDeque::new();
+    // The wave's offered legs and their owners' ids, reused. The
+    // packer never reads `PackItem::owner`, so it stays an empty
+    // (unallocated) string.
+    let mut items: Vec<PackItem> = Vec::new();
+    let mut item_ids: Vec<usize> = Vec::new();
+    let mut leased: Vec<usize> = Vec::new();
     let mut retries: BTreeMap<u64, Vec<PlacedOrder>> = BTreeMap::new();
     let mut flights: Vec<ScaleFlightRecord> = Vec::new();
     let mut clock_s = 0.0f64;
@@ -491,7 +523,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
             }
         }
 
-        // ── Admission: this wave's batch materializes tenant state.
+        // ── Admission: this wave's batch gets the next dense ids.
         for placed in cloud.admit_orders() {
             let needs: Vec<(f64, f64)> = placed
                 .spec
@@ -505,25 +537,29 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 .iter()
                 .map(|wp| BASE.ground_distance_m(&wp.position()))
                 .collect();
-            let name = placed.vd_name.clone();
-            states.insert(
-                name.clone(),
-                TenantState {
-                    user: placed.user.clone(),
-                    needs,
-                    dists,
-                    next_wp: 0,
-                    remaining_e: placed.spec.energy_allotted,
-                    remaining_t: placed.spec.max_duration,
-                    billed_e: 0.0,
-                    refunded_e: 0.0,
-                    flights_flown: 0,
-                    submitted_clock_s: 0.0,
-                    resolution: None,
-                    spec: placed.spec,
-                },
-            );
-            ready.push_back(name);
+            let id = states.len();
+            let (need_e, need_t) = needs.first().copied().unwrap_or((0.0, 0.0));
+            gates.push(Gate {
+                need_e,
+                need_t,
+                remaining_e: placed.spec.energy_allotted,
+                remaining_t: placed.spec.max_duration,
+            });
+            if !needs.is_empty() {
+                ready.push_back(id);
+            }
+            names.push(placed.vd_name);
+            states.push(TenantState {
+                user: placed.user,
+                needs,
+                dists,
+                next_wp: 0,
+                billed_e: 0.0,
+                refunded_e: 0.0,
+                flights_flown: 0,
+                resolution: None,
+                spec: placed.spec,
+            });
         }
         obs.gauge_max(
             "scale.queue_depth_peak",
@@ -531,30 +567,28 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         );
 
         // ── Plan: affordability gate, then first-fit bin-packing.
-        let mut items: Vec<PackItem> = Vec::new();
-        let mut item_names: Vec<String> = Vec::new();
-        for _ in 0..ready.len() {
-            let Some(name) = ready.pop_front() else { break };
-            let Some(st) = states.get_mut(&name) else { continue };
-            let Some(&(need_e, need_t)) = st.needs.get(st.next_wp) else {
-                continue;
-            };
-            if st.remaining_e < need_e || st.remaining_t < need_t {
+        items.clear();
+        item_ids.clear();
+        for id in ready.drain(..) {
+            let g = gates[id];
+            if g.remaining_e < g.need_e || g.remaining_t < g.need_t {
                 // Terminal: the allotment cannot afford the next
                 // waypoint. Refund the unserved remainder.
-                let refund = st.remaining_e.max(0.0);
+                let refund = g.remaining_e.max(0.0);
+                let st = &mut states[id];
                 st.refunded_e = refund;
                 st.resolution = Some((ScaleResolution::Exhausted, clock_s));
-                cloud.refund_unserved(&st.user.clone(), &name, refund);
+                resolved += 1;
+                cloud.refund_unserved(&st.user, &names[id], refund);
                 obs.count("scale.tenants_exhausted", 1);
                 continue;
             }
             items.push(PackItem {
-                owner: name.clone(),
-                energy_j: need_e,
-                time_s: need_t,
+                owner: String::new(),
+                energy_j: g.need_e,
+                time_s: g.need_t,
             });
-            item_names.push(name);
+            item_ids.push(id);
         }
         let packing = bin_pack(
             &items,
@@ -563,26 +597,25 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
             battery_budget_j,
         );
         // Spilled orders lead the next wave, in FIFO order.
-        for &idx in &packing.spilled {
-            if let Some(name) = item_names.get(idx) {
-                ready.push_back(name.clone());
-            }
-        }
+        ready.extend(packing.spilled.iter().map(|&idx| item_ids[idx]));
         obs.count("scale.legs_spilled", packing.spilled.len() as u64);
 
         // ── Fly: packed flights become closed-form islands.
-        let mut works: Vec<ScaleWork> = Vec::with_capacity(packing.flights.len());
+        let mut works: Vec<ScaleWork<'_>> = Vec::with_capacity(packing.flights.len());
         for flight in &packing.flights {
-            let mut legs = Vec::with_capacity(flight.items.len());
-            for &idx in &flight.items {
-                let Some(name) = item_names.get(idx) else { continue };
-                let Some(st) = states.get(name) else { continue };
-                let Some(&dist) = st.dists.get(st.next_wp) else { continue };
-                legs.push(ScaleLeg {
-                    owner: name.clone(),
-                    dist_m: dist,
-                });
-            }
+            let legs = flight
+                .items
+                .iter()
+                .map(|&idx| {
+                    let id = item_ids[idx];
+                    let st = &states[id];
+                    ScaleLeg {
+                        id,
+                        owner: &names[id],
+                        dist_m: st.dists[st.next_wp],
+                    }
+                })
+                .collect();
             works.push(ScaleWork {
                 wave,
                 flight_index: flight_counter,
@@ -592,13 +625,10 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         }
         // Leases: a tenant flying a non-first flight checks its saved
         // state out of the VDR for the duration (commit on landing).
-        let mut leased: Vec<String> = Vec::new();
-        for work in &works {
-            for leg in &work.legs {
-                let resuming = states.get(&leg.owner).is_some_and(|s| s.flights_flown > 0);
-                if resuming && cloud.inner.vdr.checkout(&leg.owner).is_some() {
-                    leased.push(leg.owner.clone());
-                }
+        leased.clear();
+        for leg in works.iter().flat_map(|w| &w.legs) {
+            if states[leg.id].flights_flown > 0 && cloud.inner.vdr.checkout(leg.owner).is_some() {
+                leased.push(leg.id);
             }
         }
         let outs = pool.run(works, |w| fly_island(model, w));
@@ -618,10 +648,10 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
             obs.count("scale.flights", 1);
             obs.count("scale.legs", out.served.len() as u64);
             let landing_clock = clock_s + out.duration_s;
-            for (name, e, t) in out.served {
-                let Some(st) = states.get_mut(&name) else { continue };
-                st.remaining_e -= e;
-                st.remaining_t -= t;
+            for (id, e, t) in out.served {
+                let (name, st, g) = (&names[id], &mut states[id], &mut gates[id]);
+                g.remaining_e -= e;
+                g.remaining_t -= t;
                 st.billed_e += e;
                 st.next_wp += 1;
                 st.flights_flown += 1;
@@ -636,24 +666,26 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                     name: name.clone(),
                     owner: st.user.clone(),
                     spec: st.spec.clone(),
-                    archive: synthetic_archive(&name, st.next_wp),
+                    archive: synthetic_archive(name, st.next_wp),
                     app_state: format!("{{\"wp\":{}}}", st.next_wp),
                     reason,
-                    remaining_energy_j: st.remaining_e,
-                    remaining_time_s: st.remaining_t,
+                    remaining_energy_j: g.remaining_e,
+                    remaining_time_s: g.remaining_t,
                     waypoints_completed: st.next_wp,
                     flights_flown: st.flights_flown,
                 });
                 if done {
                     st.resolution = Some((ScaleResolution::Completed, landing_clock));
+                    resolved += 1;
                     obs.count("scale.tenants_completed", 1);
                 } else {
-                    ready.push_back(name);
+                    (g.need_e, g.need_t) = st.needs[st.next_wp];
+                    ready.push_back(id);
                 }
             }
         }
-        for name in leased {
-            cloud.inner.vdr.commit(&name);
+        for &id in &leased {
+            cloud.inner.vdr.commit(&names[id]);
         }
 
         // ── Compact when the journal has doubled past the live set.
@@ -673,8 +705,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         obs.count("scale.waves", 1);
 
         // ── Quiescence: everything admitted, flown, and resolved.
-        let all_resolved =
-            states.len() == cfg.tenants && states.values().all(|s| s.resolution.is_some());
+        let all_resolved = states.len() == cfg.tenants && resolved == states.len();
         if all_resolved && ready.is_empty() && retries.is_empty() && cloud.admission().is_empty()
         {
             quiescent = true;
@@ -692,14 +723,16 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
     let vdr_stats = cloud.inner.vdr.stats();
     let vdr_digest = cloud.inner.vdr.digest();
 
+    // The whole cohort is submitted at wave 0 (clock 0), so a
+    // tenant's latency is its resolution clock.
     let mut latencies: Vec<f64> = Vec::with_capacity(states.len());
-    let tenants: BTreeMap<String, ScaleTenantOutcome> = states
+    let tenants: BTreeMap<String, ScaleTenantOutcome> = names
         .into_iter()
+        .zip(states)
         .map(|(name, st)| {
-            let (resolution, resolved_clock) = st
+            let (resolution, latency) = st
                 .resolution
                 .unwrap_or((ScaleResolution::Exhausted, clock_s));
-            let latency = resolved_clock - st.submitted_clock_s;
             latencies.push(latency);
             (
                 name,

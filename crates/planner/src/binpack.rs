@@ -18,8 +18,10 @@
 /// One order's demand on a flight this wave.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackItem {
-    /// Owning virtual drone (one lane ↔ one owner; a flight carries
-    /// at most `party_cap` distinct owners).
+    /// Owning virtual drone, a label for the caller only: `bin_pack`
+    /// never reads it. A flight carries at most `party_cap` *items*,
+    /// whatever their owners, so the packing is the same under any
+    /// owner labels, empty ones included.
     pub owner: String,
     /// Energy the flight must spend for this item (travel + service).
     pub energy_j: f64,
@@ -164,5 +166,37 @@ mod tests {
         let items = vec![item("a", 1.0)];
         assert_eq!(bin_pack(&items, 0, 3, 1e9).spilled, vec![0]);
         assert_eq!(bin_pack(&items, 3, 0, 1e9).spilled, vec![0]);
+    }
+
+    use proptest::prelude::*;
+
+    // The same demands pack identically whether their owners are
+    // distinct, relabelled, shared or empty: the packer counts items,
+    // never owners.
+    proptest! {
+        #[test]
+        fn packing_ignores_owner_labels(
+            demands in prop::collection::vec((0.0f64..40_000.0, 0u8..4), 0..48),
+            fleet_size in 0usize..8,
+            party_cap in 0usize..5,
+            budget in 1_000.0f64..80_000.0,
+        ) {
+            let pack = |owner: &dyn Fn(usize, u8) -> String| {
+                let items: Vec<PackItem> = demands
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(energy_j, tag))| PackItem {
+                        owner: owner(i, tag),
+                        energy_j,
+                        time_s: energy_j / 100.0,
+                    })
+                    .collect();
+                bin_pack(&items, fleet_size, party_cap, budget)
+            };
+            let distinct = pack(&|i, _| format!("t{i}"));
+            prop_assert_eq!(pack(&|_, tag| format!("x{tag}")), distinct);
+            prop_assert_eq!(pack(&|_, _| "shared".to_string()), distinct);
+            prop_assert_eq!(pack(&|_, _| String::new()), distinct);
+        }
     }
 }

@@ -316,11 +316,66 @@ fn fleet_run_is_digest_invariant_across_vdr_shards() {
     assert_eq!(one.metrics_digest(), four.metrics_digest());
 }
 
-/// The 10k rung's `(fleet_digest, vdr_digest)`, captured before the
-/// fleet executor's wrapper doors and admission rider were removed.
-/// Width invariance alone would miss a drift that is equal at every
-/// width; this pins the absolute bits.
-const SCALE_10K_PIN: (u64, u64) = (0x9e3c_5fdf_eaf9_d91b, 0x61a8_abd3_1013_2e23);
+/// The 10k rung's `(fleet_digest, vdr_digest, metrics_digest)`. The
+/// first two were captured before the fleet executor's wrapper doors
+/// and admission rider were removed, the metrics word before the
+/// ladder driver moved to dense tenant ids. Width invariance alone
+/// would miss a drift that is equal at every width; this pins the
+/// absolute bits.
+const SCALE_10K_PIN: (u64, u64, u64) = (
+    0x9e3c_5fdf_eaf9_d91b,
+    0x61a8_abd3_1013_2e23,
+    0xbd7a_8887_88a5_568e,
+);
+
+/// The 100k rung's `(fleet_digest, vdr_digest, metrics_digest)`,
+/// captured before the ladder driver moved to dense tenant ids.
+const SCALE_100K_PIN: (u64, u64, u64) = (
+    0x4bd7_434e_1760_f6d8,
+    0xd4af_25e9_62a6_6dc1,
+    0xf004_a6c0_6cf4_2172,
+);
+
+/// A 40-tenant rung at seed 7 (not the ladder default), small enough
+/// for a debug test: `(fleet_digest, vdr_digest, metrics_digest)`,
+/// captured before the ladder driver moved to dense tenant ids.
+const SCALE_SEED7_PIN: (u64, u64, u64) = (
+    0x52f4_49d6_975b_5156,
+    0x2247_f6d6_a874_7e70,
+    0x4681_ad93_5c97_8bd7,
+);
+
+fn scale_pin(out: &androne::ScaleOutcome) -> (u64, u64, u64) {
+    (out.fleet_digest(), out.vdr_digest, out.metrics_digest())
+}
+
+/// The driver's wave cycle on a small non-default-seed rung: the run
+/// backpressures, spills legs to the next wave and exhausts the
+/// under-provisioned tenants, and every output word equals
+/// [`SCALE_SEED7_PIN`].
+#[test]
+fn scale_small_rung_matches_its_seed_pin() {
+    let cfg = ScaleConfig {
+        tenants: 40,
+        fleet_size: 4,
+        admit_per_wave: 12,
+        queue_capacity: 24,
+        ..ScaleConfig::rung(40)
+    }
+    .seed(7);
+    let out = execute_scale_fleet(&cfg);
+    assert!(out.quiescent);
+    assert!(
+        out.backpressured_submissions > 0,
+        "capacity 24 < 40 tenants"
+    );
+    assert!(
+        out.metrics.counter("scale.legs_spilled") > 0,
+        "4 drones x 3 seats < 12 admitted + resumed legs"
+    );
+    assert!(out.exhausted() > 0, "the under-provisioned cohort exhausts");
+    assert_eq!(scale_pin(&out), SCALE_SEED7_PIN, "seed-7 rung drifted");
+}
 
 /// The `fleet-scale-smoke` CI leg: the 10k-tenant rung runs to
 /// quiescence, every tenant resolves terminally, backpressure
@@ -331,7 +386,7 @@ fn scale_10k_digests_invariant_across_shards_and_threads() {
     let reference = execute_scale_fleet(&ScaleConfig::rung(10_000));
     assert!(reference.quiescent, "10k rung did not reach quiescence");
     assert_eq!(
-        (reference.fleet_digest(), reference.vdr_digest),
+        scale_pin(&reference),
         SCALE_10K_PIN,
         "10k rung drifted from its pinned digests"
     );
@@ -364,8 +419,8 @@ fn scale_10k_digests_invariant_across_shards_and_threads() {
 }
 
 /// Full acceptance matrix for the top rung: 100k tenants to
-/// quiescence, digests identical across threads 1/4/8 and shards
-/// 1/4. Ignored by default (several seconds per run in release, far
+/// quiescence, digests equal to [`SCALE_100K_PIN`] and identical
+/// across threads 1/4/8 and shards 1/4. Ignored by default (several seconds per run in release, far
 /// more in debug); run with
 /// `cargo test --release --test fleet_scale -- --ignored`.
 #[test]
@@ -374,6 +429,11 @@ fn scale_100k_runs_to_quiescence_at_every_width() {
     let reference = execute_scale_fleet(&ScaleConfig::rung(100_000));
     assert!(reference.quiescent, "100k rung did not reach quiescence");
     assert_eq!(reference.completed() + reference.exhausted(), 100_000);
+    assert_eq!(
+        scale_pin(&reference),
+        SCALE_100K_PIN,
+        "100k rung drifted from its pinned digests"
+    );
     for (threads, shards) in [(4usize, 1usize), (8, 1), (1, 4)] {
         let run = execute_scale_fleet(&ScaleConfig::rung(100_000).threads(threads).shards(shards));
         assert_eq!(
