@@ -141,6 +141,16 @@ impl<T> AdmissionQueue<T> {
     /// rejected item rides back in the error so the caller can hold
     /// it for the retry without re-validating or re-building it.
     pub fn enqueue(&mut self, lane: &str, item: T, wave: u64) -> Result<u64, (AdmissionError, T)> {
+        match self.check_capacity(wave) {
+            Ok(()) => Ok(self.enqueue_unbounded(lane, item)),
+            Err(err) => Err((err, item)),
+        }
+    }
+
+    /// The capacity check of [`Self::enqueue`] on its own: counts and
+    /// returns the backpressure a submission at `wave` meets, so a
+    /// caller can bounce an order before building anything for it.
+    pub(crate) fn check_capacity(&mut self, wave: u64) -> Result<(), AdmissionError> {
         if let Some(cap) = self.cfg.capacity {
             if self.pending >= cap {
                 self.backpressure_total += 1;
@@ -149,29 +159,19 @@ impl<T> AdmissionQueue<T> {
                 // drains everything.
                 let per_wave = self.cfg.admit_per_wave.unwrap_or(self.pending).max(1);
                 let waves_ahead = (self.pending / per_wave) as u64;
-                return Err((
-                    AdmissionError::Backpressure {
-                        retry_wave: wave + 1 + waves_ahead,
-                        depth: self.pending,
-                    },
-                    item,
-                ));
+                return Err(AdmissionError::Backpressure {
+                    retry_wave: wave + 1 + waves_ahead,
+                    depth: self.pending,
+                });
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.lanes.entry(lane.to_string()).or_default().push_back((seq, item));
-        self.pending += 1;
-        self.enqueued_total += 1;
-        if self.pending > self.peak_depth {
-            self.peak_depth = self.pending;
-        }
-        Ok(seq)
+        Ok(())
     }
 
-    /// Appends without the capacity check — used when migrating an
-    /// existing backlog to a new config, where dropping queued orders
-    /// would lose customer state.
+    /// Appends without the capacity check — used after
+    /// [`Self::check_capacity`] passed, and when migrating an existing
+    /// backlog to a new config, where dropping queued orders would
+    /// lose customer state.
     pub(crate) fn enqueue_unbounded(&mut self, lane: &str, item: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

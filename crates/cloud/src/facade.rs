@@ -274,25 +274,24 @@ impl FallibleCloud {
     /// re-validating would only re-prove what the first submission
     /// proved.
     pub fn resubmit(&mut self, placed: PlacedOrder) -> Result<AdmissionTicket, OrderSubmitError> {
-        let (order_id, vd_name) = (placed.order_id, placed.vd_name.clone());
-        match self.admission.enqueue(&vd_name, placed, self.wave) {
-            Ok(seq) => {
-                self.obs.count("cloud.orders_enqueued", 1);
-                Ok(AdmissionTicket {
-                    order_id,
-                    vd_name,
-                    seq,
-                    queue_depth: self.admission.pending(),
-                })
-            }
-            Err((err, order)) => {
-                self.obs.count("cloud.orders_backpressured", 1);
-                Err(OrderSubmitError::Backpressure {
-                    err,
-                    order: Box::new(order),
-                })
-            }
+        // A bounce hands the order back whole; only an accepted order
+        // pays for the ticket's copy of its name.
+        if let Err(err) = self.admission.check_capacity(self.wave) {
+            self.obs.count("cloud.orders_backpressured", 1);
+            return Err(OrderSubmitError::Backpressure {
+                err,
+                order: Box::new(placed),
+            });
         }
+        let (order_id, vd_name) = (placed.order_id, placed.vd_name.clone());
+        let seq = self.admission.enqueue_unbounded(&vd_name, placed);
+        self.obs.count("cloud.orders_enqueued", 1);
+        Ok(AdmissionTicket {
+            order_id,
+            vd_name,
+            seq,
+            queue_depth: self.admission.pending(),
+        })
     }
 
     /// Releases this wave's admitted batch of queued orders, in the
@@ -363,7 +362,7 @@ impl FallibleCloud {
             });
             return Err(CloudError::VdrUnavailable);
         }
-        Ok(self.inner.vdr.checkout(name))
+        Ok(self.inner.vdr.checkout(name).cloned())
     }
 
     /// Post-flight bookkeeping under faults. Energy billing is an

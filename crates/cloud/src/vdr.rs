@@ -82,42 +82,64 @@ pub enum SaveReason {
     Interrupted,
 }
 
-/// One shard of the repository: an independent entry table, lease
-/// table, and save journal.
+/// One name's entry, lease and saves; boxed, so a lease moves a pointer.
+#[derive(Debug, Default)]
+struct Slot {
+    shelf: Option<Box<SavedVirtualDrone>>,
+    /// Checked out and awaiting commit/abandon. Still owned by the
+    /// shard: a caller that dies mid-resume loses its lease, not the
+    /// customer's drone.
+    lease: Option<Box<SavedVirtualDrone>>,
+    /// The name's journaled saves since the last compaction: at least
+    /// one, since only a save makes a slot and compaction keeps one.
+    saves: usize,
+    save_bytes: u64,
+    newest_bytes: u64,
+}
+
+/// One shard: a name-ordered slot table and its counters. The save
+/// journal is a per-name count, exact because compaction's verdict on
+/// a name depends only on that name's saves and liveness.
 #[derive(Debug, Default)]
 struct VdrShard {
-    entries: BTreeMap<String, SavedVirtualDrone>,
-    /// Checked-out entries awaiting commit/abandon. Still owned by
-    /// the shard: a caller that dies mid-resume loses its lease, not
-    /// the customer's drone.
-    leased: BTreeMap<String, SavedVirtualDrone>,
-    /// Append-only record of every save: `(name, diff bytes)`. A
-    /// telescoping resume re-stores the same name each flight; the
-    /// superseded diffs are reclaimed by [`VirtualDroneRepository::compact`].
-    journal: Vec<(String, u64)>,
+    slots: BTreeMap<String, Slot>,
+    entries: usize,
+    leased: usize,
+    journal: usize,
     compacted_saves: u64,
     reclaimed_bytes: u64,
 }
 
 impl VdrShard {
-    /// Folds this shard's durable state (entries and leases, in name
-    /// order) into a digest. Spec progress, allotment remainders, and
+    /// Digest of this shard's durable state (entries, then leases,
+    /// each in name order). Spec progress, allotment remainders, and
     /// archive size are all covered, so two repositories agree iff
     /// every stored drone agrees.
-    fn fold_digest(&self, h: &mut StateHasher) {
-        for (name, e) in &self.entries {
-            h.write_str(name);
-            fold_entry(h, e);
+    fn digest(&self) -> u64 {
+        let mut h = StateHasher::new();
+        for e in self.slots.values().filter_map(|s| s.shelf.as_deref()) {
+            fold_entry(&mut h, e, false);
         }
-        for (name, e) in &self.leased {
-            h.write_str("leased:");
-            h.write_str(name);
-            fold_entry(h, e);
+        for e in self.slots.values().filter_map(|s| s.lease.as_deref()) {
+            fold_entry(&mut h, e, true);
         }
+        h.finish()
+    }
+
+    fn stored_bytes(&self) -> u64 {
+        self.slots
+            .values()
+            .flat_map(|s| s.shelf.iter().chain(&s.lease))
+            .map(|e| e.archive.stored_bytes())
+            .sum()
     }
 }
 
-fn fold_entry(h: &mut StateHasher, e: &SavedVirtualDrone) {
+fn fold_entry(h: &mut StateHasher, e: &SavedVirtualDrone, leased: bool) {
+    if leased {
+        h.write_str("leased:");
+    }
+    h.write_str(&e.name);
     h.write_str(&e.owner);
     h.write_u64(match e.reason {
         SaveReason::Preconfigured => 0,
@@ -209,11 +231,6 @@ impl VirtualDroneRepository {
         (h.finish() % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, name: &str) -> &VdrShard {
-        let i = self.shard_index(name);
-        &self.shards[i]
-    }
-
     fn shard_mut(&mut self, name: &str) -> &mut VdrShard {
         let i = self.shard_index(name);
         &mut self.shards[i]
@@ -221,55 +238,63 @@ impl VirtualDroneRepository {
 
     /// Stores (or replaces) a virtual drone, journaling the save.
     pub fn store(&mut self, saved: SavedVirtualDrone) {
+        let bytes = saved.archive.stored_bytes();
         let shard = self.shard_mut(&saved.name);
-        shard
-            .journal
-            .push((saved.name.clone(), saved.archive.stored_bytes()));
-        shard.entries.insert(saved.name.clone(), saved);
+        let slot = match shard.slots.get_mut(saved.name.as_str()) {
+            Some(slot) => slot,
+            None => shard.slots.entry(saved.name.clone()).or_default(),
+        };
+        slot.saves += 1;
+        slot.save_bytes += bytes;
+        slot.newest_bytes = bytes;
+        shard.entries += usize::from(slot.shelf.replace(Box::new(saved)).is_none());
+        shard.journal += 1;
     }
 
     /// Retrieves a virtual drone by name.
     pub fn get(&self, name: &str) -> Option<&SavedVirtualDrone> {
-        self.shard(name).entries.get(name)
+        let shard = &self.shards[self.shard_index(name)];
+        shard.slots.get(name)?.shelf.as_deref()
     }
 
-    /// Checks out a virtual drone for reinstatement. The caller gets
-    /// a copy to deploy from; the entry moves to its shard's lease
-    /// table and is no longer visible to `get`/listings until
-    /// [`Self::commit`] (resume succeeded; drop the old copy) or
-    /// [`Self::abandon`] (resume failed; put it back) resolves the
-    /// lease. A name already leased cannot be checked out again.
-    pub fn checkout(&mut self, name: &str) -> Option<SavedVirtualDrone> {
+    /// Checks out a virtual drone for reinstatement, lending the
+    /// caller the entry to deploy from. The entry moves to its slot's
+    /// lease, invisible to `get`/listings until [`Self::commit`]
+    /// (resume succeeded; drop the old entry) or [`Self::abandon`]
+    /// (resume failed; put it back) resolves the lease. A name
+    /// already leased cannot be checked out again.
+    pub fn checkout(&mut self, name: &str) -> Option<&SavedVirtualDrone> {
         let shard = self.shard_mut(name);
-        if shard.leased.contains_key(name) {
-            return None;
-        }
-        let entry = shard.entries.remove(name)?;
-        let copy = entry.clone();
-        shard.leased.insert(name.to_string(), entry);
-        Some(copy)
+        let slot = shard.slots.get_mut(name).filter(|s| s.lease.is_none())?;
+        let entry = slot.shelf.take()?;
+        shard.entries -= 1;
+        shard.leased += 1;
+        Some(slot.lease.insert(entry))
     }
 
     /// Resolves a lease after a successful resume: the checked-out
-    /// copy has been superseded (typically by a fresh `store`), so
+    /// entry has been superseded (typically by a fresh `store`), so
     /// the leased original is dropped. Returns whether a lease
     /// existed.
     pub fn commit(&mut self, name: &str) -> bool {
-        self.shard_mut(name).leased.remove(name).is_some()
+        let shard = self.shard_mut(name);
+        let lease = shard.slots.get_mut(name).and_then(|s| s.lease.take());
+        shard.leased -= usize::from(lease.is_some());
+        lease.is_some()
     }
 
     /// Resolves a lease after a failed resume: the original entry
-    /// returns to its shard untouched. Returns whether a lease
-    /// existed.
+    /// returns to the shelf untouched, replacing anything stored under
+    /// the name meanwhile. Returns whether a lease existed.
     pub fn abandon(&mut self, name: &str) -> bool {
         let shard = self.shard_mut(name);
-        match shard.leased.remove(name) {
-            Some(entry) => {
-                shard.entries.insert(name.to_string(), entry);
-                true
-            }
-            None => false,
-        }
+        let Some(slot) = shard.slots.get_mut(name).filter(|s| s.lease.is_some()) else {
+            return false;
+        };
+        shard.leased -= 1;
+        shard.entries += usize::from(slot.shelf.is_none());
+        slot.shelf = slot.lease.take();
+        true
     }
 
     /// Names currently checked out and unresolved, in name order
@@ -278,7 +303,8 @@ impl VirtualDroneRepository {
         let mut names: Vec<&str> = self
             .shards
             .iter()
-            .flat_map(|s| s.leased.keys().map(String::as_str))
+            .flat_map(|s| s.slots.iter().filter(|(_, s)| s.lease.is_some()))
+            .map(|(n, _)| n.as_str())
             .collect();
         names.sort_unstable();
         names
@@ -287,22 +313,21 @@ impl VirtualDroneRepository {
     /// Lists a user's stored virtual drones, in name order across
     /// shards.
     pub fn list_for(&self, owner: &str) -> Vec<&SavedVirtualDrone> {
-        let mut out: Vec<&SavedVirtualDrone> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.entries.values().filter(|e| e.owner == owner))
-            .collect();
-        out.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-        out
+        self.shelved_where(|e| e.owner == owner)
     }
 
     /// Virtual drones awaiting resumption, in name order across
     /// shards.
     pub fn interrupted(&self) -> Vec<&SavedVirtualDrone> {
+        self.shelved_where(|e| e.reason == SaveReason::Interrupted)
+    }
+
+    fn shelved_where(&self, keep: impl Fn(&SavedVirtualDrone) -> bool) -> Vec<&SavedVirtualDrone> {
         let mut out: Vec<&SavedVirtualDrone> = self
             .shards
             .iter()
-            .flat_map(|s| s.entries.values().filter(|e| e.reason == SaveReason::Interrupted))
+            .flat_map(|s| s.slots.values().filter_map(|s| s.shelf.as_deref()))
+            .filter(|e| keep(e))
             .collect();
         out.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         out
@@ -311,11 +336,7 @@ impl VirtualDroneRepository {
     /// Total bytes stored (diffs only; base layers live once on each
     /// drone). Leased entries still count — they are not gone.
     pub fn stored_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.entries.values().chain(s.leased.values()))
-            .map(|e| e.archive.stored_bytes())
-            .sum()
+        self.shards.iter().map(VdrShard::stored_bytes).sum()
     }
 
     /// Compacts every shard's save journal: for each name, only the
@@ -325,28 +346,19 @@ impl VirtualDroneRepository {
     pub fn compact(&mut self) -> CompactionReport {
         let mut report = CompactionReport::default();
         for shard in &mut self.shards {
-            let mut dropped_saves = 0u64;
-            let mut dropped_bytes = 0u64;
-            let mut kept: Vec<(String, u64)> = Vec::new();
-            let mut seen: BTreeMap<&str, ()> = BTreeMap::new();
-            // Walk newest-first so the latest save per name wins.
-            let journal = std::mem::take(&mut shard.journal);
-            for (name, bytes) in journal.iter().rev() {
-                let live =
-                    shard.entries.contains_key(name) || shard.leased.contains_key(name);
-                if live && !seen.contains_key(name.as_str()) {
-                    seen.insert(name, ());
-                    kept.push((name.clone(), *bytes));
-                } else {
-                    dropped_saves += 1;
-                    dropped_bytes += bytes;
-                }
-            }
-            kept.reverse();
-            shard.journal = kept;
-            shard.compacted_saves += dropped_saves;
+            let (mut dropped_saves, mut dropped_bytes) = (0usize, 0u64);
+            shard.slots.retain(|_, slot| {
+                let live = slot.shelf.is_some() || slot.lease.is_some();
+                let (kept_saves, kept_bytes) = if live { (1, slot.newest_bytes) } else { (0, 0) };
+                dropped_saves += slot.saves - kept_saves;
+                dropped_bytes += slot.save_bytes - kept_bytes;
+                (slot.saves, slot.save_bytes) = (kept_saves, kept_bytes);
+                live
+            });
+            shard.journal -= dropped_saves;
+            shard.compacted_saves += dropped_saves as u64;
             shard.reclaimed_bytes += dropped_bytes;
-            report.compacted_saves += dropped_saves;
+            report.compacted_saves += dropped_saves as u64;
             report.reclaimed_bytes += dropped_bytes;
         }
         report
@@ -359,22 +371,13 @@ impl VirtualDroneRepository {
         self.shards
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let mut h = StateHasher::new();
-                s.fold_digest(&mut h);
-                ShardSnapshot {
-                    shard: i,
-                    entries: s.entries.len(),
-                    leased: s.leased.len(),
-                    stored_bytes: s
-                        .entries
-                        .values()
-                        .chain(s.leased.values())
-                        .map(|e| e.archive.stored_bytes())
-                        .sum(),
-                    journal_len: s.journal.len(),
-                    digest: h.finish(),
-                }
+            .map(|(i, s)| ShardSnapshot {
+                shard: i,
+                entries: s.entries,
+                leased: s.leased,
+                stored_bytes: s.stored_bytes(),
+                journal_len: s.journal,
+                digest: s.digest(),
             })
             .collect()
     }
@@ -386,9 +389,9 @@ impl VirtualDroneRepository {
             ..VdrStats::default()
         };
         for s in &self.shards {
-            st.entries += s.entries.len();
-            st.leased += s.leased.len();
-            st.journal_entries += s.journal.len();
+            st.entries += s.entries;
+            st.leased += s.leased;
+            st.journal_entries += s.journal;
             st.compacted_saves += s.compacted_saves;
             st.reclaimed_bytes += s.reclaimed_bytes;
         }
@@ -398,19 +401,14 @@ impl VirtualDroneRepository {
     /// Digest of the full repository contents, folded in global name
     /// order — identical for any shard count holding the same drones.
     pub fn digest(&self) -> u64 {
-        let mut entries: Vec<(&String, &SavedVirtualDrone, bool)> = Vec::new();
-        for s in &self.shards {
-            entries.extend(s.entries.iter().map(|(n, e)| (n, e, false)));
-            entries.extend(s.leased.iter().map(|(n, e)| (n, e, true)));
-        }
-        entries.sort_unstable_by(|a, b| (a.0, a.2).cmp(&(b.0, b.2)));
+        let mut slots: Vec<(&String, &Slot)> = self.shards.iter().flat_map(|s| &s.slots).collect();
+        slots.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut h = StateHasher::new();
-        for (name, e, leased) in entries {
-            if leased {
-                h.write_str("leased:");
+        for (_, slot) in slots {
+            let shelf = slot.shelf.iter().map(|e| (e, false));
+            for (e, leased) in shelf.chain(slot.lease.iter().map(|e| (e, true))) {
+                fold_entry(&mut h, e, leased);
             }
-            h.write_str(name);
-            fold_entry(&mut h, e);
         }
         h.finish()
     }
@@ -450,7 +448,7 @@ mod tests {
         vdr.store(saved("vd1", SaveReason::Interrupted));
         assert_eq!(vdr.list_for("alice").len(), 1);
         assert_eq!(vdr.interrupted().len(), 1);
-        let copy = vdr.checkout("vd1").unwrap();
+        let copy = vdr.checkout("vd1").cloned().unwrap();
         assert_eq!(copy.name, "vd1");
         // Checked out: invisible to lookups, held on the lease table.
         assert!(vdr.get("vd1").is_none());

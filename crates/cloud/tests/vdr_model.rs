@@ -1,0 +1,388 @@
+//! Model test for the Virtual Drone Repository.
+//!
+//! The reference below is the repository's earlier layout, kept as an
+//! executable specification: per shard an entry map, a lease map and
+//! an append-only `(name, diff bytes)` save journal that compaction
+//! walks newest-first. Random operation tapes run against it and
+//! against [`VirtualDroneRepository`] at 1 and 4 shards, and every
+//! observable result must agree after every operation.
+
+use std::collections::BTreeMap;
+
+use androne_cloud::{
+    CompactionReport, SaveReason, SavedVirtualDrone, ShardSnapshot, VdrStats,
+    VirtualDroneRepository,
+};
+use androne_container::{ContainerArchive, ContainerKind, Layer};
+use androne_simkern::StateHasher;
+use androne_vdc::VirtualDroneSpec;
+use proptest::prelude::*;
+
+#[derive(Debug, Default)]
+struct RefShard {
+    entries: BTreeMap<String, SavedVirtualDrone>,
+    leased: BTreeMap<String, SavedVirtualDrone>,
+    journal: Vec<(String, u64)>,
+    compacted_saves: u64,
+    reclaimed_bytes: u64,
+}
+
+impl RefShard {
+    fn fold_digest(&self, h: &mut StateHasher) {
+        for (name, e) in &self.entries {
+            h.write_str(name);
+            fold_entry(h, e);
+        }
+        for (name, e) in &self.leased {
+            h.write_str("leased:");
+            h.write_str(name);
+            fold_entry(h, e);
+        }
+    }
+}
+
+fn fold_entry(h: &mut StateHasher, e: &SavedVirtualDrone) {
+    h.write_str(&e.owner);
+    h.write_u64(match e.reason {
+        SaveReason::Preconfigured => 0,
+        SaveReason::Completed => 1,
+        SaveReason::Interrupted => 2,
+    });
+    h.write_f64(e.remaining_energy_j);
+    h.write_f64(e.remaining_time_s);
+    h.write_u64(e.waypoints_completed as u64);
+    h.write_u64(u64::from(e.flights_flown));
+    h.write_u64(e.archive.stored_bytes());
+    h.write_str(&e.app_state);
+}
+
+/// The reference repository (same FNV name → shard routing).
+struct RefVdr {
+    shards: Vec<RefShard>,
+}
+
+impl RefVdr {
+    fn with_shards(n: usize) -> Self {
+        RefVdr {
+            shards: (0..n.max(1)).map(|_| RefShard::default()).collect(),
+        }
+    }
+
+    fn shard_index(&self, name: &str) -> usize {
+        let mut h = StateHasher::new();
+        h.write_str(name);
+        (h.finish() % self.shards.len() as u64) as usize
+    }
+
+    fn shard_mut(&mut self, name: &str) -> &mut RefShard {
+        let i = self.shard_index(name);
+        &mut self.shards[i]
+    }
+
+    fn store(&mut self, saved: SavedVirtualDrone) {
+        let shard = self.shard_mut(&saved.name);
+        shard
+            .journal
+            .push((saved.name.clone(), saved.archive.stored_bytes()));
+        shard.entries.insert(saved.name.clone(), saved);
+    }
+
+    fn get(&self, name: &str) -> Option<&SavedVirtualDrone> {
+        self.shards[self.shard_index(name)].entries.get(name)
+    }
+
+    fn checkout(&mut self, name: &str) -> Option<SavedVirtualDrone> {
+        let shard = self.shard_mut(name);
+        if shard.leased.contains_key(name) {
+            return None;
+        }
+        let entry = shard.entries.remove(name)?;
+        let copy = entry.clone();
+        shard.leased.insert(name.to_string(), entry);
+        Some(copy)
+    }
+
+    fn commit(&mut self, name: &str) -> bool {
+        self.shard_mut(name).leased.remove(name).is_some()
+    }
+
+    fn abandon(&mut self, name: &str) -> bool {
+        let shard = self.shard_mut(name);
+        match shard.leased.remove(name) {
+            Some(entry) => {
+                shard.entries.insert(name.to_string(), entry);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn leased_names(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.leased.keys().map(String::as_str))
+            .collect();
+        names.sort_unstable();
+        names
+    }
+
+    fn shelved_where(&self, keep: impl Fn(&SavedVirtualDrone) -> bool) -> Vec<&SavedVirtualDrone> {
+        let mut out: Vec<&SavedVirtualDrone> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.entries.values())
+            .filter(|e| keep(e))
+            .collect();
+        out.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        out
+    }
+
+    fn stored_bytes(&self) -> u64 {
+        self.shards
+            .iter()
+            .flat_map(|s| s.entries.values().chain(s.leased.values()))
+            .map(|e| e.archive.stored_bytes())
+            .sum()
+    }
+
+    fn compact(&mut self) -> CompactionReport {
+        let mut report = CompactionReport::default();
+        for shard in &mut self.shards {
+            let mut dropped_saves = 0u64;
+            let mut dropped_bytes = 0u64;
+            let mut kept: Vec<(String, u64)> = Vec::new();
+            let mut seen: BTreeMap<&str, ()> = BTreeMap::new();
+            let journal = std::mem::take(&mut shard.journal);
+            for (name, bytes) in journal.iter().rev() {
+                let live = shard.entries.contains_key(name) || shard.leased.contains_key(name);
+                if live && !seen.contains_key(name.as_str()) {
+                    seen.insert(name, ());
+                    kept.push((name.clone(), *bytes));
+                } else {
+                    dropped_saves += 1;
+                    dropped_bytes += bytes;
+                }
+            }
+            kept.reverse();
+            shard.journal = kept;
+            shard.compacted_saves += dropped_saves;
+            shard.reclaimed_bytes += dropped_bytes;
+            report.compacted_saves += dropped_saves;
+            report.reclaimed_bytes += dropped_bytes;
+        }
+        report
+    }
+
+    fn snapshot(&self) -> Vec<ShardSnapshot> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let mut h = StateHasher::new();
+                s.fold_digest(&mut h);
+                ShardSnapshot {
+                    shard: i,
+                    entries: s.entries.len(),
+                    leased: s.leased.len(),
+                    stored_bytes: s
+                        .entries
+                        .values()
+                        .chain(s.leased.values())
+                        .map(|e| e.archive.stored_bytes())
+                        .sum(),
+                    journal_len: s.journal.len(),
+                    digest: h.finish(),
+                }
+            })
+            .collect()
+    }
+
+    fn stats(&self) -> VdrStats {
+        let mut st = VdrStats {
+            shards: self.shards.len(),
+            ..VdrStats::default()
+        };
+        for s in &self.shards {
+            st.entries += s.entries.len();
+            st.leased += s.leased.len();
+            st.journal_entries += s.journal.len();
+            st.compacted_saves += s.compacted_saves;
+            st.reclaimed_bytes += s.reclaimed_bytes;
+        }
+        st
+    }
+
+    fn digest(&self) -> u64 {
+        let mut entries: Vec<(&String, &SavedVirtualDrone, bool)> = Vec::new();
+        for s in &self.shards {
+            entries.extend(s.entries.iter().map(|(n, e)| (n, e, false)));
+            entries.extend(s.leased.iter().map(|(n, e)| (n, e, true)));
+        }
+        entries.sort_unstable_by(|a, b| (a.0, a.2).cmp(&(b.0, b.2)));
+        let mut h = StateHasher::new();
+        for (name, e, leased) in entries {
+            if leased {
+                h.write_str("leased:");
+            }
+            h.write_str(name);
+            fold_entry(&mut h, e);
+        }
+        h.finish()
+    }
+}
+
+const NAMES: usize = 6;
+const OWNERS: [&str; 2] = ["alice", "bob"];
+const REASONS: [SaveReason; 3] = [
+    SaveReason::Preconfigured,
+    SaveReason::Completed,
+    SaveReason::Interrupted,
+];
+
+fn name(i: usize) -> String {
+    format!("vd-{i}")
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Name, owner, diff size step, reason.
+    Store(usize, usize, usize, usize),
+    Checkout(usize),
+    Commit(usize),
+    Abandon(usize),
+    Compact,
+    Get(usize),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (
+        0u8..12,
+        0..NAMES,
+        0..OWNERS.len(),
+        0usize..5,
+        0..REASONS.len(),
+    )
+        .prop_map(|(kind, n, owner, size, reason)| match kind {
+            0..=3 => Op::Store(n, owner, size, reason),
+            4 | 5 => Op::Checkout(n),
+            6 | 7 => Op::Commit(n),
+            8 | 9 => Op::Abandon(n),
+            10 => Op::Compact,
+            _ => Op::Get(n),
+        })
+}
+
+/// Every tape starts here: a store while the name is leased, then an
+/// abandon that puts the older original back over it; a committed
+/// resume nobody re-stored, so compaction finds a dead name.
+const PRELUDE: [Op; 9] = [
+    Op::Store(0, 0, 1, 2),
+    Op::Checkout(0),
+    Op::Store(0, 0, 3, 2),
+    Op::Abandon(0),
+    Op::Store(1, 1, 2, 2),
+    Op::Store(1, 1, 4, 2),
+    Op::Checkout(1),
+    Op::Commit(1),
+    Op::Compact,
+];
+
+fn saved(n: usize, owner: usize, size: usize, reason: usize, stamp: u32) -> SavedVirtualDrone {
+    let mut diff = Layer::new();
+    diff.write("/data/state.bin", vec![0x5Au8; 16 + 24 * size]);
+    let spec = VirtualDroneSpec::example_survey();
+    SavedVirtualDrone {
+        name: name(n),
+        owner: OWNERS[owner].to_string(),
+        remaining_energy_j: spec.energy_allotted - f64::from(stamp),
+        remaining_time_s: spec.max_duration,
+        waypoints_completed: size % 2,
+        flights_flown: stamp,
+        spec,
+        archive: ContainerArchive {
+            name: name(n),
+            kind: ContainerKind::VirtualDrone,
+            base_stack: vec![],
+            diff,
+        },
+        app_state: format!("{{\"stamp\":{stamp}}}"),
+        reason: REASONS[reason],
+    }
+}
+
+/// The fields a caller can observe of one entry.
+type View = (String, String, SaveReason, u64, usize, u32, u64, String);
+
+fn view(e: &SavedVirtualDrone) -> View {
+    (
+        e.name.clone(),
+        e.owner.clone(),
+        e.reason,
+        e.remaining_energy_j.to_bits(),
+        e.waypoints_completed,
+        e.flights_flown,
+        e.archive.stored_bytes(),
+        e.app_state.clone(),
+    )
+}
+
+fn views(es: Vec<&SavedVirtualDrone>) -> Vec<View> {
+    es.into_iter().map(view).collect()
+}
+
+/// Applies `op` to both repositories and checks every read-out.
+fn step(
+    vdr: &mut VirtualDroneRepository,
+    model: &mut RefVdr,
+    op: Op,
+    stamp: u32,
+) -> Result<(), TestCaseError> {
+    match op {
+        Op::Store(n, owner, size, reason) => {
+            vdr.store(saved(n, owner, size, reason, stamp));
+            model.store(saved(n, owner, size, reason, stamp));
+        }
+        Op::Checkout(n) => {
+            let got = vdr.checkout(&name(n)).map(view);
+            prop_assert_eq!(got, model.checkout(&name(n)).as_ref().map(view));
+        }
+        Op::Commit(n) => prop_assert_eq!(vdr.commit(&name(n)), model.commit(&name(n))),
+        Op::Abandon(n) => prop_assert_eq!(vdr.abandon(&name(n)), model.abandon(&name(n))),
+        Op::Compact => prop_assert_eq!(vdr.compact(), model.compact()),
+        Op::Get(n) => prop_assert_eq!(vdr.get(&name(n)).map(view), model.get(&name(n)).map(view)),
+    }
+    prop_assert_eq!(vdr.digest(), model.digest());
+    prop_assert_eq!(vdr.stats(), model.stats());
+    prop_assert_eq!(vdr.snapshot(), model.snapshot());
+    prop_assert_eq!(vdr.stored_bytes(), model.stored_bytes());
+    prop_assert_eq!(vdr.leased_names(), model.leased_names());
+    prop_assert_eq!(
+        views(vdr.interrupted()),
+        views(model.shelved_where(|e| e.reason == SaveReason::Interrupted))
+    );
+    for owner in OWNERS {
+        prop_assert_eq!(
+            views(vdr.list_for(owner)),
+            views(model.shelved_where(|e| e.owner == owner))
+        );
+    }
+    for n in 0..NAMES {
+        prop_assert_eq!(vdr.get(&name(n)).map(view), model.get(&name(n)).map(view));
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn vdr_matches_the_journal_model(tape in prop::collection::vec(op(), 0..80)) {
+        for shards in [1usize, 4] {
+            let mut vdr = VirtualDroneRepository::with_shards(shards);
+            let mut model = RefVdr::with_shards(shards);
+            for (stamp, &op) in PRELUDE.iter().chain(&tape).enumerate() {
+                let stamp = u32::try_from(stamp).expect("short tape");
+                step(&mut vdr, &mut model, op, stamp).map_err(|e| format!("shards={shards}, op {stamp} {op:?}: {e}"))?;
+            }
+        }
+    }
+}

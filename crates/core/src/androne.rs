@@ -94,7 +94,7 @@ impl Androne {
             // The entry is leased during the deploy: a failure
             // abandons the lease and the stored drone survives.
             let manifests = self.manifests_for(order);
-            let source = match self.cloud.vdr.checkout(owner) {
+            let source = match self.cloud.vdr.checkout(owner).cloned() {
                 Some(saved) => OwnerSource::Resume(saved),
                 None => OwnerSource::Fresh(order.spec.clone()),
             };

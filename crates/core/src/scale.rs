@@ -29,6 +29,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use bytes::Bytes;
+
 use androne_cloud::{
     AdmissionConfig, FallibleCloud, OrderRequest, OrderSubmitError, PlacedOrder, SaveReason,
     SavedVirtualDrone, VdrStats, MAX_VDRONES_PER_FLIGHT,
@@ -56,6 +58,9 @@ const SERVICE_TIME_S: f64 = 30.0;
 /// budget fits a full party of worst-case legs so the party cap, not
 /// energy, is the binding constraint for typical waves.
 const MAX_OFFSET_M: f64 = 512.0;
+
+/// Waypoints per tenant: one to this many.
+const MAX_WAYPOINTS: usize = 3;
 
 /// Ground turnaround between waves, seconds of simulated time.
 const TURNAROUND_S: f64 = 60.0;
@@ -273,7 +278,7 @@ fn under_provisioned(index: usize) -> bool {
 
 fn tenant_shape(cfg: &ScaleConfig, index: usize, model: &DorlingModel) -> TenantShape {
     let h = androne_simkern::substream_seed(cfg.seed, 1, index);
-    let wp_count = 1 + (h % 3) as usize;
+    let wp_count = 1 + (h % MAX_WAYPOINTS as u64) as usize;
     let mut waypoints = Vec::with_capacity(wp_count);
     for j in 0..wp_count {
         let hj = androne_simkern::substream_seed(cfg.seed, 2, index * 4 + j);
@@ -409,20 +414,24 @@ fn fly_island(model: DorlingModel, work: ScaleWork<'_>) -> ScaleFlightOut {
 }
 
 /// A synthetic container archive standing in for the tenant's
-/// exported diff: sized by resume progress so telescoped saves have
-/// distinct, compactable byte counts.
-fn synthetic_archive(name: &str, waypoints_completed: usize) -> ContainerArchive {
+/// exported diff. `payload` comes from the run's [`synthetic_payloads`]
+/// table, shared rather than copied.
+fn synthetic_archive(name: &str, payload: &Bytes) -> ContainerArchive {
     let mut diff = Layer::new();
-    diff.write(
-        "/data/androne/state.bin",
-        bytes::Bytes::from(vec![0xA5u8; 256 + 32 * waypoints_completed]),
-    );
+    diff.write("/data/androne/state.bin", payload.clone());
     ContainerArchive {
         name: name.to_string(),
         kind: ContainerKind::VirtualDrone,
         base_stack: Vec::new(),
         diff,
     }
+}
+
+/// The archive payloads of one run, indexed by waypoints completed
+/// and sized by that progress, so telescoped saves have distinct,
+/// compactable byte counts.
+fn synthetic_payloads() -> [Bytes; MAX_WAYPOINTS + 1] {
+    std::array::from_fn(|wp| Bytes::from(vec![0xA5u8; 256 + 32 * wp]))
 }
 
 /// Drives `cfg.tenants` synthetic tenants through the sharded control
@@ -439,6 +448,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
     let model = DorlingModel::f450_prototype();
     let pool = WorkerPool::new(cfg.threads);
     let obs = ObsHandle::attached();
+    let payloads = synthetic_payloads();
 
     let mut cloud = FallibleCloud::with_shards(cfg.shards.max(1));
     cloud.set_obs(obs.clone());
@@ -666,7 +676,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                     name: name.clone(),
                     owner: st.user.clone(),
                     spec: st.spec.clone(),
-                    archive: synthetic_archive(name, st.next_wp),
+                    archive: synthetic_archive(name, &payloads[st.next_wp]),
                     app_state: format!("{{\"wp\":{}}}", st.next_wp),
                     reason,
                     remaining_energy_j: g.remaining_e,
