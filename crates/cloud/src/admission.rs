@@ -18,7 +18,7 @@
 //! old single-`Vec` queue byte for byte.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use androne_sdk::Backpressure;
 
@@ -142,7 +142,7 @@ impl<T> AdmissionQueue<T> {
     /// it for the retry without re-validating or re-building it.
     pub fn enqueue(&mut self, lane: &str, item: T, wave: u64) -> Result<u64, (AdmissionError, T)> {
         match self.check_capacity(wave) {
-            Ok(()) => Ok(self.enqueue_unbounded(lane, item)),
+            Ok(()) => Ok(self.enqueue_unbounded(lane.to_string(), item)),
             Err(err) => Err((err, item)),
         }
     }
@@ -171,11 +171,11 @@ impl<T> AdmissionQueue<T> {
     /// Appends without the capacity check — used after
     /// [`Self::check_capacity`] passed, and when migrating an existing
     /// backlog to a new config, where dropping queued orders would
-    /// lose customer state.
-    pub(crate) fn enqueue_unbounded(&mut self, lane: &str, item: T) -> u64 {
+    /// lose customer state. `lane` becomes the key of a new lane.
+    pub(crate) fn enqueue_unbounded(&mut self, lane: String, item: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.lanes.entry(lane.to_string()).or_default().push_back((seq, item));
+        self.lanes.entry(lane).or_default().push_back((seq, item));
         self.pending += 1;
         self.enqueued_total += 1;
         if self.pending > self.peak_depth {
@@ -228,38 +228,57 @@ impl<T> AdmissionQueue<T> {
         out
     }
 
+    /// Serving lanes in key order from just past the cursor, wrapping,
+    /// one item per lane per rotation, means every rotation walks the
+    /// same ranges: the lanes after the cursor, then the rest. Each
+    /// range is walked in order; the lanes it drained then leave the
+    /// map, their keys moving into the entries that emptied them.
     fn admit_round_robin(&mut self, quota: usize) -> Vec<Admitted<T>> {
-        let mut out = Vec::new();
-        while out.len() < quota && self.pending > 0 {
-            // The next lane strictly after the cursor, wrapping to
-            // the first lane at the end of the keyspace.
-            let after_cursor = match &self.cursor {
-                Some(c) => self
-                    .lanes
-                    .range::<String, _>((Excluded(c.clone()), Unbounded))
-                    .next()
-                    .map(|(k, _)| k.clone()),
-                None => None,
-            };
-            let Some(key) = after_cursor.or_else(|| self.lanes.keys().next().cloned()) else {
-                break;
-            };
-            if let Some(q) = self.lanes.get_mut(&key) {
-                if let Some((seq, item)) = q.pop_front() {
-                    self.pending -= 1;
-                    self.admitted_total += 1;
-                    out.push(Admitted {
-                        lane: key.clone(),
-                        seq,
-                        item,
-                    });
+        let want = quota.min(self.pending);
+        let mut out: Vec<Admitted<T>> = Vec::with_capacity(want);
+        let pivot = self.cursor.take();
+        let (ranges, n) = match &pivot {
+            Some(c) => ([(Excluded(c), Unbounded), (Unbounded, Included(c))], 2),
+            None => ([(Unbounded, Unbounded); 2], 1),
+        };
+        let mut drained: Vec<usize> = Vec::new();
+        while out.len() < want {
+            let served = out.len();
+            for &range in &ranges[..n] {
+                drained.clear();
+                for (lane, q) in self.lanes.range_mut::<String, _>(range) {
+                    if out.len() == want {
+                        break;
+                    }
+                    let Some((seq, item)) = q.pop_front() else {
+                        continue;
+                    };
+                    let lane = if q.is_empty() {
+                        drained.push(out.len());
+                        String::new()
+                    } else {
+                        lane.clone()
+                    };
+                    out.push(Admitted { lane, seq, item });
                 }
-                if q.is_empty() {
-                    self.lanes.remove(&key);
+                // Only lanes drained just now are empty, and they come
+                // out in the order they were served; the zip stops the
+                // walk at the last of them.
+                let keys = self.lanes.extract_if(range, |_, q| q.is_empty());
+                for (&i, (lane, _)) in drained.iter().zip(keys) {
+                    out[i].lane = lane;
                 }
             }
-            self.cursor = Some(key);
+            if out.len() == served {
+                break;
+            }
         }
+        self.pending -= out.len();
+        self.admitted_total += out.len() as u64;
+        self.cursor = match out.last() {
+            Some(a) => Some(a.lane.clone()),
+            None => pivot,
+        };
         out
     }
 
@@ -360,6 +379,73 @@ mod tests {
         let batch2 = q.admit();
         assert_eq!(drain_names(&batch2), vec![("a".into(), 2), ("a".into(), 3), ("a".into(), 4)]);
         assert_eq!(q.pending(), 0);
+    }
+
+    /// The per-order round-robin the one-pass admitter replaced: look
+    /// up the next lane after the cursor, pop it, drop it once empty.
+    fn reference_admit(
+        lanes: &mut BTreeMap<String, VecDeque<(u64, u32)>>,
+        cursor: &mut Option<String>,
+        quota: usize,
+    ) -> Vec<(String, u64, u32)> {
+        let mut out = Vec::new();
+        while out.len() < quota {
+            let after = cursor.as_ref().and_then(|c| {
+                let mut later = lanes.range::<String, _>((Excluded(c.clone()), Unbounded));
+                later.next().map(|(k, _)| k.clone())
+            });
+            let Some(key) = after.or_else(|| lanes.keys().next().cloned()) else {
+                break;
+            };
+            let q = lanes.get_mut(&key).unwrap();
+            let (seq, item) = q.pop_front().unwrap();
+            if q.is_empty() {
+                lanes.remove(&key);
+            }
+            out.push((key.clone(), seq, item));
+            *cursor = Some(key);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn round_robin_matches_the_per_order_admitter(
+            tape in proptest::collection::vec((0u8..3, 0usize..5, 0usize..6), 0..60)
+        ) {
+            let mut q = AdmissionQueue::new(AdmissionConfig::batched(1, usize::MAX));
+            let (mut lanes, mut cursor, mut seq) = (BTreeMap::new(), None, 0u64);
+            let mut last: Vec<Admitted<u32>> = Vec::new();
+            for (i, &(kind, lane, quota)) in tape.iter().enumerate() {
+                let item = i as u32;
+                match kind {
+                    0 => {
+                        let lane = format!("lane-{lane}");
+                        q.enqueue(&lane, item, 0).unwrap();
+                        lanes.entry(lane).or_insert_with(VecDeque::new).push_back((seq, item));
+                        seq += 1;
+                    }
+                    1 => {
+                        q.cfg.admit_per_wave = Some(quota);
+                        last = q.admit();
+                        let got: Vec<(String, u64, u32)> =
+                            last.iter().map(|a| (a.lane.clone(), a.seq, a.item)).collect();
+                        let want = reference_admit(&mut lanes, &mut cursor, quota);
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        if !last.is_empty() {
+                            let a = last.remove(0);
+                            lanes.entry(a.lane.clone()).or_default().push_front((a.seq, a.item));
+                            q.requeue_front(a);
+                        }
+                    }
+                }
+                let pending: usize = lanes.values().map(VecDeque::len).sum();
+                proptest::prop_assert_eq!(q.pending(), pending);
+                proptest::prop_assert_eq!(q.lane_count(), lanes.len());
+            }
+        }
     }
 
     #[test]

@@ -97,11 +97,13 @@ impl Backpressure for OrderSubmitError {
 }
 
 /// The receipt of a successfully enqueued order: not planned yet,
-/// just admitted into its tenant's FIFO lane.
+/// just admitted into its tenant's FIFO lane. The order id names the
+/// order among [`FallibleCloud::queued_orders`]; the ticket carries
+/// no copy of the virtual drone's name, which the lane key already
+/// holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionTicket {
     pub order_id: u64,
-    pub vd_name: String,
     /// Global admission sequence number (FIFO position evidence).
     pub seq: u64,
     /// Queue depth right after this order was enqueued.
@@ -177,7 +179,8 @@ impl FallibleCloud {
             // Re-inserting in global sequence order preserves both
             // lane FIFO order and the cross-lane drain order; the
             // backlog is never dropped, even below the new capacity.
-            self.admission.enqueue_unbounded(lane, item.clone());
+            self.admission
+                .enqueue_unbounded(lane.to_string(), item.clone());
         }
     }
 
@@ -274,8 +277,8 @@ impl FallibleCloud {
     /// re-validating would only re-prove what the first submission
     /// proved.
     pub fn resubmit(&mut self, placed: PlacedOrder) -> Result<AdmissionTicket, OrderSubmitError> {
-        // A bounce hands the order back whole; only an accepted order
-        // pays for the ticket's copy of its name.
+        // A bounce hands the order back whole; an accepted order
+        // allocates its name once, as its lane's key.
         if let Err(err) = self.admission.check_capacity(self.wave) {
             self.obs.count("cloud.orders_backpressured", 1);
             return Err(OrderSubmitError::Backpressure {
@@ -283,12 +286,13 @@ impl FallibleCloud {
                 order: Box::new(placed),
             });
         }
-        let (order_id, vd_name) = (placed.order_id, placed.vd_name.clone());
-        let seq = self.admission.enqueue_unbounded(&vd_name, placed);
+        let order_id = placed.order_id;
+        let seq = self
+            .admission
+            .enqueue_unbounded(placed.vd_name.clone(), placed);
         self.obs.count("cloud.orders_enqueued", 1);
         Ok(AdmissionTicket {
             order_id,
-            vd_name,
             seq,
             queue_depth: self.admission.pending(),
         })
@@ -328,7 +332,8 @@ impl FallibleCloud {
                 // holds this name's order keeps it (same dedup the
                 // legacy Vec queue applied on enqueue).
                 if self.admission.lane_pending(&o.vd_name) == 0 {
-                    self.admission.enqueue_unbounded(&o.vd_name, o.clone());
+                    self.admission
+                        .enqueue_unbounded(o.vd_name.clone(), o.clone());
                 }
             }
             let depth = self.admission.pending();

@@ -10,7 +10,9 @@
 //! rather than a destructive `take`: a cloud-side fault between
 //! removing the entry and re-storing it must not lose a customer's
 //! virtual drone. A checked-out entry stays on the books (leased)
-//! until the caller either commits the resume or abandons it back.
+//! until the caller either commits the resume or abandons it back;
+//! [`VirtualDroneRepository::commit_with`] commits by saving the new
+//! state over the leased entry itself.
 
 use std::collections::BTreeMap;
 
@@ -95,6 +97,18 @@ struct Slot {
     saves: usize,
     save_bytes: u64,
     newest_bytes: u64,
+}
+
+impl Slot {
+    /// Puts a save on the shelf and counts it in the name's journal.
+    /// Returns whether the shelf was empty before.
+    fn shelve(&mut self, entry: Box<SavedVirtualDrone>) -> bool {
+        let bytes = entry.archive.stored_bytes();
+        self.saves += 1;
+        self.save_bytes += bytes;
+        self.newest_bytes = bytes;
+        self.shelf.replace(entry).is_none()
+    }
 }
 
 /// One shard: a name-ordered slot table and its counters. The save
@@ -238,16 +252,13 @@ impl VirtualDroneRepository {
 
     /// Stores (or replaces) a virtual drone, journaling the save.
     pub fn store(&mut self, saved: SavedVirtualDrone) {
-        let bytes = saved.archive.stored_bytes();
         let shard = self.shard_mut(&saved.name);
         let slot = match shard.slots.get_mut(saved.name.as_str()) {
             Some(slot) => slot,
             None => shard.slots.entry(saved.name.clone()).or_default(),
         };
-        slot.saves += 1;
-        slot.save_bytes += bytes;
-        slot.newest_bytes = bytes;
-        shard.entries += usize::from(slot.shelf.replace(Box::new(saved)).is_none());
+        let fresh = slot.shelve(Box::new(saved));
+        shard.entries += usize::from(fresh);
         shard.journal += 1;
     }
 
@@ -260,7 +271,8 @@ impl VirtualDroneRepository {
     /// Checks out a virtual drone for reinstatement, lending the
     /// caller the entry to deploy from. The entry moves to its slot's
     /// lease, invisible to `get`/listings until [`Self::commit`]
-    /// (resume succeeded; drop the old entry) or [`Self::abandon`]
+    /// (resume succeeded; drop the old entry), [`Self::commit_with`]
+    /// (resume succeeded; save over the old entry) or [`Self::abandon`]
     /// (resume failed; put it back) resolves the lease. A name
     /// already leased cannot be checked out again.
     pub fn checkout(&mut self, name: &str) -> Option<&SavedVirtualDrone> {
@@ -281,6 +293,30 @@ impl VirtualDroneRepository {
         let lease = shard.slots.get_mut(name).and_then(|s| s.lease.take());
         shard.leased -= usize::from(lease.is_some());
         lease.is_some()
+    }
+
+    /// Resolves a lease by saving the resumed drone over its own
+    /// leased entry: `update` rewrites the entry in place, and the
+    /// result goes on the shelf as one journaled save. The end state
+    /// equals `store` of the updated copy followed by
+    /// [`Self::commit`], without building a second entry. `update`
+    /// must keep the entry's name, which keys its slot. Returns
+    /// whether a lease existed; without one nothing changes.
+    pub fn commit_with(&mut self, name: &str, update: impl FnOnce(&mut SavedVirtualDrone)) -> bool {
+        let shard = self.shard_mut(name);
+        let Some(slot) = shard.slots.get_mut(name) else {
+            return false;
+        };
+        let Some(mut entry) = slot.lease.take() else {
+            return false;
+        };
+        update(&mut entry);
+        debug_assert_eq!(entry.name, name, "commit_with renamed the entry");
+        let fresh = slot.shelve(entry);
+        shard.entries += usize::from(fresh);
+        shard.leased -= 1;
+        shard.journal += 1;
+        true
     }
 
     /// Resolves a lease after a failed resume: the original entry

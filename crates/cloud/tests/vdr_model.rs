@@ -3,9 +3,10 @@
 //! The reference below is the repository's earlier layout, kept as an
 //! executable specification: per shard an entry map, a lease map and
 //! an append-only `(name, diff bytes)` save journal that compaction
-//! walks newest-first. Random operation tapes run against it and
-//! against [`VirtualDroneRepository`] at 1 and 4 shards, and every
-//! observable result must agree after every operation.
+//! walks newest-first; its in-place save is a copy of the lease,
+//! updated, stored and committed. Random operation tapes run against
+//! it and against [`VirtualDroneRepository`] at 1 and 4 shards, and
+//! every observable result must agree after every operation.
 
 use std::collections::BTreeMap;
 
@@ -104,6 +105,17 @@ impl RefVdr {
 
     fn commit(&mut self, name: &str) -> bool {
         self.shard_mut(name).leased.remove(name).is_some()
+    }
+
+    /// The in-place save, spelled as the old repository would run
+    /// it: a copy of the lease, updated, stored, then committed.
+    fn commit_with(&mut self, name: &str, update: impl FnOnce(&mut SavedVirtualDrone)) -> bool {
+        let Some(mut copy) = self.shard_mut(name).leased.get(name).cloned() else {
+            return false;
+        };
+        update(&mut copy);
+        self.store(copy);
+        self.commit(name)
     }
 
     fn abandon(&mut self, name: &str) -> bool {
@@ -250,6 +262,8 @@ enum Op {
     Store(usize, usize, usize, usize),
     Checkout(usize),
     Commit(usize),
+    /// Name, diff size step, reason: save over the lease in place.
+    CommitWith(usize, usize, usize),
     Abandon(usize),
     Compact,
     Get(usize),
@@ -257,7 +271,7 @@ enum Op {
 
 fn op() -> impl Strategy<Value = Op> {
     (
-        0u8..12,
+        0u8..14,
         0..NAMES,
         0..OWNERS.len(),
         0usize..5,
@@ -268,15 +282,18 @@ fn op() -> impl Strategy<Value = Op> {
             4 | 5 => Op::Checkout(n),
             6 | 7 => Op::Commit(n),
             8 | 9 => Op::Abandon(n),
-            10 => Op::Compact,
+            10 | 11 => Op::CommitWith(n, size, reason),
+            12 => Op::Compact,
             _ => Op::Get(n),
         })
 }
 
 /// Every tape starts here: a store while the name is leased, then an
 /// abandon that puts the older original back over it; a committed
-/// resume nobody re-stored, so compaction finds a dead name.
-const PRELUDE: [Op; 9] = [
+/// resume nobody re-stored, so compaction finds a dead name; an
+/// in-place save with no lease, one over a store made during the
+/// lease, and a plain one.
+const PRELUDE: [Op; 17] = [
     Op::Store(0, 0, 1, 2),
     Op::Checkout(0),
     Op::Store(0, 0, 3, 2),
@@ -285,6 +302,14 @@ const PRELUDE: [Op; 9] = [
     Op::Store(1, 1, 4, 2),
     Op::Checkout(1),
     Op::Commit(1),
+    Op::Compact,
+    Op::CommitWith(0, 2, 2),
+    Op::Checkout(0),
+    Op::Store(0, 1, 4, 1),
+    Op::CommitWith(0, 0, 2),
+    Op::Store(2, 0, 1, 2),
+    Op::Checkout(2),
+    Op::CommitWith(2, 3, 1),
     Op::Compact,
 ];
 
@@ -308,6 +333,22 @@ fn saved(n: usize, owner: usize, size: usize, reason: usize, stamp: u32) -> Save
         },
         app_state: format!("{{\"stamp\":{stamp}}}"),
         reason: REASONS[reason],
+    }
+}
+
+/// A resumed flight's save: new diff payload, app state, reason,
+/// allotment remainders and progress; name, owner and spec stay.
+fn resume(size: usize, reason: usize, stamp: u32) -> impl Fn(&mut SavedVirtualDrone) {
+    move |e| {
+        e.archive
+            .diff
+            .write("/data/state.bin", vec![0xC3u8; 8 + 40 * size]);
+        e.app_state = format!("{{\"resumed\":{stamp}}}");
+        e.reason = REASONS[reason];
+        e.remaining_energy_j -= f64::from(stamp);
+        e.remaining_time_s -= 1.0;
+        e.waypoints_completed += 1;
+        e.flights_flown = stamp;
     }
 }
 
@@ -348,6 +389,10 @@ fn step(
             prop_assert_eq!(got, model.checkout(&name(n)).as_ref().map(view));
         }
         Op::Commit(n) => prop_assert_eq!(vdr.commit(&name(n)), model.commit(&name(n))),
+        Op::CommitWith(n, size, reason) => prop_assert_eq!(
+            vdr.commit_with(&name(n), resume(size, reason, stamp)),
+            model.commit_with(&name(n), resume(size, reason, stamp))
+        ),
         Op::Abandon(n) => prop_assert_eq!(vdr.abandon(&name(n)), model.abandon(&name(n))),
         Op::Compact => prop_assert_eq!(vdr.compact(), model.compact()),
         Op::Get(n) => prop_assert_eq!(vdr.get(&name(n)).map(view), model.get(&name(n)).map(view)),

@@ -86,6 +86,12 @@ impl Layer {
         self.changes.get(path)
     }
 
+    /// Mutable access to the change for a path, if any: rewrites a
+    /// recorded file without re-allocating its path.
+    pub fn get_mut(&mut self, path: &str) -> Option<&mut FileChange> {
+        self.changes.get_mut(path)
+    }
+
     /// Iterates over all changes.
     pub fn changes(&self) -> impl Iterator<Item = (&str, &FileChange)> {
         self.changes.iter().map(|(p, c)| (p.as_str(), c))

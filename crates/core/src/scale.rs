@@ -28,6 +28,7 @@
 //! type, provisioning) replay bit-identically for a given seed.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 
 use bytes::Bytes;
 
@@ -35,7 +36,7 @@ use androne_cloud::{
     AdmissionConfig, FallibleCloud, OrderRequest, OrderSubmitError, PlacedOrder, SaveReason,
     SavedVirtualDrone, VdrStats, MAX_VDRONES_PER_FLIGHT,
 };
-use androne_container::{ContainerArchive, ContainerKind, Layer};
+use androne_container::{ContainerArchive, ContainerKind, FileChange, Layer};
 use androne_energy::DorlingModel;
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle};
@@ -49,6 +50,9 @@ use crate::pool::WorkerPool;
 /// Launch site shared by every synthetic tenant (same base the
 /// six-tenant fleet uses).
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
+
+/// Where a tenant's synthetic archive keeps its exported state.
+const STATE_PATH: &str = "/data/androne/state.bin";
 
 /// Hover/measurement cost of serving one waypoint, on top of travel.
 const SERVICE_ENERGY_J: f64 = 1_500.0;
@@ -343,7 +347,9 @@ struct TenantState {
     refunded_e: f64,
     flights_flown: u32,
     resolution: Option<(ScaleResolution, f64)>,
-    spec: androne_vdc::VirtualDroneSpec,
+    /// The placed spec until the tenant's first save moves it into
+    /// its VDR entry; `None` once that entry exists.
+    spec: Option<androne_vdc::VirtualDroneSpec>,
 }
 
 /// Hot per-tenant state, indexed by dense id: the next waypoint's
@@ -418,7 +424,7 @@ fn fly_island(model: DorlingModel, work: ScaleWork<'_>) -> ScaleFlightOut {
 /// table, shared rather than copied.
 fn synthetic_archive(name: &str, payload: &Bytes) -> ContainerArchive {
     let mut diff = Layer::new();
-    diff.write("/data/androne/state.bin", payload.clone());
+    diff.write(STATE_PATH, payload.clone());
     ContainerArchive {
         name: name.to_string(),
         kind: ContainerKind::VirtualDrone,
@@ -478,7 +484,6 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
     // (unallocated) string.
     let mut items: Vec<PackItem> = Vec::new();
     let mut item_ids: Vec<usize> = Vec::new();
-    let mut leased: Vec<usize> = Vec::new();
     let mut retries: BTreeMap<u64, Vec<PlacedOrder>> = BTreeMap::new();
     let mut flights: Vec<ScaleFlightRecord> = Vec::new();
     let mut clock_s = 0.0f64;
@@ -568,7 +573,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 refunded_e: 0.0,
                 flights_flown: 0,
                 resolution: None,
-                spec: placed.spec,
+                spec: Some(placed.spec),
             });
         }
         obs.gauge_max(
@@ -633,12 +638,11 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
             });
             flight_counter += 1;
         }
-        // Leases: a tenant flying a non-first flight checks its saved
-        // state out of the VDR for the duration (commit on landing).
-        leased.clear();
+        // Leases: a tenant with a VDR entry checks it out for the
+        // flight; its save on landing commits the lease in place.
         for leg in works.iter().flat_map(|w| &w.legs) {
-            if states[leg.id].flights_flown > 0 && cloud.inner.vdr.checkout(leg.owner).is_some() {
-                leased.push(leg.id);
+            if states[leg.id].spec.is_none() {
+                cloud.inner.vdr.checkout(leg.owner);
             }
         }
         let outs = pool.run(works, |w| fly_island(model, w));
@@ -672,18 +676,47 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 } else {
                     SaveReason::Interrupted
                 };
-                cloud.inner.vdr.store(SavedVirtualDrone {
-                    name: name.clone(),
-                    owner: st.user.clone(),
-                    spec: st.spec.clone(),
-                    archive: synthetic_archive(name, &payloads[st.next_wp]),
-                    app_state: format!("{{\"wp\":{}}}", st.next_wp),
-                    reason,
-                    remaining_energy_j: g.remaining_e,
-                    remaining_time_s: g.remaining_t,
-                    waypoints_completed: st.next_wp,
-                    flights_flown: st.flights_flown,
-                });
+                // The leg's save: what changes between a tenant's saves.
+                let (wp, flown, payload) = (st.next_wp, st.flights_flown, &payloads[st.next_wp]);
+                let (remaining_e, remaining_t) = (g.remaining_e, g.remaining_t);
+                let progress = move |e: &mut SavedVirtualDrone| {
+                    if let Some(FileChange::Write(b)) = e.archive.diff.get_mut(STATE_PATH) {
+                        b.clone_from(payload);
+                    }
+                    e.app_state.clear();
+                    let _ = write!(e.app_state, "{{\"wp\":{wp}}}");
+                    e.reason = reason;
+                    e.remaining_energy_j = remaining_e;
+                    e.remaining_time_s = remaining_t;
+                    e.waypoints_completed = wp;
+                    e.flights_flown = flown;
+                };
+                match st.spec.take() {
+                    // First save: the placed spec moves into the entry.
+                    Some(spec) => {
+                        let mut entry = SavedVirtualDrone {
+                            name: name.clone(),
+                            owner: st.user.clone(),
+                            spec,
+                            archive: synthetic_archive(name, payload),
+                            app_state: String::new(),
+                            reason,
+                            remaining_energy_j: 0.0,
+                            remaining_time_s: 0.0,
+                            waypoints_completed: 0,
+                            flights_flown: 0,
+                        };
+                        progress(&mut entry);
+                        cloud.inner.vdr.store(entry);
+                    }
+                    // Later saves rewrite the entry leased for this
+                    // flight, which is the same as storing a fresh copy
+                    // and committing the lease.
+                    None => {
+                        let leased = cloud.inner.vdr.commit_with(name, progress);
+                        debug_assert!(leased, "{name} flew again without its lease");
+                    }
+                }
                 if done {
                     st.resolution = Some((ScaleResolution::Completed, landing_clock));
                     resolved += 1;
@@ -693,9 +726,6 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                     ready.push_back(id);
                 }
             }
-        }
-        for &id in &leased {
-            cloud.inner.vdr.commit(&names[id]);
         }
 
         // ── Compact when the journal has doubled past the live set.

@@ -21,8 +21,9 @@
 //!
 //! Constraints are enforced by a deterministic repair pass applied
 //! to every candidate the annealer evaluates, so accepted solutions
-//! are always feasible; the annealer then optimizes within the
-//! feasible space.
+//! are feasible (unless capacity parties overlap, see
+//! [`RouteConstraints::parties`]); the annealer then optimizes within
+//! the feasible space.
 
 use crate::vrp::{Route, VrpSolution};
 
@@ -37,9 +38,10 @@ pub struct RouteConstraints {
     /// task indices. Unlike [`groups`](Self::groups), parties carry
     /// no contiguity requirement — they only count against
     /// [`max_parties_per_route`](Self::max_parties_per_route). A task
-    /// listed by several parties counts for each of them, but
-    /// [`repair`](Self::repair) is only guaranteed to terminate when
-    /// parties are disjoint.
+    /// listed by several parties counts for each of them. With
+    /// disjoint parties [`repair`](Self::repair) always meets the cap;
+    /// with overlapping ones its eviction may stop short, and
+    /// [`check`](Self::check) reports the route still over capacity.
     pub parties: Vec<Vec<usize>>,
     /// Maximum distinct parties one route may host (a physical
     /// drone's virtual-drone container capacity). `None` = unlimited.
@@ -162,7 +164,8 @@ impl RouteConstraints {
     /// are fixed by moving each `after` task to just behind its
     /// `before` on the same route. The pass is deterministic and
     /// terminates because each step strictly reduces a violation
-    /// count bounded by the constraint list.
+    /// count bounded by the constraint list; the capacity pass last
+    /// runs at most as many evictions as the excess it starts with.
     pub fn repair(&self, sol: &mut VrpSolution) {
         self.repair_indexed(sol, &mut self.party_index());
     }
@@ -271,17 +274,30 @@ impl RouteConstraints {
         // cannot re-violate it. Each step evicts one whole party from
         // an over-capacity route onto a route that either already
         // hosts it or has spare capacity (opening a fresh route as a
-        // last resort), so with disjoint parties the total excess
-        // strictly decreases and the pass terminates. (Overlapping
-        // parties can bounce a shared stop between two routes
-        // forever.) Eviction appends the party's stops as
+        // last resort), so with disjoint parties each step lowers the
+        // total excess by exactly one. The pass therefore takes as
+        // many steps as the excess it starts with, and is capped
+        // there: overlapping parties can bounce a shared stop between
+        // two routes forever, and the cap ends that with the violation
+        // left for `check`. Eviction appends the party's stops as
         // a block in visit order; intra-party ordering pairs survive,
         // cross-party ordering does not compose with capacity.
         if self.capacity_active() {
             let cap = self.max_parties_per_route.unwrap_or(usize::MAX).max(1);
-            while let Some(r) = (0..sol.routes.len())
-                .find(|&r| index.parties_on(&sol.routes[r].stops).len() > cap)
-            {
+            let excess: usize = (0..sol.routes.len())
+                .map(|r| {
+                    index
+                        .parties_on(&sol.routes[r].stops)
+                        .len()
+                        .saturating_sub(cap)
+                })
+                .sum();
+            for _ in 0..excess {
+                let Some(r) = (0..sol.routes.len())
+                    .find(|&r| index.parties_on(&sol.routes[r].stops).len() > cap)
+                else {
+                    break;
+                };
                 // Victim: the hosted party with the fewest stops on
                 // this route (ties to the lowest party index).
                 let Some(victim) = index
@@ -571,6 +587,24 @@ mod tests {
         assert_eq!(s.routes.len(), 4, "each party gets its own route");
     }
 
+    #[test]
+    fn repair_returns_on_partially_overlapping_parties() {
+        // Task 1 belongs to both parties, so no route can host either
+        // party alone and eviction would bounce it between two routes
+        // forever; the pass stops after its initial excess of one step
+        // and leaves the violation for `check`.
+        let c = RouteConstraints::none().with_party_capacity(vec![vec![0, 1], vec![1, 2]], 1);
+        let mut s = sol(&[&[0, 1, 2]]);
+        c.repair(&mut s);
+        let mut all: Vec<usize> = s.routes.iter().flat_map(|r| r.stops.clone()).collect();
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2], "no task lost");
+        assert!(matches!(
+            c.check(&s),
+            Err(ConstraintViolation::RouteOverCapacity { parties: 2, .. })
+        ));
+    }
+
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -609,7 +643,7 @@ mod tests {
         fn a_reused_index_repairs_like_a_fresh_one(seed in any::<u64>()) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let n = rng.gen_range(2..20);
-            // Disjoint parties: the capacity pass terminates on them.
+            // Disjoint parties: the capacity pass meets the cap on them.
             let mut parties = vec![Vec::new(); rng.gen_range(1..8)];
             for t in 0..n {
                 let p = rng.gen_range(0..parties.len());

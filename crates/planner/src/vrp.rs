@@ -207,8 +207,9 @@ impl VrpProblem {
     /// Simulated-annealing solve with waypoint ordering/grouping
     /// constraints — the paper's stated future work, implemented as
     /// an extension. Every candidate the annealer evaluates is first
-    /// repaired to feasibility, so the returned solution always
-    /// satisfies `constraints`.
+    /// repaired to feasibility, so the returned solution satisfies
+    /// `constraints` unless its capacity parties overlap (see
+    /// [`RouteConstraints::parties`](crate::constraints::RouteConstraints::parties)).
     ///
     /// The solution has at most `fleet_size` routes unless the
     /// party-capacity repair had to open more: a route never
@@ -630,7 +631,7 @@ mod tests {
     /// A random problem, a random solution to it (a permutation of
     /// the tasks split over 1–5 routes, some of them empty) and
     /// random constraints over its tasks (disjoint parties, so the
-    /// capacity repair terminates).
+    /// capacity repair meets the cap).
     fn random_case(seed: u64) -> (VrpProblem, VrpSolution, RouteConstraints) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = rng.gen_range(0..24usize);
