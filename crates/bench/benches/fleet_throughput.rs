@@ -18,22 +18,15 @@
 //! before its flight plus its own flight's duration).
 //!
 //! Finally it gates the per-second state digest's growth over a long
-//! hover flight (the digest must cost about the same late in a flight
-//! as early on) and reports what one sealed log segment costs to
-//! re-hash and to fold into a start-state table, the two costs the
-//! digest's rent-then-buy threshold is derived from.
+//! hover flight: the digest must cost about the same late in a flight
+//! as early on.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::time::Instant;
 
 use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, FleetTenant};
-use androne::flight::log_analyzer::AttSample;
-use androne::hal::{Attitude, GeoPoint};
-use androne::mavlink::Message;
+use androne::hal::GeoPoint;
 use androne::planner::{FlightPlan, Leg};
-use androne::simkern::statehash::{RENT_FOLDS, SEGMENT_ITEMS};
-use androne::simkern::{AppendLog, LogItem, StateHash};
 use androne::{execute_flight_probed, execute_scale_fleet, ScaleConfig, ScaleOutcome};
 use androne::{DigestProbe, Drone, FlightProbe};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
@@ -235,41 +228,6 @@ fn digest_growth() -> f64 {
     mean(&probe.ns[probe.ns.len() - k..]) / mean(&probe.ns[..k])
 }
 
-/// Median ns of one ordinary fold of a log holding one sealed segment
-/// of `item`s, and of the fold that builds the segment's table (the
-/// build's own cost is the difference).
-fn segment_costs<T: LogItem + Clone>(item: impl Fn(usize) -> T) -> (f64, f64) {
-    const REPS: usize = 301;
-    let mut fresh = AppendLog::new();
-    fresh.extend((0..SEGMENT_ITEMS).map(item));
-    let due = fresh.clone();
-    for _ in 1..RENT_FOLDS {
-        due.hash_value();
-    }
-    let median = |log: &AppendLog<T>| {
-        let mut ns: Vec<f64> = (0..REPS)
-            .map(|_| {
-                let copy = log.clone();
-                let t0 = Instant::now();
-                black_box(copy.hash_value());
-                t0.elapsed().as_nanos() as f64
-            })
-            .collect();
-        ns.sort_by(f64::total_cmp);
-        ns[REPS / 2]
-    };
-    let rehash = median(&fresh);
-    (rehash, median(&due) - rehash)
-}
-
-fn segment_report(rehash_ns: f64, build_ns: f64) -> Value {
-    obj([
-        ("rehash_ns", Value::Number(rehash_ns)),
-        ("table_build_ns", Value::Number(build_ns)),
-        ("build_over_rehash", Value::Number(build_ns / rehash_ns)),
-    ])
-}
-
 fn obj(entries: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
     Value::Object(
         entries
@@ -366,28 +324,12 @@ fn main() {
 
     // The digest's late-flight cost over its early-flight cost. A
     // digest that re-hashes whole logs grows about 17x over this
-    // flight.
-    const DIGEST_GROWTH_CEILING: f64 = 5.0;
+    // flight; one that folds only what was appended since the last
+    // fold read 0.6-1.6x over thirteen runs on a shared 2-vCPU host,
+    // the high reading in a run whose pool speedup also sagged.
+    const DIGEST_GROWTH_CEILING: f64 = 3.0;
     let growth = digest_growth();
     let growth_pass = growth <= DIGEST_GROWTH_CEILING;
-    let outbox_costs = segment_costs(|i| {
-        Rc::new(Message::Attitude {
-            time_boot_ms: i as u32,
-            roll: 0.01,
-            pitch: -0.02,
-            yaw: 1.5,
-        })
-    });
-    let att = Attitude {
-        roll: 0.01,
-        pitch: -0.02,
-        yaw: 1.5,
-    };
-    let att_costs = segment_costs(|i| AttSample {
-        t: i as f64 * 0.1,
-        estimated: att,
-        canonical: att,
-    });
     let pass = pool_pass && ladder_pass && growth_pass;
 
     let report = obj([
@@ -435,13 +377,6 @@ fn main() {
                 ("flight_sim_s", Value::Number(GROWTH_FLIGHT_S)),
                 ("measured", Value::Number(growth)),
                 ("ceiling", Value::Number(DIGEST_GROWTH_CEILING)),
-                ("segment_items", Value::Number(SEGMENT_ITEMS as f64)),
-                ("rent_folds", Value::Number(f64::from(RENT_FOLDS))),
-                (
-                    "outbox_segment",
-                    segment_report(outbox_costs.0, outbox_costs.1),
-                ),
-                ("att_segment", segment_report(att_costs.0, att_costs.1)),
             ]),
         ),
         (
@@ -492,10 +427,7 @@ fn main() {
         100_000.0 / wall_100k,
     );
     println!(
-        "digest growth over a {GROWTH_FLIGHT_S:.0} sim-s hover: {growth:.2}x (ceiling {DIGEST_GROWTH_CEILING:.1}x); \
-         segment table build / re-hash: outbox {:.1}, ATT log {:.1} (rent {RENT_FOLDS} folds)",
-        outbox_costs.1 / outbox_costs.0,
-        att_costs.1 / att_costs.0,
+        "digest growth over a {GROWTH_FLIGHT_S:.0} sim-s hover: {growth:.2}x (ceiling {DIGEST_GROWTH_CEILING:.1}x)"
     );
     println!("report written to {out_path}");
     assert!(

@@ -90,8 +90,7 @@ impl Backpressure for AdmissionError {
 }
 
 /// An item released by the admitter, with its lane and the global
-/// sequence number it was enqueued under (FIFO evidence, and the key
-/// for [`AdmissionQueue::requeue_front`]).
+/// sequence number it was enqueued under (FIFO evidence).
 #[derive(Debug, Clone)]
 pub struct Admitted<T> {
     pub lane: String,
@@ -182,21 +181,6 @@ impl<T> AdmissionQueue<T> {
             self.peak_depth = self.pending;
         }
         seq
-    }
-
-    /// Puts an admitted item back at the *front* of its lane under
-    /// its original sequence number — used when a wave's bin-packer
-    /// spills part of an admitted batch back for the next wave
-    /// without costing the tenant its FIFO position.
-    pub fn requeue_front(&mut self, admitted: Admitted<T>) {
-        self.lanes
-            .entry(admitted.lane)
-            .or_default()
-            .push_front((admitted.seq, admitted.item));
-        self.pending += 1;
-        if self.pending > self.peak_depth {
-            self.peak_depth = self.pending;
-        }
     }
 
     /// Releases this wave's batch. With no quota configured, drains
@@ -411,11 +395,10 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn round_robin_matches_the_per_order_admitter(
-            tape in proptest::collection::vec((0u8..3, 0usize..5, 0usize..6), 0..60)
+            tape in proptest::collection::vec((0u8..2, 0usize..5, 0usize..6), 0..60)
         ) {
             let mut q = AdmissionQueue::new(AdmissionConfig::batched(1, usize::MAX));
             let (mut lanes, mut cursor, mut seq) = (BTreeMap::new(), None, 0u64);
-            let mut last: Vec<Admitted<u32>> = Vec::new();
             for (i, &(kind, lane, quota)) in tape.iter().enumerate() {
                 let item = i as u32;
                 match kind {
@@ -425,20 +408,12 @@ mod tests {
                         lanes.entry(lane).or_insert_with(VecDeque::new).push_back((seq, item));
                         seq += 1;
                     }
-                    1 => {
+                    _ => {
                         q.cfg.admit_per_wave = Some(quota);
-                        last = q.admit();
                         let got: Vec<(String, u64, u32)> =
-                            last.iter().map(|a| (a.lane.clone(), a.seq, a.item)).collect();
+                            q.admit().into_iter().map(|a| (a.lane, a.seq, a.item)).collect();
                         let want = reference_admit(&mut lanes, &mut cursor, quota);
                         proptest::prop_assert_eq!(got, want);
-                    }
-                    _ => {
-                        if !last.is_empty() {
-                            let a = last.remove(0);
-                            lanes.entry(a.lane.clone()).or_default().push_front((a.seq, a.item));
-                            q.requeue_front(a);
-                        }
                     }
                 }
                 let pending: usize = lanes.values().map(VecDeque::len).sum();
@@ -465,26 +440,6 @@ mod tests {
         }
         assert_eq!(q.backpressure_total(), 1);
         assert_eq!(err.retry_wave(), Some(6));
-    }
-
-    #[test]
-    fn requeue_front_restores_fifo_position() {
-        let mut q = AdmissionQueue::new(AdmissionConfig::batched(2, 100));
-        q.enqueue("a", 1u32, 0).unwrap();
-        q.enqueue("a", 2u32, 0).unwrap();
-        let batch = q.admit();
-        assert_eq!(batch.len(), 2);
-        // Spill the first admitted item back: it must come out first
-        // again, ahead of the one behind it in the lane.
-        let first = batch.into_iter().next().unwrap();
-        q.requeue_front(first);
-        q.enqueue("a", 3u32, 1).unwrap();
-        let batch2 = q.admit();
-        assert_eq!(
-            drain_names(&batch2),
-            vec![("a".into(), 1), ("a".into(), 3)],
-            "requeued item keeps its lane-front position"
-        );
     }
 
     #[test]

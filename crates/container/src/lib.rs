@@ -16,7 +16,6 @@
 //! - [`limits`]: Docker-style resource caps.
 //! - [`runtime`]: create/start/stop/commit/export lifecycle with
 //!   atomic memory charging against the simulated kernel.
-//! - [`vpn`]: per-container VPN tunnels for secure remote access.
 //! - [`checkpoint`]: CRIU-style whole-container checkpoint/restore —
 //!   the migration alternative the paper cites but does not build.
 
@@ -28,7 +27,6 @@ pub mod image;
 pub mod limits;
 pub mod namespace;
 pub mod runtime;
-pub mod vpn;
 
 pub use checkpoint::{ContainerCheckpoint, TaskSnapshot};
 pub use container::{Container, ContainerKind, ContainerState};
@@ -38,4 +36,3 @@ pub use image::{FileChange, Image, ImageStore, Layer, LayerId};
 pub use limits::ResourceLimits;
 pub use namespace::{DeviceNamespaceId, NamespaceSet};
 pub use runtime::{ContainerArchive, ContainerRuntime, HOST_BASE_MEMORY};
-pub use vpn::{Delivery, VpnTunnel};

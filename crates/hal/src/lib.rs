@@ -26,6 +26,6 @@ pub use camera::{Camera, Frame};
 pub use device::{AlreadyClaimed, ClaimTable, DeviceKind};
 pub use faults::{SensorFaultMode, SensorFaults};
 pub use geo::{Attitude, GeoPoint, Vec3, EARTH_RADIUS_M};
-pub use misc::{BatteryMonitor, Gimbal, Microphone, Motors, Speaker, VirtualFramebuffer};
+pub use misc::{BatteryMonitor, Gimbal, Microphone, Motors, Speaker};
 pub use sensors::{Barometer, Gps, GpsFix, Imu, ImuSample, Magnetometer, G};
 pub use truth::{new_truth_bus, TruthBus, VehicleTruth};

@@ -1,5 +1,4 @@
-//! Miscellaneous devices: audio, framebuffer, motors, battery
-//! monitor, gimbal.
+//! Miscellaneous devices: audio, motors, battery monitor, gimbal.
 
 use bytes::Bytes;
 
@@ -34,55 +33,6 @@ impl Speaker {
     /// Chunks played so far.
     pub fn chunks_played(&self) -> u64 {
         self.chunks_played
-    }
-}
-
-/// A *virtual* framebuffer: Android refuses to boot without one, but
-/// drones are headless, so each container simply gets a private
-/// memory region (paper Section 4.1). This is the one device that
-/// needs no multiplexing at all.
-#[derive(Debug)]
-pub struct VirtualFramebuffer {
-    buffer: Vec<u8>,
-    /// Width in pixels.
-    pub width: u32,
-    /// Height in pixels.
-    pub height: u32,
-}
-
-impl VirtualFramebuffer {
-    /// Allocates a RGBA framebuffer.
-    pub fn new(width: u32, height: u32) -> Self {
-        VirtualFramebuffer {
-            buffer: vec![0; (width * height * 4) as usize],
-            width,
-            height,
-        }
-    }
-
-    /// Writes a pixel (no-op display; contents are never shown).
-    pub fn put_pixel(&mut self, x: u32, y: u32, rgba: [u8; 4]) {
-        if x < self.width && y < self.height {
-            let i = ((y * self.width + x) * 4) as usize;
-            self.buffer[i..i + 4].copy_from_slice(&rgba);
-        }
-    }
-
-    /// Reads a pixel back.
-    pub fn get_pixel(&self, x: u32, y: u32) -> Option<[u8; 4]> {
-        if x < self.width && y < self.height {
-            let i = ((y * self.width + x) * 4) as usize;
-            let mut px = [0u8; 4];
-            px.copy_from_slice(&self.buffer[i..i + 4]);
-            Some(px)
-        } else {
-            None
-        }
-    }
-
-    /// Bytes of memory backing the framebuffer.
-    pub fn size_bytes(&self) -> usize {
-        self.buffer.len()
     }
 }
 
@@ -148,15 +98,6 @@ impl Gimbal {
 mod tests {
     use super::*;
     use crate::geo::GeoPoint;
-
-    #[test]
-    fn framebuffer_round_trips_pixels() {
-        let mut fb = VirtualFramebuffer::new(4, 4);
-        fb.put_pixel(1, 2, [9, 8, 7, 255]);
-        assert_eq!(fb.get_pixel(1, 2), Some([9, 8, 7, 255]));
-        assert_eq!(fb.get_pixel(9, 9), None);
-        assert_eq!(fb.size_bytes(), 64);
-    }
 
     #[test]
     fn motors_clamp_commands() {

@@ -15,11 +15,10 @@
 //!
 //! Logs that only ever grow (a MAVProxy outbox, the ATT flight log)
 //! live in an [`AppendLog`], which folds its items in time
-//! proportional to what was appended recently rather than to the
-//! whole log, with the exact bytes a plain re-hash would fold.
+//! proportional to what was appended since the last fold rather than
+//! to the whole log, with the exact bytes a plain re-hash would fold.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// 64-bit FNV-1a offset basis.
@@ -153,28 +152,16 @@ impl<T: LogItem + ?Sized> LogItem for Rc<T> {
     }
 }
 
-/// Items per sealed segment of an [`AppendLog`].
-pub const SEGMENT_ITEMS: usize = 64;
-
-/// The fold of a sealed segment at which its start-state table is
-/// built; earlier folds re-hash it the ordinary way ("rent, then
-/// buy"). Building a table costs about this many ordinary re-hashes
-/// of the segment (`cargo bench --bench fleet_throughput` reports
-/// both costs), so no log pays more than about twice the cheaper of
-/// the two strategies.
-pub const RENT_FOLDS: u32 = 32;
-
 /// An append-only log whose [`StateHash`] is incremental and exact.
 ///
-/// Items are sealed into segments of [`SEGMENT_ITEMS`]. On its
-/// [`RENT_FOLDS`]-th fold a sealed segment joins a start-state table,
-/// after which hashing it costs O(1): for a fixed byte string
-/// `B` of `n` bytes, FNV-1a from any start state `s` is
-/// `s·Pⁿ + D[s & 0xff]` (mod 2⁶⁴), because each step's
-/// `s ^ b = s + d` with `d` depending only on the low byte of `s`, and
-/// that low byte evolves independently of the upper bits. Tables of
-/// consecutive segments compose into one table for the whole bought
-/// prefix.
+/// The log keeps a start-state table over every item a fold has seen,
+/// so a fold serialises only the items appended since the previous
+/// one: for a fixed byte string `B` of `n` bytes, FNV-1a from any
+/// start state `s` is `s·Pⁿ + D[s & 0xff]` (mod 2⁶⁴), because each
+/// step's `s ^ b = s + d` with `d` depending only on the low byte of
+/// `s`, and that low byte evolves independently of the upper bits.
+/// Extending the table over the new bytes keeps it exact for the
+/// whole log.
 ///
 /// The memo is a cache, not state: it is never hashed, `Clone` copies
 /// it, and [`AppendLog::take`] resets it. The log exposes no `&mut`
@@ -184,11 +171,11 @@ pub struct AppendLog<T> {
     memo: Cell<FoldMemo>,
 }
 
-/// The bought prefix of an [`AppendLog`]: FNV over its bytes from
+/// The folded prefix of an [`AppendLog`]: FNV over its bytes from
 /// start state `s` is `s·pow + table[s & 0xff]`.
 #[derive(Clone)]
 struct Prefix {
-    /// Items covered (a multiple of [`SEGMENT_ITEMS`]).
+    /// Items covered.
     items: usize,
     /// `P` to the power of the prefix's byte count.
     pow: u64,
@@ -196,30 +183,30 @@ struct Prefix {
 }
 
 impl Prefix {
+    fn empty() -> Box<Prefix> {
+        Box::new(Prefix {
+            items: 0,
+            pow: 1,
+            table: [0; 256],
+        })
+    }
+
     fn apply(&self, state: u64) -> u64 {
         state
             .wrapping_mul(self.pow)
             .wrapping_add(self.table[usize::from(state.to_le_bytes()[0])])
     }
 
-    /// Extends `prefix` (none = the empty prefix) by one segment's
-    /// bytes, running FNV-1a from all 256 low-byte classes as
-    /// independent lanes.
-    fn extend(prefix: Option<Box<Prefix>>, bytes: &[u8]) -> Box<Prefix> {
-        let mut p = prefix.unwrap_or_else(|| {
-            Box::new(Prefix {
-                items: 0,
-                pow: 1,
-                table: [0; 256],
-            })
-        });
+    /// Extends the table by `bytes`, running FNV-1a from all 256
+    /// low-byte classes as independent lanes.
+    fn extend(&mut self, bytes: &[u8]) {
         // Lane `c` starts where the prefix leaves start state `c`.
         let mut lanes = [0u64; 256];
-        for (c, (lane, d)) in (0u64..).zip(lanes.iter_mut().zip(&p.table)) {
-            *lane = c.wrapping_mul(p.pow).wrapping_add(*d);
+        for (c, (lane, d)) in (0u64..).zip(lanes.iter_mut().zip(&self.table)) {
+            *lane = c.wrapping_mul(self.pow).wrapping_add(*d);
         }
-        // Eight lanes at a time, held in registers across the whole
-        // segment: the multiplies are independent, so this runs at
+        // Eight lanes at a time, held in registers across all of
+        // `bytes`: the multiplies are independent, so this runs at
         // multiplier throughput rather than latency.
         for block in lanes.chunks_exact_mut(8) {
             let mut regs = [0u64; 8];
@@ -235,22 +222,19 @@ impl Prefix {
         let pow_n = bytes
             .iter()
             .fold(1u64, |pow, _| pow.wrapping_mul(FNV_PRIME));
-        p.pow = p.pow.wrapping_mul(pow_n);
-        for (c, (d, lane)) in (0u64..).zip(p.table.iter_mut().zip(&lanes)) {
-            *d = lane.wrapping_sub(c.wrapping_mul(p.pow));
+        self.pow = self.pow.wrapping_mul(pow_n);
+        for (c, (d, lane)) in (0u64..).zip(self.table.iter_mut().zip(&lanes)) {
+            *d = lane.wrapping_sub(c.wrapping_mul(self.pow));
         }
-        p.items += SEGMENT_ITEMS;
-        p
     }
 }
 
 #[derive(Default)]
 struct FoldMemo {
+    /// None until the first fold of a non-empty log.
     prefix: Option<Box<Prefix>>,
-    /// Folds seen so far by each sealed segment past the prefix,
-    /// oldest first.
-    rent: VecDeque<u32>,
-    /// Serialised items past the prefix (reused between folds).
+    /// Serialised items appended since the last fold (reused between
+    /// folds).
     scratch: Vec<u8>,
 }
 
@@ -311,7 +295,6 @@ impl<T: Clone> Clone for AppendLog<T> {
         let memo = self.memo.take();
         let copy = FoldMemo {
             prefix: memo.prefix.clone(),
-            rent: memo.rent.clone(),
             scratch: Vec::new(),
         };
         self.memo.set(memo);
@@ -335,37 +318,19 @@ impl<T: LogItem> StateHash for AppendLog<T> {
     fn state_hash(&self, h: &mut StateHasher) {
         h.write_usize(self.items.len());
         let mut memo = self.memo.take();
-        // Each sealed segment past the prefix pays one more fold of
-        // rent; those that have paid in full join the prefix table,
-        // oldest first.
-        let bought = memo.prefix.as_ref().map_or(0, |p| p.items);
-        let sealed = (self.items.len() - bought) / SEGMENT_ITEMS;
-        memo.rent.resize(sealed, 0);
-        for folds in &mut memo.rent {
-            *folds += 1;
-        }
-        while memo.rent.front().is_some_and(|&folds| folds >= RENT_FOLDS) {
-            let from = memo.prefix.as_ref().map_or(0, |p| p.items);
+        let from = memo.prefix.as_ref().map_or(0, |p| p.items);
+        if from < self.items.len() {
             memo.scratch.clear();
-            for item in &self.items[from..from + SEGMENT_ITEMS] {
+            for item in &self.items[from..] {
                 item.write_log_bytes(&mut memo.scratch);
             }
-            memo.prefix = Some(Prefix::extend(memo.prefix.take(), &memo.scratch));
-            memo.rent.pop_front();
+            let prefix = memo.prefix.get_or_insert_with(Prefix::empty);
+            prefix.extend(&memo.scratch);
+            prefix.items = self.items.len();
         }
-        // The prefix folds through its table, the rest byte by byte.
-        let from = match &memo.prefix {
-            Some(p) => {
-                h.state = p.apply(h.state);
-                p.items
-            }
-            None => 0,
-        };
-        memo.scratch.clear();
-        for item in &self.items[from..] {
-            item.write_log_bytes(&mut memo.scratch);
+        if let Some(p) = &memo.prefix {
+            h.state = p.apply(h.state);
         }
-        h.write_bytes(&memo.scratch);
         self.memo.set(memo);
     }
 }
@@ -510,49 +475,39 @@ mod tests {
     }
 
     #[test]
-    fn rented_segments_are_bought_in_order_and_fold_identically() {
+    fn every_fold_covers_the_whole_log_and_folds_identically() {
+        let items: Vec<Blob> = (0..200).map(|i| blob(7, i)).collect();
         let mut log = AppendLog::new();
-        let items: Vec<Blob> = (0..3 * SEGMENT_ITEMS + 5).map(|i| blob(7, i)).collect();
-        log.extend(items[..SEGMENT_ITEMS].iter().cloned());
         let start = StateHasher::new();
-        for _ in 0..RENT_FOLDS - 1 {
-            assert_eq!(
-                folded(&start, &log),
-                plain_fold(&start, &items[..SEGMENT_ITEMS])
-            );
+        assert_eq!(folded(&start, &log), plain_fold(&start, &[]));
+        assert_eq!(bought_items(&log), 0, "an empty log builds no table");
+        // Uneven appends, some of them empty, each followed by a fold
+        // or two: after every fold the table covers the whole log.
+        let mut len = 0;
+        for n in [1, 0, 63, 64, 2, 0, 70] {
+            log.extend(items[len..len + n].iter().cloned());
+            len += n;
+            for _ in 0..2 {
+                assert_eq!(folded(&start, &log), plain_fold(&start, &items[..len]));
+                assert_eq!(bought_items(&log), len, "the memo covers every item");
+            }
         }
-        assert_eq!(bought_items(&log), 0, "still renting");
-        log.extend(items[SEGMENT_ITEMS..].iter().cloned());
-        folded(&start, &log);
-        assert_eq!(
-            bought_items(&log),
-            SEGMENT_ITEMS,
-            "the first segment paid its rent"
-        );
-        for _ in 0..RENT_FOLDS {
-            assert_eq!(folded(&start, &log), plain_fold(&start, &items));
-        }
-        assert_eq!(
-            bought_items(&log),
-            3 * SEGMENT_ITEMS,
-            "every sealed segment is bought"
-        );
-        // A bought prefix folds from any start state, not only the
-        // one it was built under.
+        // The table folds from any start state, not only the one it
+        // was built under.
         for salt in 0..300u64 {
             let mut h = StateHasher::new();
             h.write_u64(salt);
-            assert_eq!(folded(&h, &log), plain_fold(&h, &items));
+            assert_eq!(folded(&h, &log), plain_fold(&h, &items[..len]));
         }
         let copy = log.clone();
-        assert_eq!(
-            bought_items(&copy),
-            3 * SEGMENT_ITEMS,
-            "clone copies the memo"
-        );
+        assert_eq!(bought_items(&copy), len, "clone copies the memo");
+        assert_eq!(folded(&start, &copy), plain_fold(&start, &items[..len]));
         log.take();
         assert_eq!(bought_items(&log), 0, "take resets the memo");
         assert_eq!(folded(&start, &log), plain_fold(&start, &[]));
+        log.extend(items[..5].iter().cloned());
+        assert_eq!(folded(&start, &log), plain_fold(&start, &items[..5]));
+        assert_eq!(bought_items(&log), 5, "a drained log starts a new table");
     }
 
     #[test]

@@ -20,9 +20,8 @@
 #
 # Finally it flies a 600 sim-s hover flight and gates the per-second
 # state digest's growth: mean digest ns per tick over the last 10% of
-# ticks over the mean over the first 10% must stay at or below 5 (the
-# report's `digest_growth` object, with the host's core count and the
-# per-segment re-hash and table-build costs behind the digest's rent).
+# ticks over the mean over the first 10% must stay at or below 3 (the
+# report's `digest_growth` object, with the host's core count).
 #
 # Usage: scripts/fleet_bench.sh [scale]
 #   scale: ANDRONE_BENCH_SCALE value (default 5; higher = faster,

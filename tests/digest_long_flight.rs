@@ -2,13 +2,13 @@
 //!
 //! The per-second state digest folds two append-only logs that grow
 //! for the whole flight: every MAVProxy client outbox and the ATT
-//! flight log. Short pinned flights rarely age a sealed log segment
-//! long enough for the digest to fold it from a memo instead of
-//! re-hashing it, so this test flies a long hover flight (three
-//! tenants, one drone, over 800 simulated seconds) and pins its trace
-//! digest. One tenant drains its outbox twice mid-flight
-//! through `client_recv`, so the digest also covers a log that is
-//! emptied and then refilled.
+//! flight log. Each fold extends a start-state table over the items
+//! appended since the previous fold, so the longer a log grows, the
+//! more of its digest comes from that table. This test flies a long
+//! hover flight (three tenants, one drone, over 800 simulated
+//! seconds) and pins its trace digest. One tenant drains its outbox
+//! twice mid-flight through `client_recv`, so the digest also covers
+//! a log that is emptied and then refilled.
 //!
 //! The pin was captured with the plain re-hash-everything digest;
 //! any incremental digest must reproduce it bit for bit.
