@@ -108,13 +108,12 @@ impl Androne {
             }
             aboard.push((order, deployed?));
             // Notify the user their drone is taking off (paper
-            // Section 2: email/text with access information).
+            // Section 2: email/text; the paper's access information
+            // is left out, as no network access is modelled).
             self.cloud.notify(
                 &order.user,
                 NotificationKind::Text,
-                format!(
-                    "Virtual drone {owner} is launching; connect via your per-container VPN."
-                ),
+                format!("Virtual drone {owner} is launching."),
             );
         }
 

@@ -60,9 +60,10 @@ impl AndroneSdk {
     }
 
     /// `getFlightControllerIP()`: where to connect for the virtual
-    /// flight controller. Every virtual drone sees the same
-    /// VPN-local address; the per-container tunnel routes it to its
-    /// own VFC.
+    /// flight controller. Every virtual drone sees the same private
+    /// address. No network route to it is modelled: a tenant's
+    /// MAVLink traffic reaches its own VFC through the drone's
+    /// MAVLink proxy.
     pub fn get_flight_controller_ip(&self) -> &'static str {
         "10.49.0.1:5760"
     }

@@ -198,18 +198,47 @@ impl Prefix {
     }
 
     /// Extends the table by `bytes`, running FNV-1a from all 256
-    /// low-byte classes as independent lanes.
+    /// low-byte classes as independent lanes: 128 lanes at a time in
+    /// AVX-512 registers when the CPU has them, eight otherwise. Both
+    /// widths do the same wrapping arithmetic, so the table is
+    /// bit-identical on every host.
+    #[allow(unsafe_code)]
     fn extend(&mut self, bytes: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+        {
+            // SAFETY: `extend_avx512` needs exactly the two CPU
+            // features detected above.
+            unsafe { self.extend_avx512(bytes) };
+            return;
+        }
+        self.extend_lanes::<8>(bytes);
+    }
+
+    /// [`Prefix::extend_lanes`] at 128 lanes, compiled for AVX-512:
+    /// `vpmullq` multiplies eight lanes at once and sixteen
+    /// independent vectors hide its latency.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn extend_avx512(&mut self, bytes: &[u8]) {
+        self.extend_lanes::<128>(bytes);
+    }
+
+    /// The table build, `N` lanes at a time.
+    #[inline(always)]
+    fn extend_lanes<const N: usize>(&mut self, bytes: &[u8]) {
+        const { assert!(256 % N == 0) };
         // Lane `c` starts where the prefix leaves start state `c`.
         let mut lanes = [0u64; 256];
         for (c, (lane, d)) in (0u64..).zip(lanes.iter_mut().zip(&self.table)) {
             *lane = c.wrapping_mul(self.pow).wrapping_add(*d);
         }
-        // Eight lanes at a time, held in registers across all of
-        // `bytes`: the multiplies are independent, so this runs at
-        // multiplier throughput rather than latency.
-        for block in lanes.chunks_exact_mut(8) {
-            let mut regs = [0u64; 8];
+        // `N` lanes held in registers across all of `bytes`: the
+        // multiplies are independent, so this runs at multiplier
+        // throughput rather than latency.
+        for block in lanes.chunks_exact_mut(N) {
+            let mut regs = [0u64; N];
             regs.copy_from_slice(block);
             for &b in bytes {
                 let b = u64::from(b);
@@ -471,6 +500,29 @@ mod tests {
                 prop_assert_eq!(log.as_slice(), &model[..]);
                 prop_assert_eq!(folded(&start, &log), plain_fold(&start, &model));
             }
+        }
+    }
+
+    // The dispatching `extend` (128 lanes on an AVX-512 host) builds
+    // the same table and power as the eight-lane fallback, from any
+    // table over any bytes, so both widths stay tested on one host.
+    proptest! {
+        #[test]
+        fn every_lane_width_builds_the_same_table(
+            seed in any::<u64>(),
+            pow in any::<u64>(),
+            bytes in prop::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let mut narrow = Prefix::empty();
+            narrow.pow = pow;
+            for (i, d) in narrow.table.iter_mut().enumerate() {
+                *d = substream_seed(seed, 0x7AB1E, i);
+            }
+            let mut dispatched = narrow.clone();
+            narrow.extend_lanes::<8>(&bytes);
+            dispatched.extend(&bytes);
+            prop_assert_eq!(dispatched.pow, narrow.pow);
+            prop_assert_eq!(&dispatched.table[..], &narrow.table[..]);
         }
     }
 

@@ -21,4 +21,4 @@ pub mod vdc;
 
 pub use access::{AccessTable, FlightPhase};
 pub use spec::{SpecError, VirtualDroneSpec, WaypointSpec};
-pub use vdc::{Vdc, VdcEvent, VdRecord, WatchdogConfig, WARNING_FRACTION};
+pub use vdc::{RegisteredSpec, VdRecord, Vdc, VdcEvent, WatchdogConfig, WARNING_FRACTION};

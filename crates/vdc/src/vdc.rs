@@ -103,6 +103,37 @@ impl Default for WatchdogConfig {
     }
 }
 
+/// A virtual drone's definition as registered, with its canonical
+/// JSON form (BTreeMap-ordered keys, a stable encoding) cached for
+/// the record's state hash. It reads as the [`VirtualDroneSpec`] it
+/// wraps and offers no mutable access, so the cached form cannot go
+/// stale.
+pub struct RegisteredSpec {
+    spec: VirtualDroneSpec,
+    json: String,
+}
+
+impl RegisteredSpec {
+    fn new(spec: VirtualDroneSpec) -> Self {
+        let json = serde_json::to_string(&spec).unwrap_or_default();
+        RegisteredSpec { spec, json }
+    }
+}
+
+impl std::ops::Deref for RegisteredSpec {
+    type Target = VirtualDroneSpec;
+
+    fn deref(&self) -> &VirtualDroneSpec {
+        &self.spec
+    }
+}
+
+impl std::fmt::Debug for RegisteredSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.spec.fmt(f)
+    }
+}
+
 /// Per-virtual-drone record.
 #[derive(Debug)]
 pub struct VdRecord {
@@ -110,8 +141,8 @@ pub struct VdRecord {
     pub name: String,
     /// Kernel container id.
     pub container: ContainerId,
-    /// The definition.
-    pub spec: VirtualDroneSpec,
+    /// The definition, fixed at registration.
+    pub spec: RegisteredSpec,
     energy_used_j: f64,
     time_used_s: f64,
     energy_warned: bool,
@@ -323,7 +354,7 @@ impl Vdc {
             VdRecord {
                 name,
                 container,
-                spec,
+                spec: RegisteredSpec::new(spec),
                 energy_used_j: 0.0,
                 time_used_s: 0.0,
                 energy_warned: false,
@@ -612,9 +643,7 @@ impl StateHash for VdRecord {
     fn state_hash(&self, h: &mut StateHasher) {
         h.write_str(&self.name);
         self.container.state_hash(h);
-        // The spec is immutable after registration; its canonical
-        // JSON form (BTreeMap-ordered keys) is a stable encoding.
-        h.write_str(&serde_json::to_string(&self.spec).unwrap_or_default());
+        h.write_str(&self.spec.json);
         h.write_f64(self.energy_used_j);
         h.write_f64(self.time_used_s);
         h.write_bool(self.energy_warned);
@@ -855,5 +884,39 @@ mod tests {
         assert_eq!(rec.container, c);
         assert!(!vdc.allows("vd1", DeviceClass::Camera));
         assert!(vdc.record("vd1").is_none());
+    }
+
+    #[test]
+    fn record_hash_folds_the_spec_serialised_at_registration() {
+        let mut spec = VirtualDroneSpec::example_survey();
+        spec.continuous_devices = vec!["gps".into()];
+        assert!(!spec.waypoints.is_empty() && !spec.apps.is_empty());
+        let (mut vdc, _) = vdc_with(spec);
+        vdc.on_waypoint_arrived("vd1", 0);
+        vdc.charge_energy("vd1", 1_234.5);
+        vdc.mark_file("vd1", "/sdcard/survey.jpg");
+        let rec = vdc.record("vd1").unwrap();
+        // The record's fold with the spec serialised on the spot.
+        let mut h = StateHasher::new();
+        h.write_str(&rec.name);
+        rec.container.state_hash(&mut h);
+        h.write_str(&serde_json::to_string(&*rec.spec).unwrap());
+        h.write_f64(rec.energy_used_j);
+        h.write_f64(rec.time_used_s);
+        h.write_bool(rec.energy_warned);
+        h.write_bool(rec.time_warned);
+        h.write_usize(rec.waypoints_completed);
+        h.write_u64(rec.progress_marks);
+        h.write_usize(rec.events.len());
+        for e in &rec.events {
+            e.state_hash(&mut h);
+        }
+        h.write_usize(rec.marked_files.len());
+        for f in &rec.marked_files {
+            h.write_str(f);
+        }
+        h.write_bool(rec.waypoint_done);
+        assert!(!rec.revoked && !rec.suspended);
+        assert_eq!(rec.hash_value(), h.finish());
     }
 }
