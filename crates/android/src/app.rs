@@ -174,7 +174,10 @@ mod tests {
         let mut reg = AppRegistry::new();
         reg.install(manifest("com.example.survey"));
         reg.mark_running("com.example.survey", Pid(42));
-        assert_eq!(reg.get("com.example.survey").unwrap().state, AppState::Running);
+        assert_eq!(
+            reg.get("com.example.survey").unwrap().state,
+            AppState::Running
+        );
 
         let mut bundle = Bundle::new();
         bundle.insert("next-waypoint".into(), "2".into());

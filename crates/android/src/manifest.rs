@@ -116,14 +116,19 @@ impl AndroneManifest {
                     if device == DeviceClass::FlightControl && access == AccessType::Continuous {
                         return Err(ManifestError::ContinuousFlightControl);
                     }
-                    manifest.permissions.push(DevicePermission { device, access });
+                    manifest
+                        .permissions
+                        .push(DevicePermission { device, access });
                 }
                 "argument" => {
                     let name = attrs
                         .get("name")
                         .cloned()
                         .ok_or(ManifestError::MissingAttribute("name"))?;
-                    let arg_type = attrs.get("type").cloned().unwrap_or_else(|| "string".into());
+                    let arg_type = attrs
+                        .get("type")
+                        .cloned()
+                        .unwrap_or_else(|| "string".into());
                     let required = attrs.get("required").map(String::as_str) == Some("true");
                     manifest.arguments.push(ArgumentDecl {
                         name,
@@ -250,7 +255,8 @@ mod tests {
 
     #[test]
     fn type_defaults_to_waypoint() {
-        let xml = r#"<androne-manifest package="p"><uses-permission name="camera"/></androne-manifest>"#;
+        let xml =
+            r#"<androne-manifest package="p"><uses-permission name="camera"/></androne-manifest>"#;
         let m = AndroneManifest::parse(xml).unwrap();
         assert_eq!(m.permissions[0].access, AccessType::Waypoint);
     }
@@ -268,7 +274,8 @@ mod tests {
 
     #[test]
     fn unknown_device_is_rejected() {
-        let xml = r#"<androne-manifest package="p"><uses-permission name="laser"/></androne-manifest>"#;
+        let xml =
+            r#"<androne-manifest package="p"><uses-permission name="laser"/></androne-manifest>"#;
         assert!(matches!(
             AndroneManifest::parse(xml),
             Err(ManifestError::UnknownDevice(_))

@@ -104,7 +104,10 @@ impl NativeHalBridge {
     }
 
     /// Fetches one IMU sample (NDK sensor path).
-    pub fn imu_sample(&mut self, driver: &mut BinderDriver) -> Result<BridgeImuSample, BinderError> {
+    pub fn imu_sample(
+        &mut self,
+        driver: &mut BinderDriver,
+    ) -> Result<BridgeImuSample, BinderError> {
         let h = self.sensors(driver)?;
         let mut q = Parcel::new();
         q.push_i32(sensor_types::ACCELEROMETER);

@@ -104,8 +104,7 @@ impl ServiceCore {
                 let mut q = Parcel::new();
                 q.push_str(self.device.android_permission());
                 q.push_i32(ctx.sender_euid.0 as i32);
-                let verdict =
-                    driver.transact(self.own_pid, am, am_codes::CHECK_PERMISSION, q)?;
+                let verdict = driver.transact(self.own_pid, am, am_codes::CHECK_PERMISSION, q)?;
                 if verdict.i32_at(0)? != PERMISSION_GRANTED {
                     return Err(BinderError::PermissionDenied(
                         "app lacks the Android permission",
@@ -200,7 +199,10 @@ pub struct CameraService {
     /// Open frame streams: the owning container and the queue behind
     /// the client's fd. Pumped by [`CameraService::pump_frames`];
     /// streams of containers that lose camera access are closed.
-    open_streams: Vec<(ContainerId, std::rc::Rc<std::cell::RefCell<std::collections::VecDeque<bytes::Bytes>>>)>,
+    open_streams: Vec<(
+        ContainerId,
+        std::rc::Rc<std::cell::RefCell<std::collections::VecDeque<bytes::Bytes>>>,
+    )>,
 }
 
 impl CameraService {
@@ -402,14 +404,20 @@ impl BinderService for SensorService {
                             let imu = board.imu.clone();
                             imu.sample(&truth, &mut board.rng)
                         };
-                        reply.push_f64(s.accel.x).push_f64(s.accel.y).push_f64(s.accel.z);
+                        reply
+                            .push_f64(s.accel.x)
+                            .push_f64(s.accel.y)
+                            .push_f64(s.accel.z);
                     }
                     sensor_types::GYROSCOPE => {
                         let s = {
                             let imu = board.imu.clone();
                             imu.sample(&truth, &mut board.rng)
                         };
-                        reply.push_f64(s.gyro.x).push_f64(s.gyro.y).push_f64(s.gyro.z);
+                        reply
+                            .push_f64(s.gyro.x)
+                            .push_f64(s.gyro.y)
+                            .push_f64(s.gyro.z);
                     }
                     sensor_types::PRESSURE => {
                         let baro = board.barometer.clone();

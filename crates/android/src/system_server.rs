@@ -11,18 +11,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use androne_binder::{
-    add_service, BinderDriver, BinderError, ServiceManager, ACTIVITY_MANAGER,
-};
+use androne_binder::{add_service, BinderDriver, BinderError, ServiceManager, ACTIVITY_MANAGER};
 use androne_container::DeviceNamespaceId;
 use androne_hal::SharedBoard;
 use androne_simkern::{ContainerId, Euid, Kernel, Pid, SchedPolicy};
 
 use crate::activity_manager::ActivityManager;
 use crate::policy::PolicyRef;
-use crate::services::{
-    names, AudioFlinger, CameraService, LocationManagerService, SensorService,
-};
+use crate::services::{names, AudioFlinger, CameraService, LocationManagerService, SensorService};
 
 /// A booted Android instance's handles.
 pub struct AndroidInstance {
@@ -118,16 +114,16 @@ pub fn boot_android_instance(
     policy: PolicyRef,
 ) -> Result<AndroidInstance, BootError> {
     // servicemanager process.
-    let sm_pid = kernel
-        .tasks
-        .spawn("servicemanager", Euid(1000), container, SchedPolicy::DEFAULT)?;
+    let sm_pid = kernel.tasks.spawn(
+        "servicemanager",
+        Euid(1000),
+        container,
+        SchedPolicy::DEFAULT,
+    )?;
     driver.open(sm_pid, Euid(1000), container, device_ns);
     let sm = if config.run_device_services {
         driver.set_device_container(container, device_ns);
-        ServiceManager::new_device_container(
-            sm_pid,
-            names::TABLE_1.iter().map(|s| s.to_string()),
-        )
+        ServiceManager::new_device_container(sm_pid, names::TABLE_1.iter().map(|s| s.to_string()))
     } else {
         ServiceManager::new(sm_pid)
     };
@@ -135,12 +131,10 @@ pub fn boot_android_instance(
     driver.set_context_manager(sm_pid, sm_handle)?;
 
     // system_server process hosting the ActivityManager.
-    let system_server_pid = kernel.tasks.spawn(
-        "system_server",
-        Euid(1000),
-        container,
-        SchedPolicy::DEFAULT,
-    )?;
+    let system_server_pid =
+        kernel
+            .tasks
+            .spawn("system_server", Euid(1000), container, SchedPolicy::DEFAULT)?;
     driver.open(system_server_pid, Euid(1000), container, device_ns);
     let am = Rc::new(RefCell::new(ActivityManager::new()));
     let am_handle = driver.create_node(system_server_pid, am.clone())?;
@@ -160,10 +154,12 @@ pub fn boot_android_instance(
             device_ns: DeviceNamespaceId,
             name: &str,
         ) -> Result<Pid, BootError> {
-            let pid =
-                kernel
-                    .tasks
-                    .spawn(name.to_string(), Euid(1000), container, SchedPolicy::DEFAULT)?;
+            let pid = kernel.tasks.spawn(
+                name.to_string(),
+                Euid(1000),
+                container,
+                SchedPolicy::DEFAULT,
+            )?;
             driver.open(pid, Euid(1000), container, device_ns);
             Ok(pid)
         }

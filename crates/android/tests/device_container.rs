@@ -241,7 +241,9 @@ fn audio_records_and_plays_through_the_device_container() {
 
     let mut play = Parcel::new();
     play.push_blob(chunk);
-    tb.driver.transact(app, audio, svc_codes::OP2, play).unwrap();
+    tb.driver
+        .transact(app, audio, svc_codes::OP2, play)
+        .unwrap();
     assert_eq!(tb.board.borrow().speaker.chunks_played(), 1);
 }
 

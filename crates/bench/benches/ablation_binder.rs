@@ -102,8 +102,10 @@ fn main() {
         stats.transactions, stats.cross_container
     );
     assert!(stats.cross_container > u64::from(ITERS) - 1);
-    println!("conclusion: cross-container routing adds no structural overhead in the\n\
+    println!(
+        "conclusion: cross-container routing adds no structural overhead in the\n\
               driver (one handle-table lookup either way); the real cost on hardware\n\
               is the fixed ~32us transaction, which the device-container design pays\n\
-              once per device operation.");
+              once per device operation."
+    );
 }

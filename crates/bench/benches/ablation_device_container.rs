@@ -31,7 +31,10 @@ fn cells_support(device: DeviceKind) -> (&'static str, bool) {
         | DeviceKind::Magnetometer
         | DeviceKind::Motors
         | DeviceKind::Battery
-        | DeviceKind::Gimbal => ("opaque SPI/I2C userspace device: context invisible to kernel", true),
+        | DeviceKind::Gimbal => (
+            "opaque SPI/I2C userspace device: context invisible to kernel",
+            true,
+        ),
     }
 }
 
@@ -77,7 +80,10 @@ fn main() {
     );
     assert!(hop.as_micros_f64() / per_frame_budget_us < 0.01);
     assert_eq!(
-        DeviceKind::ALL.iter().filter(|d| !d.trivially_virtualizable()).count(),
+        DeviceKind::ALL
+            .iter()
+            .filter(|d| !d.trivially_virtualizable())
+            .count(),
         cells_mods,
         "every non-trivial device would need Cells-side work"
     );

@@ -33,7 +33,9 @@ fn main() {
         vec![0x5Bu8; 16 * MIB as usize],
     );
     let base_id = rt.images_mut().put_layer(base_layer);
-    rt.images_mut().tag("android-things", vec![base_id]).unwrap();
+    rt.images_mut()
+        .tag("android-things", vec![base_id])
+        .unwrap();
     rt.create(
         "vd1",
         ContainerKind::VirtualDrone,

@@ -50,7 +50,10 @@ fn total_energy(p: &VrpProblem, sol: &androne::planner::VrpSolution) -> f64 {
 }
 
 fn main() {
-    banner("Ablation A4", "VRP (simulated annealing) vs nearest-neighbour");
+    banner(
+        "Ablation A4",
+        "VRP (simulated annealing) vs nearest-neighbour",
+    );
     println!(
         "{:>5} {:>5}  {:>12} {:>12} {:>8}  {:>12} {:>12}",
         "tasks", "fleet", "NN makespan", "SA makespan", "gain", "NN energy", "SA energy"

@@ -163,7 +163,10 @@ fn binder_fixture() -> BinderFixture {
         .unwrap();
     driver.set_context_manager(server, sm_handle).unwrap();
     for (name, svc) in [
-        ("echo", Rc::new(RefCell::new(Echo)) as Rc<RefCell<dyn BinderService>>),
+        (
+            "echo",
+            Rc::new(RefCell::new(Echo)) as Rc<RefCell<dyn BinderService>>,
+        ),
         ("deep_echo", Rc::new(RefCell::new(DeepEcho))),
         ("sink", Rc::new(RefCell::new(Sink))),
     ] {
@@ -600,7 +603,10 @@ fn main() {
     for n in FANOUT_CLIENTS {
         ratios.push((
             format!("fanout_n{n}"),
-            Value::Number(ratio(&format!("fanout/deep_n{n}"), &format!("fanout/shared_n{n}"))),
+            Value::Number(ratio(
+                &format!("fanout/deep_n{n}"),
+                &format!("fanout/shared_n{n}"),
+            )),
         ));
     }
 
@@ -614,10 +620,7 @@ fn main() {
             Value::String("cargo bench --bench binder_fanout".to_string()),
         ),
         ("units", Value::String("ns_per_iter_median".to_string())),
-        (
-            "scale",
-            Value::Number(androne_bench::scale() as f64),
-        ),
+        ("scale", Value::Number(androne_bench::scale() as f64)),
         ("sample_size", Value::Number(samples as f64)),
         (
             "benches",
@@ -640,13 +643,14 @@ fn main() {
                 ("fanout_n8_min", Value::Number(3.0)),
                 ("fanout_n8_measured", Value::Number(fanout8_speedup)),
                 ("parcel_translate_min", Value::Number(1.8)),
-                ("parcel_translate_measured", Value::Number(translate_speedup)),
+                (
+                    "parcel_translate_measured",
+                    Value::Number(translate_speedup),
+                ),
                 (
                     "pass",
                     Value::Bool(
-                        echo_speedup >= 2.0
-                            && fanout8_speedup >= 3.0
-                            && translate_speedup >= 1.8,
+                        echo_speedup >= 2.0 && fanout8_speedup >= 3.0 && translate_speedup >= 1.8,
                     ),
                 ),
             ]),
@@ -654,7 +658,11 @@ fn main() {
     ]);
 
     let out_path = std::env::var("ANDRONE_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_binder_fanout.json").to_string()
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_binder_fanout.json"
+        )
+        .to_string()
     });
     let json = serde_json::to_string_pretty(&report).expect("serialize bench report");
     std::fs::write(&out_path, json + "\n").expect("write bench report");

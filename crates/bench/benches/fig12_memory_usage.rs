@@ -44,12 +44,13 @@ fn main() {
     let host_base = androne::container::HOST_BASE_MEMORY;
     measured.push(mb(host_base));
     measured.push(mb(drone.memory_used()));
-    println!("{:<22} {:>8.0} MB (paper ~{:>3.0} MB)", "Base (host + VDC)", measured[0], paper[0]);
     println!(
         "{:<22} {:>8.0} MB (paper ~{:>3.0} MB)",
-        "+ Dev+Flight Con",
-        measured[1],
-        paper[1]
+        "Base (host + VDC)", measured[0], paper[0]
+    );
+    println!(
+        "{:<22} {:>8.0} MB (paper ~{:>3.0} MB)",
+        "+ Dev+Flight Con", measured[1], paper[1]
     );
 
     for i in 1..=3 {
@@ -74,7 +75,5 @@ fn main() {
         drone.memory_used() <= 880 * MIB,
         "never exceeds the 880 MB usable budget"
     );
-    println!(
-        "shape checks passed: 3 virtual drones fit in 880 MB, the 4th OOMs harmlessly"
-    );
+    println!("shape checks passed: 3 virtual drones fit in 880 MB, the 4th OOMs harmlessly");
 }

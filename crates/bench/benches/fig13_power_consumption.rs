@@ -10,7 +10,10 @@ use androne::energy::PowerModel;
 use androne_bench::banner;
 
 fn main() {
-    banner("Figure 13", "Power consumption at rest, normalized to stock");
+    banner(
+        "Figure 13",
+        "Power consumption at rest, normalized to stock",
+    );
     let model = PowerModel::rpi3();
     let stock = model.power_w(0.0, 0);
 

@@ -131,7 +131,10 @@ fn ladder_rung(tenants: usize, threads: usize) -> (ScaleOutcome, f64) {
     let t0 = std::time::Instant::now();
     let out = execute_scale_fleet(&ScaleConfig::rung(tenants).threads(threads));
     let wall_s = t0.elapsed().as_secs_f64();
-    assert!(out.quiescent, "{tenants}-tenant rung did not reach quiescence");
+    assert!(
+        out.quiescent,
+        "{tenants}-tenant rung did not reach quiescence"
+    );
     assert_eq!(
         out.completed() + out.exhausted(),
         tenants,
@@ -144,13 +147,19 @@ fn rung_report(tenants: usize, out: &ScaleOutcome, wall_s: f64) -> Value {
     obj([
         ("tenants", Value::Number(tenants as f64)),
         ("wall_s", Value::Number(wall_s)),
-        ("orders_per_wall_sec", Value::Number(tenants as f64 / wall_s)),
+        (
+            "orders_per_wall_sec",
+            Value::Number(tenants as f64 / wall_s),
+        ),
         ("orders_per_sim_sec", Value::Number(out.orders_per_sim_s())),
         (
             "p99_order_to_landing_sim_s",
             Value::Number(out.p99_latency_s),
         ),
-        ("peak_queue_depth", Value::Number(out.peak_queue_depth as f64)),
+        (
+            "peak_queue_depth",
+            Value::Number(out.peak_queue_depth as f64),
+        ),
         (
             "backpressured_submissions",
             Value::Number(out.backpressured_submissions as f64),
@@ -475,7 +484,11 @@ fn main() {
     ]);
 
     let out_path = std::env::var("ANDRONE_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet_throughput.json").to_string()
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_fleet_throughput.json"
+        )
+        .to_string()
     });
     let json = serde_json::to_string_pretty(&report).expect("serialize bench report");
     std::fs::write(&out_path, json + "\n").expect("write bench report");

@@ -69,7 +69,11 @@ fn main() {
     // Shape checks against the paper's measurements.
     assert!((60.0..80.0).contains(&lte.mean()), "LTE avg {}", lte.mean());
     assert!(lte.max() <= 356.0, "LTE max {}", lte.max());
-    assert!((4.0..12.0).contains(&lte.stddev()), "LTE stddev {}", lte.stddev());
+    assert!(
+        (4.0..12.0).contains(&lte.stddev()),
+        "LTE stddev {}",
+        lte.stddev()
+    );
     assert!(lost <= 20 / scale().min(10), "LTE lost {lost}");
     assert!(rf.mean() < lte.mean(), "RF beats LTE on average latency");
     assert!(rf.max() <= 85.0, "RF stays within its hobby band");

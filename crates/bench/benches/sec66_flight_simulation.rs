@@ -28,9 +28,21 @@ fn main() {
     let mut drone = Drone::boot(base, 66).expect("boot");
 
     let tenants = [
-        ("vd-survey", 80.0, 0.0, 40.0, vec!["camera", "gps", "flight-control"]),
+        (
+            "vd-survey",
+            80.0,
+            0.0,
+            40.0,
+            vec!["camera", "gps", "flight-control"],
+        ),
         ("vd-interactive", 80.0, 90.0, 25.0, vec!["flight-control"]),
-        ("vd-direct", 0.0, 100.0, 30.0, vec!["camera", "flight-control"]),
+        (
+            "vd-direct",
+            0.0,
+            100.0,
+            30.0,
+            vec!["camera", "flight-control"],
+        ),
     ];
     for (name, north, east, radius, devices) in &tenants {
         drone

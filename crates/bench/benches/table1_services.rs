@@ -64,7 +64,10 @@ fn main() {
     for (name, service, devices) in rows {
         let published = get_service(&mut drone.driver, pid, name).is_ok();
         println!("{service:<26} {devices:<32} {published}");
-        assert!(published, "{service} must be visible inside a virtual drone");
+        assert!(
+            published,
+            "{service} must be visible inside a virtual drone"
+        );
     }
     println!("\nall Table 1 services are published into virtual drone namespaces");
 }

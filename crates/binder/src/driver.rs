@@ -684,7 +684,9 @@ impl BinderDriver {
             }
         }
         let caller_container = self.proc(caller)?.container;
-        let budgeted = self.qos.admit(caller_container, data.wire_size() as u64, &self.obs)?;
+        let budgeted = self
+            .qos
+            .admit(caller_container, data.wire_size() as u64, &self.obs)?;
         let node_id = self.resolve_handle(caller, handle)?;
         let (target_pid, handler) = {
             let node = self.node(node_id).ok_or(BinderError::DeadObject)?;
@@ -731,7 +733,9 @@ impl BinderDriver {
         });
 
         let mut reply = {
-            let mut guard = handler.try_borrow_mut().map_err(|_| BinderError::Reentrant)?;
+            let mut guard = handler
+                .try_borrow_mut()
+                .map_err(|_| BinderError::Reentrant)?;
             guard.on_transact(code, &data, &ctx, self)?
         };
         self.translate_parcel(&mut reply, target_pid, caller)?;
@@ -754,7 +758,9 @@ impl BinderDriver {
             Rc::clone(&node.handler)
         };
         self.stats.transactions += 1;
-        let mut guard = handler.try_borrow_mut().map_err(|_| BinderError::Reentrant)?;
+        let mut guard = handler
+            .try_borrow_mut()
+            .map_err(|_| BinderError::Reentrant)?;
         guard.on_transact(code, &data, &TransactionContext::KERNEL, self)
     }
 
@@ -787,9 +793,9 @@ impl BinderDriver {
         handle: u32,
     ) -> Result<usize, BinderError> {
         let caller_container = self.proc(caller)?.container;
-        let (dev_container, dev_ns) = self
-            .device_container
-            .ok_or(BinderError::PermissionDenied("no device container configured"))?;
+        let (dev_container, dev_ns) = self.device_container.ok_or(
+            BinderError::PermissionDenied("no device container configured"),
+        )?;
         if caller_container != dev_container {
             return Err(BinderError::PermissionDenied(
                 "PUBLISH_TO_ALL_NS is restricted to the device container",
@@ -824,9 +830,9 @@ impl BinderDriver {
         handle: u32,
     ) -> Result<String, BinderError> {
         let caller_container = self.proc(caller)?.container;
-        let (_, dev_ns) = self
-            .device_container
-            .ok_or(BinderError::PermissionDenied("no device container configured"))?;
+        let (_, dev_ns) = self.device_container.ok_or(BinderError::PermissionDenied(
+            "no device container configured",
+        ))?;
         let node = self.resolve_handle(caller, handle)?;
         let cm = self
             .context_managers
@@ -1302,9 +1308,11 @@ mod qos_tests {
                 o.trace
                     .records(Subsystem::Binder)
                     .filter_map(|r| match &r.event {
-                        TraceEvent::BinderThrottle { container, throttled, .. } => {
-                            Some((*container, *throttled))
-                        }
+                        TraceEvent::BinderThrottle {
+                            container,
+                            throttled,
+                            ..
+                        } => Some((*container, *throttled)),
                         _ => None,
                     })
                     .collect()
@@ -1316,7 +1324,10 @@ mod qos_tests {
             .unwrap_or(0);
         assert_eq!(throttled, 3);
         let by_tenant = obs
-            .with(|o| o.metrics.labeled_counter("binder.throttled.by_tenant", "ctr7"))
+            .with(|o| {
+                o.metrics
+                    .labeled_counter("binder.throttled.by_tenant", "ctr7")
+            })
             .unwrap_or(0);
         assert_eq!(by_tenant, 3);
     }
@@ -1363,7 +1374,10 @@ mod qos_tests {
         let (a, b) = (ContainerId(7), ContainerId(8));
         d.set_tenant_budget(a, TIGHT);
         d.set_tenant_budget(b, TIGHT);
-        d.set_aggregate_cap(Some(AggregateQos { rate_per_s: 2, burst: 4 }));
+        d.set_aggregate_cap(Some(AggregateQos {
+            rate_per_s: 2,
+            burst: 4,
+        }));
         // Each tenant alone is within budget (burst 3), but together
         // they exhaust the aggregate bucket after 4 admissions.
         let mut admitted = 0;
@@ -1398,7 +1412,11 @@ mod qos_tests {
         // burst = 2×rate (the DEFENSIVE_DEFAULT shape): two
         // jitter-delayed quanta landing in the same second fit in
         // the bucket, so jitter shifts admissions without clipping.
-        let cfg = TenantQos { rate_per_s: 2, burst: 4, ..TIGHT };
+        let cfg = TenantQos {
+            rate_per_s: 2,
+            burst: 4,
+            ..TIGHT
+        };
         let run = |seed: Option<u64>| -> Vec<u64> {
             let mut d = BinderDriver::new();
             let attacker = ContainerId(7);

@@ -66,10 +66,15 @@ mod tests {
     #[test]
     fn stream_is_shared_between_producer_and_fd_holder() {
         let (file, producer) = new_stream("camera0");
-        producer.borrow_mut().push_back(Bytes::from_static(b"frame1"));
+        producer
+            .borrow_mut()
+            .push_back(Bytes::from_static(b"frame1"));
         match &file.payload {
             FilePayload::Stream(q) => {
-                assert_eq!(q.borrow_mut().pop_front().unwrap(), Bytes::from_static(b"frame1"));
+                assert_eq!(
+                    q.borrow_mut().pop_front().unwrap(),
+                    Bytes::from_static(b"frame1")
+                );
             }
             _ => panic!("expected stream"),
         }

@@ -30,21 +30,17 @@ pub use driver::{
     BinderService, DriverStats, NodeId, ServiceRef, TransactionContext, BINDER_LATENCY_BOUNDS,
     KERNEL_PID,
 };
-pub use qos::{AggregateQos, TenantQos};
 pub use error::BinderError;
 pub use fd::{new_shmem, new_stream, FileDescription, FilePayload, FileRef};
 pub use parcel::{PValue, Parcel};
+pub use qos::{AggregateQos, TenantQos};
 pub use service_manager::{codes as sm_codes, ServiceManager, ACTIVITY_MANAGER};
 
 use androne_simkern::Pid;
 
 /// Convenience: asks the caller's Context Manager (handle 0) for a
 /// service by name, returning a handle in the caller's space.
-pub fn get_service(
-    driver: &mut BinderDriver,
-    caller: Pid,
-    name: &str,
-) -> Result<u32, BinderError> {
+pub fn get_service(driver: &mut BinderDriver, caller: Pid, name: &str) -> Result<u32, BinderError> {
     let mut data = Parcel::new();
     data.push_str(name);
     let reply = driver.transact(caller, 0, sm_codes::GET_SERVICE, data)?;

@@ -223,7 +223,10 @@ impl BinderDriver {
         let state = TenantState {
             cfg,
             base: cfg,
-            bucket: Bucket { tokens: cfg.burst, last_refill_ns: self.qos.now_ns },
+            bucket: Bucket {
+                tokens: cfg.burst,
+                last_refill_ns: self.qos.now_ns,
+            },
             fds_installed: 0,
             subscriptions: 0,
             throttled: false,
@@ -239,7 +242,10 @@ impl BinderDriver {
 
     /// Total admissions rejected for `container` so far.
     pub fn throttle_count(&self, container: &ContainerId) -> u64 {
-        self.qos.tenants.get(container).map_or(0, |s| s.throttle_events)
+        self.qos
+            .tenants
+            .get(container)
+            .map_or(0, |s| s.throttle_events)
     }
 
     /// Escalation-ladder step: halves `container`'s transaction rate
@@ -280,7 +286,10 @@ impl BinderDriver {
         let now_ns = self.qos.now_ns;
         self.qos.aggregate = cfg.map(|cfg| AggregateState {
             cfg,
-            bucket: Bucket { tokens: cfg.burst, last_refill_ns: now_ns },
+            bucket: Bucket {
+                tokens: cfg.burst,
+                last_refill_ns: now_ns,
+            },
         });
     }
 
@@ -307,9 +316,10 @@ impl BinderDriver {
     /// Takes one telemetry subscription slot for `container`.
     /// Unbudgeted tenants subscribe freely (and untracked).
     pub fn try_subscribe(&mut self, container: ContainerId) -> Result<(), BinderError> {
-        self.qos.charge_slot(container, "subscription-budget", &self.obs, |s| {
-            (&mut s.subscriptions, s.cfg.max_subscriptions)
-        })
+        self.qos
+            .charge_slot(container, "subscription-budget", &self.obs, |s| {
+                (&mut s.subscriptions, s.cfg.max_subscriptions)
+            })
     }
 
     /// Releases every subscription slot `container` holds (attack
@@ -343,7 +353,8 @@ impl QosPolicy {
                 let (rate, burst) = (s.cfg.rate_per_s, s.cfg.burst);
                 match self.refill_jitter_seed {
                     Some(seed) => {
-                        s.bucket.refill_jittered(now_ns, rate, burst, seed, u64::from(container.0))
+                        s.bucket
+                            .refill_jittered(now_ns, rate, burst, seed, u64::from(container.0))
                     }
                     None => s.bucket.refill(now_ns, rate, burst),
                 }
@@ -389,7 +400,11 @@ impl QosPolicy {
     }
 
     /// Charges one installed fd against `container`'s lifetime budget.
-    pub fn charge_fd(&mut self, container: ContainerId, obs: &ObsHandle) -> Result<(), BinderError> {
+    pub fn charge_fd(
+        &mut self,
+        container: ContainerId,
+        obs: &ObsHandle,
+    ) -> Result<(), BinderError> {
         self.charge_slot(container, "fd-budget", obs, |s| {
             (&mut s.fds_installed, s.cfg.max_fds)
         })

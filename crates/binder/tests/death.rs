@@ -4,9 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use androne_binder::{
-    BinderDriver, BinderError, BinderService, Parcel, TransactionContext,
-};
+use androne_binder::{BinderDriver, BinderError, BinderService, Parcel, TransactionContext};
 use androne_container::DeviceNamespaceId;
 use androne_simkern::{ContainerId, Euid, Pid};
 

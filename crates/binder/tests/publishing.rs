@@ -49,10 +49,8 @@ impl Board {
 
         let dev_sm_pid = Pid(100);
         driver.open(dev_sm_pid, Euid(1000), dev_container, dev_ns);
-        let sm = ServiceManager::new_device_container(
-            dev_sm_pid,
-            shared.iter().map(|s| s.to_string()),
-        );
+        let sm =
+            ServiceManager::new_device_container(dev_sm_pid, shared.iter().map(|s| s.to_string()));
         let sm_handle = driver
             .create_node(dev_sm_pid, Rc::new(RefCell::new(sm)))
             .unwrap();
@@ -117,7 +115,10 @@ fn shared_service_is_published_to_existing_namespaces() {
     // device container's service through its own ServiceManager.
     let app = board.spawn_app(vd_ctr);
     let handle = get_service(&mut board.driver, app, "sensorservice").unwrap();
-    let reply = board.driver.transact(app, handle, 7, Parcel::new()).unwrap();
+    let reply = board
+        .driver
+        .transact(app, handle, 7, Parcel::new())
+        .unwrap();
     assert_eq!(reply.str_at(0).unwrap(), "sensors");
     assert_eq!(
         reply.i32_at(1).unwrap(),
@@ -135,7 +136,10 @@ fn shared_service_is_replayed_into_future_namespaces() {
     let (vd_ctr, _) = board.boot_vdrone();
     let app = board.spawn_app(vd_ctr);
     let handle = get_service(&mut board.driver, app, "camera").unwrap();
-    let reply = board.driver.transact(app, handle, 1, Parcel::new()).unwrap();
+    let reply = board
+        .driver
+        .transact(app, handle, 1, Parcel::new())
+        .unwrap();
     assert_eq!(reply.str_at(0).unwrap(), "camera");
 }
 
@@ -211,7 +215,9 @@ fn publish_to_all_ns_is_restricted_to_the_device_container() {
         .create_node(evil, Rc::new(RefCell::new(TagService("evil"))))
         .unwrap();
     assert!(matches!(
-        board.driver.publish_to_all_ns(evil, "sensorservice", handle),
+        board
+            .driver
+            .publish_to_all_ns(evil, "sensorservice", handle),
         Err(BinderError::PermissionDenied(_))
     ));
 }
@@ -246,5 +252,8 @@ fn list_services_reflects_publishing() {
     let n = reply.i32_at(0).unwrap() as usize;
     let names: Vec<&str> = (0..n).map(|i| reply.str_at(1 + i).unwrap()).collect();
     assert!(names.contains(&"gps"), "replayed service listed: {names:?}");
-    assert!(names.contains(&"camera"), "published service listed: {names:?}");
+    assert!(
+        names.contains(&"camera"),
+        "published service listed: {names:?}"
+    );
 }

@@ -69,8 +69,7 @@ impl AppStore {
         self.listings
             .values()
             .filter(|l| {
-                l.package.to_lowercase().contains(&q)
-                    || l.description.to_lowercase().contains(&q)
+                l.package.to_lowercase().contains(&q) || l.description.to_lowercase().contains(&q)
             })
             .collect()
     }

@@ -27,11 +27,9 @@ pub mod service;
 pub mod storage;
 pub mod vdr;
 
-pub use admission::{Admitted, AdmissionConfig, AdmissionError, AdmissionQueue};
+pub use admission::{AdmissionConfig, AdmissionError, AdmissionQueue, Admitted};
 pub use appstore::{AppListing, AppStore};
-pub use facade::{
-    AdmissionTicket, BufferedOffload, CloudError, FallibleCloud, OrderSubmitError,
-};
+pub use facade::{AdmissionTicket, BufferedOffload, CloudError, FallibleCloud, OrderSubmitError};
 pub use portal::{AppSelection, DroneType, OrderError, OrderRequest, PlacedOrder, Portal};
 pub use service::{CloudService, Notification, NotificationKind, MAX_VDRONES_PER_FLIGHT};
 pub use storage::{CloudStorage, StoredFile};

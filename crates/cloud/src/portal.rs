@@ -340,7 +340,10 @@ mod tests {
     fn order_assembles_spec_from_manifest() {
         let mut portal = Portal::new();
         let placed = portal.place_order(&store(), base_request()).unwrap();
-        assert_eq!(placed.spec.waypoint_devices, vec!["camera", "flight-control"]);
+        assert_eq!(
+            placed.spec.waypoint_devices,
+            vec!["camera", "flight-control"]
+        );
         assert!((placed.spec.energy_allotted - 45_000.0).abs() < 1.0);
         assert_eq!(placed.spec.apps, vec!["com.example.survey.apk"]);
         assert!(placed.vd_name.contains("alice"));
@@ -433,6 +436,8 @@ mod policy_tests {
         req.apps.clear();
         req.drone_type = "sensor".into();
         req.extra_waypoint_devices = vec!["flight-control".into(), "sensors".into()];
-        portal.place_order(&store(), req).expect("flight control is universal");
+        portal
+            .place_order(&store(), req)
+            .expect("flight control is universal");
     }
 }

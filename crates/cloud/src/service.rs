@@ -187,14 +187,16 @@ impl CloudService {
         self.billing.charge_energy(user, energy_used_j);
         let mut links = Vec::new();
         for (path, data) in files {
-            self.billing
-                .charge_storage(user, data.len() as f64 / 1e9);
+            self.billing.charge_storage(user, data.len() as f64 / 1e9);
             links.push(self.storage.offload(user, flight_id, path, data));
         }
         let message = if links.is_empty() {
             format!("Flight {flight_id} complete.")
         } else {
-            format!("Flight {flight_id} complete. Your files: {}", links.join(", "))
+            format!(
+                "Flight {flight_id} complete. Your files: {}",
+                links.join(", ")
+            )
         };
         self.notify(user, NotificationKind::Email, message);
     }
@@ -271,9 +273,15 @@ mod tests {
             "alice",
             fid,
             12_000.0,
-            vec![("/data/out/ortho.tif".into(), bytes::Bytes::from_static(b"t"))],
+            vec![(
+                "/data/out/ortho.tif".into(),
+                bytes::Bytes::from_static(b"t"),
+            )],
         );
-        assert!(cloud.storage.fetch("alice", "/data/out/ortho.tif").is_some());
+        assert!(cloud
+            .storage
+            .fetch("alice", "/data/out/ortho.tif")
+            .is_some());
         assert!(cloud.billing.bill("alice").energy_j > 0.0);
         assert!(cloud
             .notifications

@@ -41,11 +41,14 @@ impl CloudStorage {
     ) -> String {
         let path = path.into();
         let link = format!("https://androne.cloud/files/{user}/{flight_id}{path}");
-        self.files.entry(user.to_string()).or_default().push(StoredFile {
-            path,
-            data: data.into(),
-            flight_id,
-        });
+        self.files
+            .entry(user.to_string())
+            .or_default()
+            .push(StoredFile {
+                path,
+                data: data.into(),
+                flight_id,
+            });
         link
     }
 

@@ -581,7 +581,11 @@ mod tests {
         let mut vdr = VirtualDroneRepository::new();
         vdr.store(saved("vd1", SaveReason::Completed));
         assert!(vdr.list_for("bob").is_empty());
-        let owned: Vec<&str> = vdr.list_for("alice").iter().map(|e| e.name.as_str()).collect();
+        let owned: Vec<&str> = vdr
+            .list_for("alice")
+            .iter()
+            .map(|e| e.name.as_str())
+            .collect();
         assert_eq!(owned, vec!["vd1"]);
     }
 }

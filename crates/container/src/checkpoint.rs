@@ -160,8 +160,13 @@ mod tests {
     #[test]
     fn checkpoint_restore_round_trips_fs_and_tasks() {
         let (mut rt, kernel) = runtime_with_vd();
-        rt.spawn_task("vd1", "uncooperative-app", Euid(10_001), SchedPolicy::DEFAULT)
-            .unwrap();
+        rt.spawn_task(
+            "vd1",
+            "uncooperative-app",
+            Euid(10_001),
+            SchedPolicy::DEFAULT,
+        )
+        .unwrap();
         rt.get_mut("vd1")
             .unwrap()
             .fs
@@ -176,9 +181,7 @@ mod tests {
         // Restore on a fresh board.
         let kernel2 = Kernel::boot_shared(KernelConfig::ANDRONE_DEFAULT, 2);
         let mut rt2 = ContainerRuntime::new(kernel2.clone()).unwrap();
-        let id = rt2
-            .restore(&checkpoint, ResourceLimits::UNLIMITED)
-            .unwrap();
+        let id = rt2.restore(&checkpoint, ResourceLimits::UNLIMITED).unwrap();
         // Filesystem intact, including the base image contents (the
         // checkpoint is self-contained).
         let restored = rt2.get("vd1").unwrap();

@@ -82,8 +82,7 @@ mod tests {
     #[test]
     fn boot_memory_matches_figure_12() {
         // Device + flight together ~150 MB; each virtual drone ~185 MB.
-        let dev_flight =
-            ContainerKind::Device.boot_memory() + ContainerKind::Flight.boot_memory();
+        let dev_flight = ContainerKind::Device.boot_memory() + ContainerKind::Flight.boot_memory();
         assert_eq!(dev_flight, 150 * MIB);
         assert_eq!(ContainerKind::VirtualDrone.boot_memory(), 185 * MIB);
     }

@@ -106,7 +106,10 @@ mod tests {
     fn writes_shadow_the_image() {
         let mut fs = fs();
         fs.write("/system/build.prop", "modified");
-        assert_eq!(fs.read("/system/build.prop").unwrap(), Bytes::from("modified"));
+        assert_eq!(
+            fs.read("/system/build.prop").unwrap(),
+            Bytes::from("modified")
+        );
         assert_eq!(fs.diff().len(), 1, "only the write lands in the diff");
     }
 
@@ -124,7 +127,10 @@ mod tests {
         fs.delete("/system/build.prop");
         let (image, upper) = fs.into_parts();
         let resumed = ContainerFs::mount_with_upper(image, upper);
-        assert_eq!(resumed.read("/data/state.json").unwrap(), Bytes::from("{\"wp\":2}"));
+        assert_eq!(
+            resumed.read("/data/state.json").unwrap(),
+            Bytes::from("{\"wp\":2}")
+        );
         assert!(!resumed.exists("/system/build.prop"));
     }
 

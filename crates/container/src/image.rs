@@ -234,7 +234,11 @@ impl ImageStore {
     }
 
     /// Tags an ordered stack of stored layers as a named image.
-    pub fn tag(&mut self, name: impl Into<String>, stack: Vec<LayerId>) -> Result<(), ContainerError> {
+    pub fn tag(
+        &mut self,
+        name: impl Into<String>,
+        stack: Vec<LayerId>,
+    ) -> Result<(), ContainerError> {
         for id in &stack {
             if !self.layers.contains_key(id) {
                 return Err(ContainerError::UnknownLayer(*id));
@@ -381,7 +385,9 @@ mod tests {
             diff.write(format!("/data/vd{i}"), "state");
             total_diffs += diff.size();
             let diff_id = store.put_layer(diff);
-            store.tag(format!("vdrone-{i}"), vec![base_id, diff_id]).unwrap();
+            store
+                .tag(format!("vdrone-{i}"), vec![base_id, diff_id])
+                .unwrap();
         }
         assert_eq!(store.stored_bytes(), base_size + total_diffs);
         assert_eq!(store.layer_count(), 4);

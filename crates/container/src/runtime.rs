@@ -60,7 +60,10 @@ impl ContainerRuntime {
     /// Creates a runtime on the given kernel, charging the host OS +
     /// VDC base memory.
     pub fn new(kernel: SharedKernel) -> Result<Self, ContainerError> {
-        kernel.borrow_mut().mem.allocate("host/base", HOST_BASE_MEMORY)?;
+        kernel
+            .borrow_mut()
+            .mem
+            .allocate("host/base", HOST_BASE_MEMORY)?;
         Ok(ContainerRuntime {
             kernel,
             images: ImageStore::new(),
@@ -162,8 +165,7 @@ impl ContainerRuntime {
     pub fn start(&mut self, name: &str) -> Result<(), ContainerError> {
         let kernel = self.kernel.clone();
         let container = self.get_mut_checked(name)?;
-        if container.state != ContainerState::Created
-            && container.state != ContainerState::Stopped
+        if container.state != ContainerState::Created && container.state != ContainerState::Stopped
         {
             return Err(ContainerError::InvalidState {
                 container: name.to_string(),
@@ -184,7 +186,12 @@ impl ContainerRuntime {
             // without touching other containers.
             k.mem.allocate(owner, bytes)?;
             k.tasks
-                .spawn(format!("{name}/init"), Euid(0), container.id, SchedPolicy::DEFAULT)
+                .spawn(
+                    format!("{name}/init"),
+                    Euid(0),
+                    container.id,
+                    SchedPolicy::DEFAULT,
+                )
                 .map_err(ContainerError::Kernel)?;
         }
         container.resident_bytes = bytes;
@@ -263,12 +270,7 @@ impl ContainerRuntime {
     /// Exports a container as a self-contained archive for the VDR.
     pub fn export(&self, name: &str) -> Result<ContainerArchive, ContainerError> {
         let container = self.get_checked(name)?;
-        let base_stack = container
-            .fs
-            .image_layers()
-            .iter()
-            .map(|l| l.id())
-            .collect();
+        let base_stack = container.fs.image_layers().iter().map(|l| l.id()).collect();
         Ok(ContainerArchive {
             name: container.name.clone(),
             kind: container.kind,
@@ -340,8 +342,13 @@ mod tests {
     #[test]
     fn lifecycle_create_start_stop_remove() {
         let mut rt = runtime();
-        rt.create("vd1", ContainerKind::VirtualDrone, "android-things", ResourceLimits::UNLIMITED)
-            .unwrap();
+        rt.create(
+            "vd1",
+            ContainerKind::VirtualDrone,
+            "android-things",
+            ResourceLimits::UNLIMITED,
+        )
+        .unwrap();
         rt.start("vd1").unwrap();
         assert_eq!(rt.get("vd1").unwrap().state, ContainerState::Running);
         assert_eq!(
@@ -359,10 +366,20 @@ mod tests {
         let mut rt = runtime();
         // Start the device + flight containers and three virtual
         // drones, filling the 880 MB board (Figure 12).
-        rt.create("device", ContainerKind::Device, "android-things", ResourceLimits::UNLIMITED)
-            .unwrap();
-        rt.create("flight", ContainerKind::Flight, "android-things", ResourceLimits::UNLIMITED)
-            .unwrap();
+        rt.create(
+            "device",
+            ContainerKind::Device,
+            "android-things",
+            ResourceLimits::UNLIMITED,
+        )
+        .unwrap();
+        rt.create(
+            "flight",
+            ContainerKind::Flight,
+            "android-things",
+            ResourceLimits::UNLIMITED,
+        )
+        .unwrap();
         rt.start("device").unwrap();
         rt.start("flight").unwrap();
         for i in 1..=3 {
@@ -375,8 +392,13 @@ mod tests {
             .unwrap();
             rt.start(&format!("vd{i}")).unwrap();
         }
-        rt.create("vd4", ContainerKind::VirtualDrone, "android-things", ResourceLimits::UNLIMITED)
-            .unwrap();
+        rt.create(
+            "vd4",
+            ContainerKind::VirtualDrone,
+            "android-things",
+            ResourceLimits::UNLIMITED,
+        )
+        .unwrap();
         let err = rt.start("vd4").unwrap_err();
         assert!(matches!(err, ContainerError::Kernel(_)), "{err}");
         // The first three are still running and fully charged.
@@ -392,10 +414,20 @@ mod tests {
     #[test]
     fn duplicate_names_rejected() {
         let mut rt = runtime();
-        rt.create("x", ContainerKind::VirtualDrone, "android-things", ResourceLimits::UNLIMITED)
-            .unwrap();
+        rt.create(
+            "x",
+            ContainerKind::VirtualDrone,
+            "android-things",
+            ResourceLimits::UNLIMITED,
+        )
+        .unwrap();
         assert!(matches!(
-            rt.create("x", ContainerKind::VirtualDrone, "android-things", ResourceLimits::UNLIMITED),
+            rt.create(
+                "x",
+                ContainerKind::VirtualDrone,
+                "android-things",
+                ResourceLimits::UNLIMITED
+            ),
             Err(ContainerError::DuplicateName(_))
         ));
     }
@@ -422,8 +454,13 @@ mod tests {
     #[test]
     fn stop_kills_container_tasks() {
         let mut rt = runtime();
-        rt.create("vd1", ContainerKind::VirtualDrone, "android-things", ResourceLimits::UNLIMITED)
-            .unwrap();
+        rt.create(
+            "vd1",
+            ContainerKind::VirtualDrone,
+            "android-things",
+            ResourceLimits::UNLIMITED,
+        )
+        .unwrap();
         rt.start("vd1").unwrap();
         rt.spawn_task("vd1", "app", Euid(10_001), SchedPolicy::DEFAULT)
             .unwrap();
@@ -436,8 +473,13 @@ mod tests {
     #[test]
     fn export_import_round_trip() {
         let mut rt = runtime();
-        rt.create("vd1", ContainerKind::VirtualDrone, "android-things", ResourceLimits::UNLIMITED)
-            .unwrap();
+        rt.create(
+            "vd1",
+            ContainerKind::VirtualDrone,
+            "android-things",
+            ResourceLimits::UNLIMITED,
+        )
+        .unwrap();
         rt.start("vd1").unwrap();
         rt.get_mut("vd1")
             .unwrap()
@@ -448,7 +490,9 @@ mod tests {
         assert_eq!(archive.stored_bytes(), 14, "only the diff is stored");
         rt.remove("vd1").unwrap();
 
-        let id = rt.create_from_archive(&archive, ResourceLimits::UNLIMITED).unwrap();
+        let id = rt
+            .create_from_archive(&archive, ResourceLimits::UNLIMITED)
+            .unwrap();
         assert!(id.0 > 0);
         let resumed = rt.get("vd1").unwrap();
         assert_eq!(
@@ -465,19 +509,38 @@ mod tests {
     #[test]
     fn operations_on_unknown_containers_fail() {
         let mut rt = runtime();
-        assert!(matches!(rt.start("nope"), Err(ContainerError::UnknownContainer(_))));
-        assert!(matches!(rt.stop("nope"), Err(ContainerError::UnknownContainer(_))));
-        assert!(matches!(rt.export("nope"), Err(ContainerError::UnknownContainer(_))));
+        assert!(matches!(
+            rt.start("nope"),
+            Err(ContainerError::UnknownContainer(_))
+        ));
+        assert!(matches!(
+            rt.stop("nope"),
+            Err(ContainerError::UnknownContainer(_))
+        ));
+        assert!(matches!(
+            rt.export("nope"),
+            Err(ContainerError::UnknownContainer(_))
+        ));
     }
 
     #[test]
     fn containers_get_private_device_namespaces() {
         let mut rt = runtime();
         let a = rt
-            .create("a", ContainerKind::VirtualDrone, "android-things", ResourceLimits::UNLIMITED)
+            .create(
+                "a",
+                ContainerKind::VirtualDrone,
+                "android-things",
+                ResourceLimits::UNLIMITED,
+            )
             .unwrap();
         let b = rt
-            .create("b", ContainerKind::VirtualDrone, "android-things", ResourceLimits::UNLIMITED)
+            .create(
+                "b",
+                ContainerKind::VirtualDrone,
+                "android-things",
+                ResourceLimits::UNLIMITED,
+            )
             .unwrap();
         assert_ne!(rt.device_ns(a), rt.device_ns(b));
     }

@@ -111,16 +111,33 @@ impl AdaptiveInjector {
             let attacker = self.plan.attackers[i].name.clone();
             let strategy = self.plan.attackers[i].strategy;
             let Some(container) = drone.vdrones.get(&attacker).map(|v| v.container) else {
-                let action =
-                    format!("t={tick} arm adaptive/{} {attacker}: not deployed", strategy.name());
-                record_edge(drone, &mut self.actions, "adaptive", &attacker, true, action);
+                let action = format!(
+                    "t={tick} arm adaptive/{} {attacker}: not deployed",
+                    strategy.name()
+                );
+                record_edge(
+                    drone,
+                    &mut self.actions,
+                    "adaptive",
+                    &attacker,
+                    true,
+                    action,
+                );
                 continue;
             };
             if let Some(d) = self.defense {
-                self.ladder.arm(drone, &d, &attacker, container, self.plan.seed);
+                self.ladder
+                    .arm(drone, &d, &attacker, container, self.plan.seed);
             }
             let action = format!("t={tick} arm adaptive/{} {attacker}", strategy.name());
-            record_edge(drone, &mut self.actions, "adaptive", &attacker, true, action);
+            record_edge(
+                drone,
+                &mut self.actions,
+                "adaptive",
+                &attacker,
+                true,
+                action,
+            );
         }
         self.armed = true;
     }
@@ -155,7 +172,10 @@ impl AdaptiveInjector {
                 let cmd = self.brains[i].plan_tick(&obs);
                 let (mut ok, mut rejected) = (0u64, 0u64);
                 for _ in 0..cmd.txns {
-                    match drone.driver.attack_transact(container, cmd.wire_size as usize) {
+                    match drone
+                        .driver
+                        .attack_transact(container, cmd.wire_size as usize)
+                    {
                         Ok(_) => ok += 1,
                         Err(_) => rejected += 1,
                     }
@@ -181,7 +201,10 @@ impl AdaptiveInjector {
         // The fast-loop pressure tracks what actually got through the
         // driver this tick.
         if self.interference_live {
-            drone.kernel.borrow_mut().remove_interference("attack:admitted");
+            drone
+                .kernel
+                .borrow_mut()
+                .remove_interference("attack:admitted");
             self.interference_live = false;
         }
         if admitted_now > 0 {
@@ -195,7 +218,8 @@ impl AdaptiveInjector {
         // can finish stepping quiet tenants back down.
         if let Some(d) = self.defense {
             let attackers = self.plan.attacker_names();
-            self.ladder.walk(tick, &d, &attackers, drone, "adaptive", &mut self.actions);
+            self.ladder
+                .walk(tick, &d, &attackers, drone, "adaptive", &mut self.actions);
             observe_enforcement(drone, &attackers, &mut self.prev_throttles, 0);
         }
     }

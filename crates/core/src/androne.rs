@@ -46,7 +46,10 @@ impl Androne {
             .iter()
             .filter_map(|apk| {
                 let package = apk.strip_suffix(".apk").unwrap_or(apk);
-                self.cloud.app_store.get(package).map(|l| l.manifest.clone())
+                self.cloud
+                    .app_store
+                    .get(package)
+                    .map(|l| l.manifest.clone())
             })
             .collect()
     }

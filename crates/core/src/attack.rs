@@ -263,9 +263,10 @@ impl LadderState {
             }
             let since_base = throttles - self.base.get(attacker).copied().unwrap_or(0);
             let escalated = match rung {
-                LadderRung::Budgeted if since_base >= d.halve_after => {
-                    drone.driver.halve_tenant_rate(&container).then_some(LadderRung::RateHalved)
-                }
+                LadderRung::Budgeted if since_base >= d.halve_after => drone
+                    .driver
+                    .halve_tenant_rate(&container)
+                    .then_some(LadderRung::RateHalved),
                 LadderRung::RateHalved if since_base >= d.suspend_after => {
                     drone.vdc.borrow_mut().on_tenant_suspended(
                         attacker,
@@ -374,9 +375,11 @@ pub(crate) fn observe_enforcement(
         .sum();
     let delta = total.saturating_sub(*prev_throttles);
     *prev_throttles = total;
-    drone
-        .obs
-        .observe("binder.throttle_trajectory", THROTTLE_TRAJECTORY_BOUNDS, delta);
+    drone.obs.observe(
+        "binder.throttle_trajectory",
+        THROTTLE_TRAJECTORY_BOUNDS,
+        delta,
+    );
     drone
         .obs
         .observe("cpu.quota_millicores", CPU_QUOTA_BOUNDS, quota_millicores);
@@ -451,7 +454,8 @@ impl AttackInjector {
         if let Some(d) = self.defense {
             // One rung per tick at most — graceful degradation (and
             // recovery), not a cliff.
-            self.ladder.walk(tick, &d, &attackers, drone, "ladder", &mut self.actions);
+            self.ladder
+                .walk(tick, &d, &attackers, drone, "ladder", &mut self.actions);
             let armed_cpu = (0..self.plan.events.len())
                 .filter(|&i| self.clock.is_armed(i))
                 .filter_map(|i| self.plan.events.get(i))
@@ -459,7 +463,12 @@ impl AttackInjector {
                 .count() as u64;
             quota_millicores = armed_cpu * (d.cpu_quota * 1_000.0) as u64;
         }
-        observe_enforcement(drone, &attackers, &mut self.prev_throttles, quota_millicores);
+        observe_enforcement(
+            drone,
+            &attackers,
+            &mut self.prev_throttles,
+            quota_millicores,
+        );
     }
 
     fn apply_transition(
@@ -473,7 +482,14 @@ impl AttackInjector {
         let verb = if armed { "arm" } else { "disarm" };
         let Some(container) = drone.vdrones.get(attacker).map(|v| v.container) else {
             let action = format!("t={tick} {verb} {} {attacker}: not deployed", kind.name());
-            record_edge(drone, &mut self.actions, kind.name(), attacker, armed, action);
+            record_edge(
+                drone,
+                &mut self.actions,
+                kind.name(),
+                attacker,
+                armed,
+                action,
+            );
             return;
         };
         if armed {
@@ -482,14 +498,18 @@ impl AttackInjector {
             // throttled profile when defended, the raw one when not.
             let profile = match self.defense {
                 Some(d) => {
-                    self.ladder.arm(drone, &d, attacker, container, self.plan.seed);
+                    self.ladder
+                        .arm(drone, &d, attacker, container, self.plan.seed);
                     profiles::attack_throttled(kind.source_name())
                 }
                 None => profiles::attack_unenforced(kind.source_name()),
             };
             drone.kernel.borrow_mut().add_interference(profile);
         } else {
-            drone.kernel.borrow_mut().remove_interference(kind.source_name());
+            drone
+                .kernel
+                .borrow_mut()
+                .remove_interference(kind.source_name());
         }
         match kind {
             AttackKind::TelemetryStorm { .. } if !armed => {
@@ -512,7 +532,14 @@ impl AttackInjector {
             _ => {}
         }
         let action = format!("t={tick} {verb} {} {attacker}", kind.name());
-        record_edge(drone, &mut self.actions, kind.name(), attacker, armed, action);
+        record_edge(
+            drone,
+            &mut self.actions,
+            kind.name(),
+            attacker,
+            armed,
+            action,
+        );
     }
 
     /// One second of load from every armed attack.

@@ -149,9 +149,15 @@ impl Drone {
 
         // Register the shared base images.
         let android_base = Layer::from_files([
-            ("/system/build.prop", "ro.build.version=android-things-1.0.3"),
+            (
+                "/system/build.prop",
+                "ro.build.version=android-things-1.0.3",
+            ),
             ("/system/framework/framework.jar", "framework"),
-            ("/init.rc", "service servicemanager /system/bin/servicemanager"),
+            (
+                "/init.rc",
+                "service servicemanager /system/bin/servicemanager",
+            ),
         ]);
         let android_id = runtime.images_mut().put_layer(android_base);
         runtime
@@ -380,7 +386,9 @@ impl Drone {
             }
         }
 
-        self.vdc.borrow_mut().register(name, container, spec.clone());
+        self.vdc
+            .borrow_mut()
+            .register(name, container, spec.clone());
         let first_wp = spec.waypoints[0];
         let fence = Geofence::new(first_wp.position(), first_wp.max_radius);
         let continuous_view = !spec.continuous_devices.is_empty();
@@ -510,7 +518,9 @@ impl Drone {
             .remove(name)
             .ok_or_else(|| DroneError::UnknownVirtualDrone(name.to_string()))?;
         self.runtime.remove(name)?;
-        let new_id = self.runtime.restore(&checkpoint, ResourceLimits::UNLIMITED)?;
+        let new_id = self
+            .runtime
+            .restore(&checkpoint, ResourceLimits::UNLIMITED)?;
         self.vdc.borrow_mut().rebind_container(name, new_id);
         if let Some(vd) = self.vdrones.get_mut(name) {
             vd.container = new_id;

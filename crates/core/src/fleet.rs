@@ -300,8 +300,7 @@ impl FleetAttackPlan {
     /// True when no flight carries a non-empty attack plan, open- or
     /// closed-loop.
     pub fn is_empty(&self) -> bool {
-        self.flights.values().all(|p| p.is_empty())
-            && self.adaptive.values().all(|p| p.is_empty())
+        self.flights.values().all(|p| p.is_empty()) && self.adaptive.values().all(|p| p.is_empty())
     }
 
     /// The plan for `flight_index` (empty when unattacked).
@@ -500,11 +499,7 @@ pub(crate) fn harvest_owner(
             (path, data)
         })
         .collect();
-    let revoked = drone
-        .vdc
-        .borrow()
-        .record(owner)
-        .is_some_and(|r| r.revoked);
+    let revoked = drone.vdc.borrow().record(owner).is_some_and(|r| r.revoked);
     let (archive, app_state) = drone.save_vdrone(owner)?;
     Ok(OwnerPost {
         owner: owner.to_string(),
@@ -570,7 +565,10 @@ fn consumes_index(out: &IslandOutcome) -> bool {
 fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdict, DroneError> {
     if panic_flight == Some(item.flight_index) {
         // dronelint:allow(R3, chaos-injection hook: the panic IS the fault under test, and the pool's catch_unwind containment is the behavior being verified)
-        panic!("worker chaos: injected panic at flight {}", item.flight_index);
+        panic!(
+            "worker chaos: injected panic at flight {}",
+            item.flight_index
+        );
     }
     let mut drone = Drone::boot(item.base, item.seed)?;
     let mut priors: Vec<(usize, u32)> = Vec::with_capacity(item.owners.len());
@@ -643,7 +641,11 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
         trace_digest: digest.digest(),
         injected,
         rt_deadline: (attacked || adaptive).then(|| {
-            (rt_monitor.samples(), rt_monitor.misses(), rt_monitor.max_us())
+            (
+                rt_monitor.samples(),
+                rt_monitor.misses(),
+                rt_monitor.max_us(),
+            )
         }),
         per_owner,
         metrics,
@@ -867,8 +869,7 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
             let mut batch: Vec<Disposition> = Vec::new();
             let mut claimed: BTreeSet<String> = BTreeSet::new();
             while let Some(peek) = plans.front() {
-                let mut owners: Vec<String> =
-                    peek.legs.iter().map(|l| l.owner.clone()).collect();
+                let mut owners: Vec<String> = peek.legs.iter().map(|l| l.owner.clone()).collect();
                 owners.sort();
                 owners.dedup();
                 if owners.iter().any(|o| claimed.contains(o)) {
@@ -973,9 +974,9 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
                     owners, sources, ..
                 } = disp
                 else {
-                    cloud
-                        .log
-                        .push(format!("wave {wave}: plan deferred, unavailable drone aboard"));
+                    cloud.log.push(format!(
+                        "wave {wave}: plan deferred, unavailable drone aboard"
+                    ));
                     continue;
                 };
                 let out = cache.remove(&(slot, flight_counter)).unwrap_or_else(|| {
@@ -1007,7 +1008,10 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
                         // so no earlier effects need replaying first.
                         return Err(e);
                     }
-                    Ok(Ok(IslandVerdict::Scrapped { owner: failed, error })) => {
+                    Ok(Ok(IslandVerdict::Scrapped {
+                        owner: failed,
+                        error,
+                    })) => {
                         // Leases are committed only once every tenant
                         // is aboard: a deploy failure (e.g. the board
                         // out of container memory) scraps the whole
@@ -1020,9 +1024,7 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
                             .iter()
                             .position(|o| *o == failed)
                             .unwrap_or(owners.len());
-                        for (i, (owner, source)) in
-                            owners.iter().zip(sources.iter()).enumerate()
-                        {
+                        for (i, (owner, source)) in owners.iter().zip(sources.iter()).enumerate() {
                             if i <= failpos && matches!(source, OwnerSource::Resume(_)) {
                                 saved_map.remove(owner);
                                 cloud.inner.vdr.abandon(owner);

@@ -135,7 +135,10 @@ fn event_trace_parts(event: &FlightLog) -> (&'static str, String, &'static str) 
             enforced_kills,
         } => (
             "waypoint-end",
-            format!("{owner} wp{waypoint} {} kills={enforced_kills}", reason.name()),
+            format!(
+                "{owner} wp{waypoint} {} kills={enforced_kills}",
+                reason.name()
+            ),
             "flight.waypoint_ends",
         ),
         FlightLog::GeofenceBreach { owner } => {
@@ -157,10 +160,12 @@ fn push_event(
     event: FlightLog,
 ) {
     let (phase, detail, counter) = event_trace_parts(&event);
-    drone.obs.emit(Subsystem::Flight, || TraceEvent::FlightPhase {
-        phase,
-        detail,
-    });
+    drone
+        .obs
+        .emit(Subsystem::Flight, || TraceEvent::FlightPhase {
+            phase,
+            detail,
+        });
     drone.obs.count(counter, 1);
     probe.on_event(tick, &event, drone);
     log.push(event);
@@ -235,12 +240,7 @@ pub fn execute_flight_probed(
                     push_event(&mut log, probe, tick, drone, FlightLog::Launched)
                 }
                 PilotEvent::ArrivedAtWaypoint { index, owner } => {
-                    if drone
-                        .vdc
-                        .borrow()
-                        .record(&owner)
-                        .is_some_and(|r| r.revoked)
-                    {
+                    if drone.vdc.borrow().record(&owner).is_some_and(|r| r.revoked) {
                         // A revoked virtual drone (by this loop's
                         // watchdog or the QoS escalation ladder) gets
                         // no handover; the pilot overflies its leg.
@@ -447,7 +447,10 @@ pub fn execute_flight_probed(
                     let mut vdc = drone.vdc.borrow_mut();
                     vdc.charge_energy(&a.owner, delta);
                     vdc.charge_time(&a.owner, 1.0);
-                    let done = vdc.record(&a.owner).map(|r| r.waypoint_done).unwrap_or(false);
+                    let done = vdc
+                        .record(&a.owner)
+                        .map(|r| r.waypoint_done)
+                        .unwrap_or(false);
                     let exhausted = vdc.record(&a.owner).map(|r| r.exhausted()).unwrap_or(false);
                     (done, exhausted)
                 };
@@ -519,10 +522,7 @@ pub fn execute_flight_probed(
             // Link-loss failsafe termination: the ladder escalated to
             // return-to-launch and the drone is back on the ground —
             // the flight is over even though the plan is not.
-            if airborne_seen
-                && drone.proxy.link_failsafe_rtl_engaged()
-                && drone.sitl.on_ground()
-            {
+            if airborne_seen && drone.proxy.link_failsafe_rtl_engaged() && drone.sitl.on_ground() {
                 link_lost = true;
             }
         }
@@ -569,10 +569,12 @@ pub fn execute_flight_probed(
         duration_s,
         end_reason,
     };
-    drone.obs.emit(Subsystem::Flight, || TraceEvent::FlightPhase {
-        phase: "flight-end",
-        detail: end_reason.name().to_string(),
-    });
+    drone
+        .obs
+        .emit(Subsystem::Flight, || TraceEvent::FlightPhase {
+            phase: "flight-end",
+            detail: end_reason.name().to_string(),
+        });
     drone.obs.gauge("flight.duration_s", duration_s);
     drone
         .obs

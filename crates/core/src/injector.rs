@@ -95,17 +95,23 @@ impl FaultInjector {
             }
             FaultKind::SensorBias { channel, bias } => {
                 set_channel_mode(drone, channel, on_off(armed, SensorFaultMode::Bias(bias)));
-                let action = format!(
-                    "t={tick} {verb} bias({bias:.3}) {}",
-                    channel_name(channel)
-                );
+                let action = format!("t={tick} {verb} bias({bias:.3}) {}", channel_name(channel));
                 self.record(drone, "sensor-bias", armed, action);
             }
             FaultKind::GpsLoss => {
                 // GPS loss is a dropout of the GPS channel: the
                 // estimator dead-reckons on IMU + barometer.
-                set_channel_mode(drone, SensorChannel::Gps, on_off(armed, SensorFaultMode::Dropout));
-                self.record(drone, "gps-loss", armed, format!("t={tick} {verb} gps-loss"));
+                set_channel_mode(
+                    drone,
+                    SensorChannel::Gps,
+                    on_off(armed, SensorFaultMode::Dropout),
+                );
+                self.record(
+                    drone,
+                    "gps-loss",
+                    armed,
+                    format!("t={tick} {verb} gps-loss"),
+                );
             }
             FaultKind::LinkPartition => {
                 drone.proxy.set_link_partitioned(armed);
@@ -163,16 +169,14 @@ impl FaultInjector {
                 let name = match target {
                     Some(t) if drone.vdrones.contains_key(&t) => t,
                     Some(t) => {
-                        let action =
-                            format!("t={tick} {verb} container-crash {t}: not deployed");
+                        let action = format!("t={tick} {verb} container-crash {t}: not deployed");
                         self.record(drone, "container-crash", armed, action);
                         return;
                     }
                     None => match drone.vdrones.keys().next().cloned() {
                         Some(first) => first,
                         None => {
-                            let action =
-                                format!("t={tick} {verb} container-crash: no vdrones");
+                            let action = format!("t={tick} {verb} container-crash: no vdrones");
                             self.record(drone, "container-crash", armed, action);
                             return;
                         }
@@ -191,12 +195,7 @@ impl FaultInjector {
             }
             FaultKind::BatteryDegradation { health } => {
                 let health = if armed { health } else { 1.0 };
-                drone
-                    .board
-                    .borrow()
-                    .truth
-                    .borrow_mut()
-                    .battery_health = health;
+                drone.board.borrow().truth.borrow_mut().battery_health = health;
                 let action = format!("t={tick} {verb} battery-degradation({health:.2})");
                 self.record(drone, "battery-degradation", armed, action);
             }

@@ -38,8 +38,8 @@ pub mod scale;
 pub use adaptive::AdaptiveInjector;
 pub use androne::Androne;
 pub use attack::{
-    AttackDefense, AttackInjector, LadderRung, RtMonitor, CPU_QUOTA_BOUNDS,
-    FLIGHT_JITTER_BOUNDS, THROTTLE_TRAJECTORY_BOUNDS,
+    AttackDefense, AttackInjector, LadderRung, RtMonitor, CPU_QUOTA_BOUNDS, FLIGHT_JITTER_BOUNDS,
+    THROTTLE_TRAJECTORY_BOUNDS,
 };
 pub use drone::{DeployedVdrone, Drone, DroneError, ANDROID_THINGS_IMAGE, FLIGHT_IMAGE};
 pub use fleet::{
@@ -52,11 +52,11 @@ pub use flight_exec::{
 pub use injector::FaultInjector;
 pub use pool::{WorkerError, WorkerPool};
 pub use probe::{DigestProbe, FlightProbe, FlightRecorder, FnProbe, NoProbe, ProbeStack};
+pub use sanitizer::{first_divergence, trace_flight, Divergence, TickHashes, Trace};
 pub use scale::{
     execute_scale_fleet, ScaleConfig, ScaleFlightRecord, ScaleOutcome, ScaleResolution,
     ScaleTenantOutcome,
 };
-pub use sanitizer::{first_divergence, trace_flight, Divergence, TickHashes, Trace};
 
 pub use androne_android as android;
 pub use androne_binder as binder;

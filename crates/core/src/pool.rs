@@ -59,7 +59,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one item under the uniform panic guard.
 fn guarded<I, O>(work: &(impl Fn(I) -> O + Sync), item: I) -> Result<O, WorkerError> {
-    catch_unwind(AssertUnwindSafe(|| work(item))).map_err(|p| WorkerError::Panicked(panic_message(p)))
+    catch_unwind(AssertUnwindSafe(|| work(item)))
+        .map_err(|p| WorkerError::Panicked(panic_message(p)))
 }
 
 /// Recovers a mutex guard even if a holder panicked — the queue and
@@ -98,7 +99,8 @@ impl WorkerPool {
         }
 
         let len = items.len();
-        let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
+        let queue: Mutex<VecDeque<(usize, I)>> =
+            Mutex::new(items.into_iter().enumerate().collect());
         let slots: Mutex<Vec<Option<Result<O, WorkerError>>>> =
             Mutex::new((0..len).map(|_| None).collect());
         let workers = self.threads.min(len);
@@ -125,7 +127,9 @@ impl WorkerPool {
                     // Unreachable: the scope joins every worker, and a
                     // worker fills its slot before pulling the next
                     // item — but a diagnosable error beats a panic.
-                    Err(WorkerError::Panicked("worker abandoned its slot".to_string()))
+                    Err(WorkerError::Panicked(
+                        "worker abandoned its slot".to_string(),
+                    ))
                 })
             })
             .collect()

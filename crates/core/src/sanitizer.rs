@@ -135,9 +135,17 @@ pub fn first_divergence(a: &Trace, b: &Trace) -> Option<Divergence> {
             // One run ended early: divergence at the first missing
             // tick.
             let (longer, first, second) = if a.ticks.len() > b.ticks.len() {
-                (&a.ticks[common], a.ticks[common].components.clone(), Vec::new())
+                (
+                    &a.ticks[common],
+                    a.ticks[common].components.clone(),
+                    Vec::new(),
+                )
             } else {
-                (&b.ticks[common], Vec::new(), b.ticks[common].components.clone())
+                (
+                    &b.ticks[common],
+                    Vec::new(),
+                    b.ticks[common].components.clone(),
+                )
             };
             Some(Divergence {
                 tick: longer.tick,

@@ -156,7 +156,10 @@ mod tests {
             r#"{"entries": [{"rule": "R1", "path": "a.rs", "snippet": "old line"}]}"#,
         )
         .expect("parse");
-        let r = b.reconcile(vec![v("R1", "a.rs", "old line"), v("R1", "a.rs", "new line")]);
+        let r = b.reconcile(vec![
+            v("R1", "a.rs", "old line"),
+            v("R1", "a.rs", "new line"),
+        ]);
         assert_eq!(r.baselined, 1);
         assert_eq!(r.new.len(), 1);
         assert_eq!(r.new[0].snippet, "new line");
@@ -165,20 +168,18 @@ mod tests {
 
     #[test]
     fn fixed_violations_leave_stale_entries() {
-        let b = Baseline::parse(
-            r#"{"entries": [{"rule": "R1", "path": "a.rs", "snippet": "gone"}]}"#,
-        )
-        .expect("parse");
+        let b =
+            Baseline::parse(r#"{"entries": [{"rule": "R1", "path": "a.rs", "snippet": "gone"}]}"#)
+                .expect("parse");
         let r = b.reconcile(vec![]);
         assert_eq!(r.stale.len(), 1, "ratchet demands removal");
     }
 
     #[test]
     fn duplicate_of_grandfathered_line_is_new() {
-        let b = Baseline::parse(
-            r#"{"entries": [{"rule": "R1", "path": "a.rs", "snippet": "dup"}]}"#,
-        )
-        .expect("parse");
+        let b =
+            Baseline::parse(r#"{"entries": [{"rule": "R1", "path": "a.rs", "snippet": "dup"}]}"#)
+                .expect("parse");
         let r = b.reconcile(vec![v("R1", "a.rs", "dup"), v("R1", "a.rs", "dup")]);
         assert_eq!(r.baselined, 1);
         assert_eq!(r.new.len(), 1);

@@ -259,7 +259,9 @@ impl Workspace {
 
     /// Files containing at least one fn from `set`.
     pub fn files_of(&self, set: &BTreeSet<FnId>) -> BTreeSet<String> {
-        set.iter().map(|&(fi, _)| self.files[fi].path.clone()).collect()
+        set.iter()
+            .map(|&(fi, _)| self.files[fi].path.clone())
+            .collect()
     }
 
     /// Per-file body line ranges of the fns in `set`.
@@ -400,7 +402,10 @@ mod tests {
                 "crates/core/src/fleet.rs",
                 "fn run_island() { helper(); }\nfn helper() {}\n",
             ),
-            ("crates/flight/src/x.rs", "fn helper() { deep(); }\nfn deep() {}\n"),
+            (
+                "crates/flight/src/x.rs",
+                "fn helper() { deep(); }\nfn deep() {}\n",
+            ),
         ]);
         let r = w.reachable(&[("crates/core/src/fleet.rs", "run_island")]);
         let files = w.files_of(&r);

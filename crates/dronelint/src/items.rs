@@ -116,15 +116,15 @@ fn is_type_name(s: &str) -> bool {
 }
 
 const PRIMITIVES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-    "f32", "f64", "bool", "char", "str",
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
+    "f64", "bool", "char", "str",
 ];
 
 /// Keywords that look like `ident (` but are not calls.
 const NOT_CALLS: &[&str] = &[
     "if", "while", "match", "for", "loop", "return", "fn", "in", "move", "as", "let", "else",
-    "impl", "where", "dyn", "ref", "mut", "pub", "use", "mod", "struct", "enum", "type",
-    "const", "static", "trait", "unsafe", "break", "continue",
+    "impl", "where", "dyn", "ref", "mut", "pub", "use", "mod", "struct", "enum", "type", "const",
+    "static", "trait", "unsafe", "break", "continue",
 ];
 
 /// Parses one file's preprocessed lines into its items.
@@ -235,7 +235,8 @@ pub fn parse_items(lines: &[CodeLine]) -> FileItems {
                         Some(";") if paren == 0 => break,
                         Some(s)
                             if is_type_name(s)
-                                || (PRIMITIVES.contains(&s) && t(j.wrapping_sub(1)) != Some(".")) =>
+                                || (PRIMITIVES.contains(&s)
+                                    && t(j.wrapping_sub(1)) != Some(".")) =>
                         {
                             sig_types.push(s.to_string());
                         }
@@ -275,9 +276,9 @@ pub fn parse_items(lines: &[CodeLine]) -> FileItems {
                         Some(s)
                             if t(k + 1) == Some("(")
                                 && !NOT_CALLS.contains(&s)
-                                && s.chars().next().is_some_and(|c| {
-                                    c.is_alphabetic() || c == '_'
-                                }) =>
+                                && s.chars()
+                                    .next()
+                                    .is_some_and(|c| c.is_alphabetic() || c == '_') =>
                         {
                             let prev = t(k.wrapping_sub(1));
                             if prev == Some(".") {
@@ -285,10 +286,8 @@ pub fn parse_items(lines: &[CodeLine]) -> FileItems {
                             } else if prev == Some(":") && t(k.wrapping_sub(2)) == Some(":") {
                                 // `seg::name(` — the owning segment.
                                 if let Some(owner) = t(k.wrapping_sub(3)) {
-                                    calls.push(CallRef::Qualified(
-                                        owner.to_string(),
-                                        s.to_string(),
-                                    ));
+                                    calls
+                                        .push(CallRef::Qualified(owner.to_string(), s.to_string()));
                                 }
                             } else if !is_type_name(s) {
                                 // `Foo(..)` is a tuple-struct literal,
@@ -364,9 +363,7 @@ pub fn parse_items(lines: &[CodeLine]) -> FileItems {
                             // braces are types.
                             Some(s)
                                 if is_type_name(s)
-                                    && (kind != TypeKind::Enum
-                                        || body_depth > 1
-                                        || paren > 0) =>
+                                    && (kind != TypeKind::Enum || body_depth > 1 || paren > 0) =>
                             {
                                 field_types.push(s.to_string());
                             }
@@ -511,14 +508,18 @@ mod tests {
 
     #[test]
     fn nested_fn_braces_do_not_truncate_the_span() {
-        let f = items("fn outer() {\n    if a {\n        b();\n    } else {\n        c();\n    }\n}\n");
+        let f =
+            items("fn outer() {\n    if a {\n        b();\n    } else {\n        c();\n    }\n}\n");
         assert_eq!(f.fns[0].span, (1, 7));
     }
 
     #[test]
     fn use_heads_and_mods_counted() {
         let f = items("use std::rc::Rc;\nuse androne_simkern::Kernel;\nmod sub;\npub mod other;\n");
-        assert_eq!(f.use_heads, vec!["std".to_string(), "androne_simkern".to_string()]);
+        assert_eq!(
+            f.use_heads,
+            vec!["std".to_string(), "androne_simkern".to_string()]
+        );
         assert_eq!(f.mods, 2);
     }
 

@@ -221,7 +221,10 @@ pub fn scan_source(path: &str, source: &str) -> Vec<Violation> {
 }
 
 fn snippet_at(raw_lines: &[&str], idx: usize) -> String {
-    raw_lines.get(idx).map(|l| l.trim().to_string()).unwrap_or_default()
+    raw_lines
+        .get(idx)
+        .map(|l| l.trim().to_string())
+        .unwrap_or_default()
 }
 
 /// Analyzes in-memory sources: builds the item/call graph, infers the

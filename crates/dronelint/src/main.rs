@@ -176,7 +176,10 @@ fn print_human(r: &Reconciled, stats: &GraphStats) {
             .find(|ri| ri.id == v.rule)
             .map(|ri| ri.name)
             .unwrap_or("suppression");
-        println!("{}:{}:{}: {} [{}/{}]", v.path, v.line, v.col, v.message, v.rule, name);
+        println!(
+            "{}:{}:{}: {} [{}/{}]",
+            v.path, v.line, v.col, v.message, v.rule, name
+        );
         println!("    {}", v.snippet);
     }
     for e in &r.stale {

@@ -24,7 +24,15 @@ use crate::scan::Token;
 /// plan order, and `workloads` once seed-generated attack plans
 /// started driving the adversarial gate.
 pub const SIM_CRATES: &[&str] = &[
-    "simkern", "binder", "flight", "vdc", "core", "mavlink", "obs", "cloud", "planner",
+    "simkern",
+    "binder",
+    "flight",
+    "vdc",
+    "core",
+    "mavlink",
+    "obs",
+    "cloud",
+    "planner",
     "workloads",
 ];
 
@@ -104,16 +112,34 @@ impl Scopes {
 
 /// Numeric primitive types for R4 cast detection.
 const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-    "f32", "f64",
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
+    "f64",
 ];
 
 /// Interior-mutability wrappers that turn a `static` into shared
 /// mutable state (R5).
 const INTERIOR_MUT: &[&str] = &[
-    "Cell", "RefCell", "UnsafeCell", "Mutex", "RwLock", "OnceCell", "OnceLock", "LazyCell",
-    "LazyLock", "AtomicBool", "AtomicU8", "AtomicU16", "AtomicU32", "AtomicU64", "AtomicUsize",
-    "AtomicI8", "AtomicI16", "AtomicI32", "AtomicI64", "AtomicIsize", "AtomicPtr",
+    "Cell",
+    "RefCell",
+    "UnsafeCell",
+    "Mutex",
+    "RwLock",
+    "OnceCell",
+    "OnceLock",
+    "LazyCell",
+    "LazyLock",
+    "AtomicBool",
+    "AtomicU8",
+    "AtomicU16",
+    "AtomicU32",
+    "AtomicU64",
+    "AtomicUsize",
+    "AtomicI8",
+    "AtomicI16",
+    "AtomicI32",
+    "AtomicI64",
+    "AtomicIsize",
+    "AtomicPtr",
 ];
 
 /// A rule's static description.
@@ -261,7 +287,12 @@ pub struct Match {
 pub fn hash_alias_name(tokens: &[Token]) -> Option<String> {
     let type_at = tokens.iter().position(|t| t.text == "type")?;
     let name = tokens.get(type_at + 1)?;
-    if !name.text.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_') {
+    if !name
+        .text
+        .chars()
+        .next()
+        .is_some_and(|c| c.is_alphabetic() || c == '_')
+    {
         return None;
     }
     let eq_at = tokens[type_at..].iter().position(|t| t.text == "=")? + type_at;
@@ -322,10 +353,7 @@ pub fn check_line_scoped(
         }
 
         // R6: use of a type alias that launders a HashMap/HashSet.
-        if in_sim_crate(path)
-            && hash_aliases.contains(t)
-            && defines_alias.as_deref() != Some(t)
-        {
+        if in_sim_crate(path) && hash_aliases.contains(t) && defines_alias.as_deref() != Some(t) {
             out.push(Match {
                 rule: "R6",
                 col: tok.col,
@@ -410,9 +438,13 @@ pub fn check_line_scoped(
                 out.push(Match {
                     rule: "R5",
                     col: tok.col,
-                    message: "static mut in a sim-state crate: unsynchronized global mutable state".into(),
+                    message: "static mut in a sim-state crate: unsynchronized global mutable state"
+                        .into(),
                 });
-            } else if tokens.iter().any(|t2| INTERIOR_MUT.contains(&t2.text.as_str())) {
+            } else if tokens
+                .iter()
+                .any(|t2| INTERIOR_MUT.contains(&t2.text.as_str()))
+            {
                 out.push(Match {
                     rule: "R5",
                     col: tok.col,
@@ -445,7 +477,8 @@ pub fn check_line_scoped(
                         .into(),
                 });
             }
-            if (t == "open" || t == "create") && is_call
+            if (t == "open" || t == "create")
+                && is_call
                 && text(i.wrapping_sub(1)) == Some(":")
                 && text(i.wrapping_sub(3)) == Some("File")
             {
@@ -532,7 +565,10 @@ mod tests {
         assert_eq!(matches_on(p, "panic!(\"boom\")"), vec!["R3"]);
         assert!(matches_on(p, "x.unwrap_or(0)").is_empty());
         assert!(matches_on(p, "x.expect_err(\"fine\")").is_empty());
-        assert!(matches_on(p, "fn unwrap() {}").is_empty(), "not a method call");
+        assert!(
+            matches_on(p, "fn unwrap() {}").is_empty(),
+            "not a method call"
+        );
     }
 
     #[test]
@@ -609,7 +645,10 @@ mod tests {
         let p = "crates/simkern/src/x.rs";
         assert_eq!(matches_on(p, "static mut COUNT: u64 = 0;"), vec!["R5"]);
         assert_eq!(
-            matches_on(p, "pub static TABLE: Mutex<Vec<u32>> = Mutex::new(Vec::new());"),
+            matches_on(
+                p,
+                "pub static TABLE: Mutex<Vec<u32>> = Mutex::new(Vec::new());"
+            ),
             vec!["R5"]
         );
         assert!(matches_on(p, "fn f(s: &'static str) {}").is_empty());
@@ -634,7 +673,10 @@ mod tests {
     #[test]
     fn r9_flags_locks_and_blocking_io_inside_island_spans() {
         assert_eq!(matches_in_island("let k = kernel.lock();"), vec!["R9"]);
-        assert_eq!(matches_in_island("if let Some(g) = m.try_lock() {"), vec!["R9"]);
+        assert_eq!(
+            matches_in_island("if let Some(g) = m.try_lock() {"),
+            vec!["R9"]
+        );
         assert_eq!(
             matches_in_island("thread::sleep(Duration::from_millis(5));"),
             vec!["R9"]
@@ -654,15 +696,23 @@ mod tests {
         // Same tokens outside the island span stay clean.
         let p = "crates/core/src/fleet.rs";
         let scopes = island_scopes(p, (10, 20));
-        assert!(
-            check_line_scoped(p, 30, &tokenize("let k = kernel.lock();"), &BTreeSet::new(), &scopes)
-                .is_empty()
-        );
+        assert!(check_line_scoped(
+            p,
+            30,
+            &tokenize("let k = kernel.lock();"),
+            &BTreeSet::new(),
+            &scopes
+        )
+        .is_empty());
         // Line 0 (single-line entry points) disables R9 entirely.
-        assert!(
-            check_line_scoped(p, 0, &tokenize("let k = kernel.lock();"), &BTreeSet::new(), &scopes)
-                .is_empty()
-        );
+        assert!(check_line_scoped(
+            p,
+            0,
+            &tokenize("let k = kernel.lock();"),
+            &BTreeSet::new(),
+            &scopes
+        )
+        .is_empty());
     }
 
     #[test]

@@ -27,7 +27,11 @@ fn r8_fixture_flags_the_nested_impure_type_with_its_chain() {
     assert_eq!(r8[0].line, 4);
     assert!(r8[0].message.contains("`Inner`"), "{}", r8[0].message);
     assert!(r8[0].message.contains("`Rc`"), "{}", r8[0].message);
-    assert!(r8[0].message.contains("via Work -> Inner"), "{}", r8[0].message);
+    assert!(
+        r8[0].message.contains("via Work -> Inner"),
+        "{}",
+        r8[0].message
+    );
 }
 
 #[test]
@@ -74,7 +78,10 @@ fn r9_fixture_flags_locks_sleep_and_blocking_io_at_exact_lines() {
         "crates/core/src/fleet.rs",
         include_str!("fixtures/r9_island_blocking.rs"),
     )]);
-    let got: Vec<usize> = rule_hits(&a.violations, "R9").iter().map(|v| v.line).collect();
+    let got: Vec<usize> = rule_hits(&a.violations, "R9")
+        .iter()
+        .map(|v| v.line)
+        .collect();
     // Lines 5 (lock), 10 (sleep), 11 (File::open), 12 (TcpStream) are
     // island-reachable (`run_island` -> `helper`); the lock in
     // `off_island` (line 17) is outside every island span.
@@ -127,11 +134,14 @@ fn r10_suppression_with_reason_silences_the_line() {
 }
 
 fn field<'a>(v: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {
-    v.get(key).unwrap_or_else(|| panic!("report missing field {key:?}"))
+    v.get(key)
+        .unwrap_or_else(|| panic!("report missing field {key:?}"))
 }
 
 fn num(v: &serde_json::Value, key: &str) -> f64 {
-    field(v, key).as_f64().unwrap_or_else(|| panic!("field {key:?} is not a number"))
+    field(v, key)
+        .as_f64()
+        .unwrap_or_else(|| panic!("field {key:?} is not a number"))
 }
 
 /// The JSON output path, end to end through the real binary: a seeded
@@ -168,10 +178,15 @@ fn json_report_baseline_ratchet_via_the_binary() {
     // carries both the diagnostic and the graph stats block.
     let (code, json) = run(&tmp, None);
     assert_eq!(code, Some(1));
-    let v = field(&json, "violations").as_array().expect("violations array");
+    let v = field(&json, "violations")
+        .as_array()
+        .expect("violations array");
     assert_eq!(v.len(), 1);
     assert_eq!(field(&v[0], "rule").as_str(), Some("R1"));
-    assert_eq!(field(&v[0], "path").as_str(), Some("crates/simkern/src/bad.rs"));
+    assert_eq!(
+        field(&v[0], "path").as_str(),
+        Some("crates/simkern/src/bad.rs")
+    );
     assert_eq!(num(&v[0], "line"), 1.0);
     assert_eq!(num(&json, "baselined"), 0.0);
     assert_eq!(num(field(&json, "graph"), "files_scanned"), 1.0);
@@ -193,7 +208,9 @@ fn json_report_baseline_ratchet_via_the_binary() {
     std::fs::write(src_dir.join("bad.rs"), "pub fn f() {}\n").expect("rewrite");
     let (code, json) = run(&tmp, Some(&baseline));
     assert_eq!(code, Some(1), "{json:?}");
-    let stale = field(&json, "stale_baseline_entries").as_array().expect("stale array");
+    let stale = field(&json, "stale_baseline_entries")
+        .as_array()
+        .expect("stale array");
     assert_eq!(stale.len(), 1);
     assert_eq!(field(&stale[0], "rule").as_str(), Some("R1"));
 }

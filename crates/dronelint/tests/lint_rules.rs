@@ -78,7 +78,10 @@ fn r7_fixture_flags_the_collections_glob() {
 
 #[test]
 fn clean_fixture_produces_nothing() {
-    let got = hits("crates/simkern/src/good.rs", include_str!("fixtures/clean.rs"));
+    let got = hits(
+        "crates/simkern/src/good.rs",
+        include_str!("fixtures/clean.rs"),
+    );
     assert!(got.is_empty(), "{got:?}");
 }
 
@@ -99,9 +102,17 @@ fn fixtures_out_of_scope_paths_do_not_fire() {
     // only bind to sim crates (which, since lint v2, include cloud —
     // so the neutral path lives in the sdk crate), R4 only to the
     // wire files.
-    assert!(hits("crates/sdk/src/x.rs", include_str!("fixtures/r1_hashmap.rs")).is_empty());
+    assert!(hits(
+        "crates/sdk/src/x.rs",
+        include_str!("fixtures/r1_hashmap.rs")
+    )
+    .is_empty());
     assert!(hits("crates/sdk/src/x.rs", include_str!("fixtures/r4_casts.rs")).is_empty());
-    assert!(hits("crates/sdk/src/x.rs", include_str!("fixtures/r5_statics.rs")).is_empty());
+    assert!(hits(
+        "crates/sdk/src/x.rs",
+        include_str!("fixtures/r5_statics.rs")
+    )
+    .is_empty());
     assert!(hits("crates/sdk/src/x.rs", include_str!("fixtures/r6_alias.rs")).is_empty());
     assert!(hits("crates/sdk/src/x.rs", include_str!("fixtures/r7_glob.rs")).is_empty());
 }

@@ -140,5 +140,8 @@ fn cfg_test_edges_survive_adversarial_neighbors() {
         lines[..4].iter().all(|l| !l.in_test),
         "quoted/commented attributes must not latch"
     );
-    assert!(lines[5].in_test && lines[6].in_test, "the real region latches");
+    assert!(
+        lines[5].in_test && lines[6].in_test,
+        "the real region latches"
+    );
 }

@@ -34,11 +34,7 @@ fn files_under(prefix: &str) -> Vec<String> {
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            let sub = format!(
-                "{}{}/",
-                prefix,
-                entry.file_name().to_string_lossy()
-            );
+            let sub = format!("{}{}/", prefix, entry.file_name().to_string_lossy());
             out.extend(files_under(&sub));
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(format!("{}{}", prefix, entry.file_name().to_string_lossy()));

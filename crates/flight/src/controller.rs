@@ -159,25 +159,24 @@ impl FlightController {
                 lon,
                 alt,
                 speed,
-            }
-                if self.mode == FlightMode::Guided => {
-                    self.guided_target = Some(GuidedTarget {
-                        position: GeoPoint::new(e7_to_deg(*lat), e7_to_deg(*lon), *alt as f64),
-                        speed: if *speed > 0.0 {
-                            *speed as f64
-                        } else {
-                            DEFAULT_SPEED
-                        },
-                    });
-                    self.hold_position = None;
-                    if self.phase == Phase::Grounded && self.armed {
-                        // A guided target while grounded implies an
-                        // implicit takeoff to the target altitude.
-                        self.phase = Phase::TakingOff {
-                            target_alt: (*alt as f64).max(2.0),
-                        };
-                    }
+            } if self.mode == FlightMode::Guided => {
+                self.guided_target = Some(GuidedTarget {
+                    position: GeoPoint::new(e7_to_deg(*lat), e7_to_deg(*lon), *alt as f64),
+                    speed: if *speed > 0.0 {
+                        *speed as f64
+                    } else {
+                        DEFAULT_SPEED
+                    },
+                });
+                self.hold_position = None;
+                if self.phase == Phase::Grounded && self.armed {
+                    // A guided target while grounded implies an
+                    // implicit takeoff to the target altitude.
+                    self.phase = Phase::TakingOff {
+                        target_alt: (*alt as f64).max(2.0),
+                    };
                 }
+            }
             Message::CommandLong { command, params } => {
                 let result = self.handle_command(*command, params, est);
                 out.push(Message::CommandAck {
@@ -204,11 +203,7 @@ impl FlightController {
                         // INVALID_SEQUENCE = 13) and abort the upload.
                         out.push(Message::MissionAck { result: 13 });
                     } else {
-                        items.push(GeoPoint::new(
-                            e7_to_deg(*lat),
-                            e7_to_deg(*lon),
-                            *alt as f64,
-                        ));
+                        items.push(GeoPoint::new(e7_to_deg(*lat), e7_to_deg(*lon), *alt as f64));
                         if items.len() == count as usize {
                             self.mission = items;
                             self.mission_index = 0;
@@ -275,15 +270,15 @@ impl FlightController {
                 self.yaw_target = (params[0] as f64).to_radians();
                 MavResult::Accepted
             }
-            MavCmd::DoSetMode => match androne_mavlink::FlightMode::from_custom_mode(
-                params[1] as u32,
-            ) {
-                Ok(mode) => {
-                    self.set_mode(mode, est);
-                    MavResult::Accepted
+            MavCmd::DoSetMode => {
+                match androne_mavlink::FlightMode::from_custom_mode(params[1] as u32) {
+                    Ok(mode) => {
+                        self.set_mode(mode, est);
+                        MavResult::Accepted
+                    }
+                    Err(_) => MavResult::Failed,
                 }
-                Err(_) => MavResult::Failed,
-            },
+            }
             MavCmd::DoMountControl => {
                 // param1 = pitch (deg), param3 = yaw (deg).
                 self.mount_target = Some((
@@ -391,9 +386,7 @@ impl FlightController {
                     hold.altitude = target_alt;
                     self.hold_position = Some(hold);
                 }
-                let hold = self
-                    .hold_position
-                    .unwrap_or(est.position);
+                let hold = self.hold_position.unwrap_or(est.position);
                 let d = hold.ned_from(&est.position);
                 (
                     Vec3::new(0.8 * d.x, 0.8 * d.y, 0.0).clamp_abs(2.0),
@@ -623,12 +616,20 @@ mod tests {
     fn arm_then_takeoff_is_accepted() {
         let mut fc = fc();
         assert_eq!(
-            cmd(&mut fc, MavCmd::ComponentArmDisarm, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            cmd(
+                &mut fc,
+                MavCmd::ComponentArmDisarm,
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+            ),
             MavResult::Accepted
         );
         assert!(fc.armed());
         assert_eq!(
-            cmd(&mut fc, MavCmd::NavTakeoff, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 15.0]),
+            cmd(
+                &mut fc,
+                MavCmd::NavTakeoff,
+                [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 15.0]
+            ),
             MavResult::Accepted
         );
         assert!(fc.airborne_phase());
@@ -638,7 +639,11 @@ mod tests {
     fn takeoff_without_arming_is_denied() {
         let mut fc = fc();
         assert_eq!(
-            cmd(&mut fc, MavCmd::NavTakeoff, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 15.0]),
+            cmd(
+                &mut fc,
+                MavCmd::NavTakeoff,
+                [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 15.0]
+            ),
             MavResult::Denied
         );
     }
@@ -646,11 +651,23 @@ mod tests {
     #[test]
     fn in_air_disarm_requires_the_force_magic() {
         let mut fc = fc();
-        cmd(&mut fc, MavCmd::ComponentArmDisarm, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        cmd(&mut fc, MavCmd::NavTakeoff, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 15.0]);
+        cmd(
+            &mut fc,
+            MavCmd::ComponentArmDisarm,
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        );
+        cmd(
+            &mut fc,
+            MavCmd::NavTakeoff,
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 15.0],
+        );
         // Plain disarm denied while airborne.
         assert_eq!(
-            cmd(&mut fc, MavCmd::ComponentArmDisarm, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            cmd(
+                &mut fc,
+                MavCmd::ComponentArmDisarm,
+                [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+            ),
             MavResult::Denied
         );
         assert!(fc.armed());
@@ -727,13 +744,25 @@ mod tests {
             cmd(
                 &mut fc,
                 MavCmd::DoSetMode,
-                [1.0, FlightMode::Loiter.custom_mode() as f32, 0.0, 0.0, 0.0, 0.0, 0.0]
+                [
+                    1.0,
+                    FlightMode::Loiter.custom_mode() as f32,
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.0
+                ]
             ),
             MavResult::Accepted
         );
         assert_eq!(fc.mode(), FlightMode::Loiter);
         assert_eq!(
-            cmd(&mut fc, MavCmd::DoSetMode, [1.0, 42.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            cmd(
+                &mut fc,
+                MavCmd::DoSetMode,
+                [1.0, 42.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+            ),
             MavResult::Failed
         );
     }

@@ -48,8 +48,7 @@ impl Geofence {
         // Interpolate linearly in the local tangent plane.
         let ned = pos.ned_from(&self.center);
         let mut p = self.center.offset_m(ned.x * frac, ned.y * frac, 0.0);
-        p.altitude = (pos.altitude * frac + self.center.altitude * (1.0 - frac))
-            .max(2.0);
+        p.altitude = (pos.altitude * frac + self.center.altitude * (1.0 - frac)).max(2.0);
         p
     }
 }
@@ -101,10 +100,7 @@ mod tests {
         let breach = f.center.offset_m(50.0, 20.0, 10.0);
         let rp = f.recovery_point(&breach);
         assert!(f.contains(&rp), "recovery point inside the fence");
-        assert!(
-            f.center.distance_m(&rp) <= 0.85 * f.radius_m,
-            "with margin"
-        );
+        assert!(f.center.distance_m(&rp) <= 0.85 * f.radius_m, "with margin");
         assert!(rp.altitude >= 2.0, "never commands into the ground");
     }
 

@@ -34,7 +34,9 @@ pub mod whitelist;
 pub use controller::{FlightController, GuidedTarget, DEFAULT_SPEED, FAST_LOOP_HZ, MAX_LEAN};
 pub use estimator::{Estimator, StateEstimate};
 pub use geofence::Geofence;
-pub use log_analyzer::{AedReport, AedViolation, Axis, FlightRecorder, AED_MIN_DURATION_S, AED_THRESHOLD_RAD};
+pub use log_analyzer::{
+    AedReport, AedViolation, Axis, FlightRecorder, AED_MIN_DURATION_S, AED_THRESHOLD_RAD,
+};
 pub use mavproxy::{LinkFailsafeConfig, LinkFailsafePhase, MavProxy, APPROACH_DISTANCE_M};
 pub use physics::{wrap_pi, AirframeParams, QuadPhysics, AIR_DENSITY};
 pub use pid::Pid;

@@ -281,10 +281,11 @@ impl MavProxy {
             _ => "mav.dropped",
         };
         self.obs.count(counter, 1);
-        self.obs.emit(Subsystem::Mavlink, || TraceEvent::MavCommand {
-            client: name.to_string(),
-            verdict,
-        });
+        self.obs
+            .emit(Subsystem::Mavlink, || TraceEvent::MavCommand {
+                client: name.to_string(),
+                verdict,
+            });
     }
 
     /// Drains a client's pending messages (telemetry + replies) as
@@ -721,12 +722,7 @@ mod tests {
         let mut proxy = MavProxy::new();
         let waypoint = sitl.position();
         let fence = Geofence::new(waypoint, 25.0);
-        proxy.add_vfc_client(Vfc::new(
-            "vd1",
-            CommandWhitelist::full(),
-            fence,
-            false,
-        ));
+        proxy.add_vfc_client(Vfc::new("vd1", CommandWhitelist::full(), fence, false));
         proxy.activate_vfc("vd1");
         // Use full-template mode access to drift out: command RTL...
         // actually force a breach by commanding Auto mission outside
@@ -747,12 +743,15 @@ mod tests {
         let mut texts: Vec<String> = Vec::new();
         for _ in 0..35 {
             run(&mut proxy, &mut sitl, 1.0);
-            texts.extend(proxy.client_recv("vd1").into_iter().filter_map(|m| {
-                match m {
-                    Message::StatusText { text, .. } => Some(text),
-                    _ => None,
-                }
-            }));
+            texts.extend(
+                proxy
+                    .client_recv("vd1")
+                    .into_iter()
+                    .filter_map(|m| match m {
+                        Message::StatusText { text, .. } => Some(text),
+                        _ => None,
+                    }),
+            );
         }
         assert_eq!(proxy.breaches_handled, 1, "breach detected");
         assert!(

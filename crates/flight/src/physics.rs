@@ -147,7 +147,7 @@ impl QuadPhysics {
         let (sp, cp) = self.att.pitch.sin_cos();
         let (sy, cy) = self.att.yaw.sin_cos();
         let az_body = -total_thrust / p.mass; // Thrust acts body-up (NED: -z).
-        // Rotate body z-axis into NED.
+                                              // Rotate body z-axis into NED.
         let acc_n = az_body * (cy * sp * cr + sy * sr);
         let acc_e = az_body * (sy * sp * cr - cy * sr);
         let acc_d = az_body * (cp * cr) + G;

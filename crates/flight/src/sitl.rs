@@ -441,7 +441,10 @@ mod auto_mode_tests {
         assert!(sitl.position().distance_m(&wp2) < 3.0, "reached wp2");
         // Holds at the final waypoint.
         sitl.run_for(SimDuration::from_secs(8));
-        assert!(sitl.position().distance_m(&wp2) < 4.0, "holds at mission end");
+        assert!(
+            sitl.position().distance_m(&wp2) < 4.0,
+            "holds at mission end"
+        );
     }
 
     #[test]
@@ -495,7 +498,8 @@ mod mission_upload_tests {
         ];
         let log = upload_mission(&mut sitl, &wps);
         assert!(
-            log.iter().any(|m| matches!(m, Message::MissionAck { result: 0 })),
+            log.iter()
+                .any(|m| matches!(m, Message::MissionAck { result: 0 })),
             "{log:?}"
         );
         assert_eq!(sitl.fc.mission().len(), 2);

@@ -165,9 +165,7 @@ impl Vfc {
     /// Screens one client message.
     pub fn on_client_message(&mut self, msg: &Message) -> VfcDecision {
         match self.state {
-            VfcState::Pending | VfcState::Approaching => {
-                self.deny(msg, "not at waypoint")
-            }
+            VfcState::Pending | VfcState::Approaching => self.deny(msg, "not at waypoint"),
             VfcState::BreachRecovery => self.deny(msg, "geofence recovery in progress"),
             VfcState::Finished => self.deny(msg, "waypoint completed"),
             VfcState::Active => {
@@ -233,7 +231,11 @@ impl Vfc {
                         None
                     } else {
                         // Idle on the ground at the waypoint.
-                        Some(synthetic_position(*time_boot_ms, &self.geofence.center, 0.0))
+                        Some(synthetic_position(
+                            *time_boot_ms,
+                            &self.geofence.center,
+                            0.0,
+                        ))
                     }
                 }
                 Message::Heartbeat { .. } => Some(Message::Heartbeat {

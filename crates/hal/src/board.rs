@@ -93,7 +93,10 @@ mod tests {
     fn device_container_claims_everything_but_framebuffer() {
         let mut board = HardwareBoard::new(GeoPoint::new(0.0, 0.0, 0.0), 1);
         board.claim_all("device-container").unwrap();
-        assert_eq!(board.claims.holder(DeviceKind::Camera), Some("device-container"));
+        assert_eq!(
+            board.claims.holder(DeviceKind::Camera),
+            Some("device-container")
+        );
         assert_eq!(board.claims.holder(DeviceKind::Framebuffer), None);
         // A virtual drone cannot grab the raw camera afterwards.
         assert!(board.claims.claim(DeviceKind::Camera, "vdrone-1").is_err());

@@ -90,7 +90,11 @@ pub struct AlreadyClaimed {
 
 impl fmt::Display for AlreadyClaimed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "device {} already claimed by {}", self.device, self.holder)
+        write!(
+            f,
+            "device {} already claimed by {}",
+            self.device, self.holder
+        )
     }
 }
 
@@ -109,7 +113,11 @@ impl ClaimTable {
     }
 
     /// Claims a device exclusively for `owner`.
-    pub fn claim(&mut self, device: DeviceKind, owner: impl Into<String>) -> Result<(), AlreadyClaimed> {
+    pub fn claim(
+        &mut self,
+        device: DeviceKind,
+        owner: impl Into<String>,
+    ) -> Result<(), AlreadyClaimed> {
         let owner = owner.into();
         match self.claims.get(&device) {
             Some(holder) if *holder != owner => Err(AlreadyClaimed {

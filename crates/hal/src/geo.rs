@@ -117,8 +117,7 @@ impl GeoPoint {
         let (lat2, lon2) = (other.latitude.to_radians(), other.longitude.to_radians());
         let dlat = lat2 - lat1;
         let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2)
-            + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_M * a.sqrt().asin()
     }
 

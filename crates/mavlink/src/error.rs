@@ -41,7 +41,10 @@ impl fmt::Display for MavError {
                 write!(f, "truncated frame: need {needed} bytes, got {got}")
             }
             MavError::BadChecksum { computed, received } => {
-                write!(f, "bad checksum: computed {computed:04x}, received {received:04x}")
+                write!(
+                    f,
+                    "bad checksum: computed {computed:04x}, received {received:04x}"
+                )
             }
         }
     }

@@ -23,7 +23,10 @@ pub const fn hi8(v: u16) -> u8 {
 /// `debug_assert` catches a message definition ever outgrowing the
 /// v1 frame format.
 pub fn len8(len: usize) -> u8 {
-    debug_assert!(len <= usize::from(u8::MAX), "payload too long for MAVLink v1");
+    debug_assert!(
+        len <= usize::from(u8::MAX),
+        "payload too long for MAVLink v1"
+    );
     (len & 0xFF) as u8
 }
 

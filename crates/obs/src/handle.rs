@@ -116,13 +116,7 @@ impl ObsHandle {
 
     /// Records `v` into the `label`ed member of histogram family
     /// `name` (per-tenant latency distributions).
-    pub fn observe_labeled(
-        &self,
-        name: &'static str,
-        label: &str,
-        bounds: &'static [u64],
-        v: u64,
-    ) {
+    pub fn observe_labeled(&self, name: &'static str, label: &str, bounds: &'static [u64], v: u64) {
         let _ = self.with(|o| o.metrics.observe_labeled(name, label, bounds, v));
     }
 

@@ -278,9 +278,7 @@ impl MetricsRegistry {
     }
 
     /// All labeled counters, in (name, label) order.
-    pub fn labeled_counters(
-        &self,
-    ) -> impl Iterator<Item = (&'static str, &str, u64)> + '_ {
+    pub fn labeled_counters(&self) -> impl Iterator<Item = (&'static str, &str, u64)> + '_ {
         self.labeled_counters
             .iter()
             .map(|((name, label), &v)| (*name, label.as_str(), v))
@@ -577,10 +575,14 @@ mod tests {
         m.observe_labeled("binder.latency_ns", "ctr2", BOUNDS, 5);
         m.observe_labeled("binder.latency_ns", "ctr2", BOUNDS, 5_000);
         m.observe_labeled("binder.latency_ns", "ctr3", BOUNDS, 50);
-        let h2 = m.labeled_histogram("binder.latency_ns", "ctr2").expect("ctr2");
+        let h2 = m
+            .labeled_histogram("binder.latency_ns", "ctr2")
+            .expect("ctr2");
         assert_eq!(h2.count(), 2);
         assert_eq!(h2.max(), 5_000);
-        let h3 = m.labeled_histogram("binder.latency_ns", "ctr3").expect("ctr3");
+        let h3 = m
+            .labeled_histogram("binder.latency_ns", "ctr3")
+            .expect("ctr3");
         assert_eq!(h3.count(), 1);
         assert!(m.labeled_histogram("binder.latency_ns", "ctr9").is_none());
     }
@@ -595,7 +597,11 @@ mod tests {
         a.observe("h", BOUNDS, 5);
         let base = a.digest();
         a.count_labeled("c.by_tenant", "ctr2", 1);
-        assert_ne!(a.digest(), base, "labels must be digest-visible when present");
+        assert_ne!(
+            a.digest(),
+            base,
+            "labels must be digest-visible when present"
+        );
     }
 
     #[test]

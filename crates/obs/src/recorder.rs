@@ -259,12 +259,7 @@ impl BlackBoxSnapshot {
 /// counters, gauges, and histograms (bounds + bucket counts +
 /// summary stats) — alongside the black box for offline analysis.
 pub fn metrics_to_json(metrics: &crate::MetricsRegistry) -> Value {
-    let counters = object(
-        metrics
-            .counters()
-            .map(|(name, v)| (name, num(v)))
-            .collect(),
-    );
+    let counters = object(metrics.counters().map(|(name, v)| (name, num(v))).collect());
     let gauges = object(
         metrics
             .gauges()
@@ -362,7 +357,10 @@ mod tests {
             parsed.get("end_reason").and_then(Value::as_str),
             Some("LinkLost")
         );
-        let records = parsed.get("records").and_then(Value::as_array).expect("records");
+        let records = parsed
+            .get("records")
+            .and_then(Value::as_array)
+            .expect("records");
         assert_eq!(records.len(), 2);
     }
 

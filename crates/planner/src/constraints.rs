@@ -114,10 +114,8 @@ impl RouteConstraints {
             }
         }
         for (gi, group) in self.groups.iter().enumerate() {
-            let mut positions: Vec<(usize, usize)> = group
-                .iter()
-                .filter_map(|&t| locate(t))
-                .collect();
+            let mut positions: Vec<(usize, usize)> =
+                group.iter().filter_map(|&t| locate(t)).collect();
             if positions.is_empty() {
                 continue;
             }
@@ -232,8 +230,7 @@ impl RouteConstraints {
                         route.stops.iter().position(|&s| s == task).map(|p| (r, p))
                     })
                 };
-                let (Some((ra, pa)), Some((rb, pb))) = (find(sol, before), find(sol, after))
-                else {
+                let (Some((ra, pa)), Some((rb, pb))) = (find(sol, before), find(sol, after)) else {
                     continue;
                 };
                 if ra == rb && pa < pb {
@@ -331,7 +328,9 @@ impl RouteConstraints {
                 });
                 match dest {
                     Some((d, _)) => sol.routes[d].stops.extend_from_slice(moved),
-                    None => sol.routes.push(Route { stops: moved.clone() }),
+                    None => sol.routes.push(Route {
+                        stops: moved.clone(),
+                    }),
                 }
             }
         }
@@ -462,16 +461,15 @@ mod tests {
 
     fn sol(routes: &[&[usize]]) -> VrpSolution {
         VrpSolution {
-            routes: routes
-                .iter()
-                .map(|r| Route { stops: r.to_vec() })
-                .collect(),
+            routes: routes.iter().map(|r| Route { stops: r.to_vec() }).collect(),
         }
     }
 
     #[test]
     fn check_accepts_satisfied_constraints() {
-        let c = RouteConstraints::none().in_order(&[0, 1, 2]).grouped(&[3, 4]);
+        let c = RouteConstraints::none()
+            .in_order(&[0, 1, 2])
+            .grouped(&[3, 4]);
         let s = sol(&[&[0, 1, 2], &[5, 3, 4]]);
         c.check(&s).unwrap();
     }
@@ -481,11 +479,17 @@ mod tests {
         let c = RouteConstraints::none().in_order(&[0, 1]);
         assert_eq!(
             c.check(&sol(&[&[1, 0]])),
-            Err(ConstraintViolation::OutOfOrder { before: 0, after: 1 })
+            Err(ConstraintViolation::OutOfOrder {
+                before: 0,
+                after: 1
+            })
         );
         assert_eq!(
             c.check(&sol(&[&[0], &[1]])),
-            Err(ConstraintViolation::OrderSplitAcrossRoutes { before: 0, after: 1 })
+            Err(ConstraintViolation::OrderSplitAcrossRoutes {
+                before: 0,
+                after: 1
+            })
         );
     }
 
@@ -546,8 +550,7 @@ mod tests {
     fn capacity_with_slack_is_inert() {
         // Three parties, cap three: the constraint can never bind,
         // so the legacy unconstrained solve path stays bit-identical.
-        let c = RouteConstraints::none()
-            .with_party_capacity(vec![vec![0], vec![1], vec![2]], 3);
+        let c = RouteConstraints::none().with_party_capacity(vec![vec![0], vec![1], vec![2]], 3);
         assert!(c.is_empty());
         c.check(&sol(&[&[0, 1, 2]])).unwrap();
     }
@@ -560,7 +563,10 @@ mod tests {
         c.check(&sol(&[&[0, 1, 2], &[3]])).unwrap();
         assert_eq!(
             c.check(&sol(&[&[0, 1, 2, 3]])),
-            Err(ConstraintViolation::RouteOverCapacity { route: 0, parties: 4 })
+            Err(ConstraintViolation::RouteOverCapacity {
+                route: 0,
+                parties: 4
+            })
         );
     }
 
@@ -613,7 +619,11 @@ mod tests {
     /// tasks no route visits), overlapping and with repeats.
     fn random_parties(rng: &mut SmallRng, n: usize) -> Vec<Vec<usize>> {
         (0..rng.gen_range(0..8))
-            .map(|_| (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..n + 3)).collect())
+            .map(|_| {
+                (0..rng.gen_range(0..6))
+                    .map(|_| rng.gen_range(0..n + 3))
+                    .collect()
+            })
             .collect()
     }
 

@@ -1,7 +1,7 @@
 //! Mission plans: a solved route turned into an executable flight.
 
-use androne_hal::GeoPoint;
 use androne_energy::DorlingModel;
+use androne_hal::GeoPoint;
 
 use crate::vrp::{VrpProblem, VrpSolution};
 

@@ -15,8 +15,8 @@
 //! drone's set, and cannot honor user-prescribed orderings. The paper
 //! calls this out as a limitation, and tests here pin the behaviour.
 
-use androne_hal::GeoPoint;
 use androne_energy::DorlingModel;
+use androne_hal::GeoPoint;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -201,7 +201,11 @@ impl VrpProblem {
 
     /// Simulated-annealing solve (Dorling et al.'s approach).
     pub fn solve(&self, iterations: usize, seed: u64) -> VrpSolution {
-        self.solve_constrained(iterations, seed, &crate::constraints::RouteConstraints::none())
+        self.solve_constrained(
+            iterations,
+            seed,
+            &crate::constraints::RouteConstraints::none(),
+        )
     }
 
     /// Simulated-annealing solve with waypoint ordering/grouping
@@ -258,8 +262,8 @@ impl VrpProblem {
                 }
             }
             let cand_cost = legs.cost(&cand);
-            let accept = cand_cost < cur_cost
-                || rng.gen::<f64>() < ((cur_cost - cand_cost) / temp).exp();
+            let accept =
+                cand_cost < cur_cost || rng.gen::<f64>() < ((cur_cost - cand_cost) / temp).exp();
             if accept {
                 std::mem::swap(&mut current, &mut cand);
                 cur_cost = cand_cost;
@@ -559,7 +563,8 @@ mod tests {
             .map(|&i| p.tasks[i].owner.as_str())
             .collect();
         assert!(
-            order == ["a", "b", "a"] || order == ["a", "b", "a"].iter().rev().cloned().collect::<Vec<_>>(),
+            order == ["a", "b", "a"]
+                || order == ["a", "b", "a"].iter().rev().cloned().collect::<Vec<_>>(),
             "optimal route interleaves owners: {order:?}"
         );
     }

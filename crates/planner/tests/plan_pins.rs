@@ -172,7 +172,11 @@ fn pinned_plans_are_feasible() {
 fn capacity_repair_may_exceed_fleet_size() {
     let (p, c) = fleet_dense_first_wave();
     let sol = p.solve_constrained(2_000, PLAN_SEED, &c);
-    assert!(sol.routes.len() > p.fleet_size, "{} routes", sol.routes.len());
+    assert!(
+        sol.routes.len() > p.fleet_size,
+        "{} routes",
+        sol.routes.len()
+    );
     for route in &sol.routes {
         let hosted = c
             .parties

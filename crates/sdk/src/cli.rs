@@ -61,7 +61,10 @@ mod tests {
     #[test]
     fn mark_file_and_completion_take_effect() {
         let (vdc, sdk) = sdk();
-        assert_eq!(run_command(&sdk, "mark-file /data/x.jpg"), "marked /data/x.jpg");
+        assert_eq!(
+            run_command(&sdk, "mark-file /data/x.jpg"),
+            "marked /data/x.jpg"
+        );
         assert_eq!(run_command(&sdk, "waypoint-completed"), "ok");
         assert!(vdc.borrow().record("vd1").unwrap().waypoint_done);
         assert_eq!(vdc.borrow().record("vd1").unwrap().marked_files.len(), 1);

@@ -71,9 +71,7 @@ pub fn retry_with_backoff<T, E>(
                 on_backoff(policy.backoff(attempt));
                 attempt += 1;
             }
-            Err(e) if retryable(&e) => {
-                return Err(RetryFailure::Exhausted { attempts, last: e })
-            }
+            Err(e) if retryable(&e) => return Err(RetryFailure::Exhausted { attempts, last: e }),
             Err(e) => return Err(RetryFailure::Fatal(e)),
         }
     }
@@ -143,11 +141,20 @@ mod tests {
         assert_eq!(out, Err(RetryFailure::Fatal(E::Hard)));
 
         let out: Result<(), _> = retry_with_backoff(
-            &RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
+            &RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            },
             |e| *e == E::Transient,
             |_| Err(E::Transient),
             &mut |_| {},
         );
-        assert_eq!(out, Err(RetryFailure::Exhausted { attempts: 2, last: E::Transient }));
+        assert_eq!(
+            out,
+            Err(RetryFailure::Exhausted {
+                attempts: 2,
+                last: E::Transient
+            })
+        );
     }
 }

@@ -98,7 +98,11 @@ impl SharedResource {
     ///
     /// Negative or non-finite demands are clamped to zero.
     pub fn register(&mut self, client: impl Into<ClientId>, demand: f64) {
-        let demand = if demand.is_finite() { demand.max(0.0) } else { 0.0 };
+        let demand = if demand.is_finite() {
+            demand.max(0.0)
+        } else {
+            0.0
+        };
         self.demands.insert(client.into(), demand);
     }
 
@@ -113,7 +117,11 @@ impl SharedResource {
     /// `quota`. Negative or non-finite quotas clamp to zero (a fully
     /// frozen client).
     pub fn set_quota(&mut self, client: impl Into<ClientId>, quota: f64) {
-        let quota = if quota.is_finite() { quota.max(0.0) } else { 0.0 };
+        let quota = if quota.is_finite() {
+            quota.max(0.0)
+        } else {
+            0.0
+        };
         self.quotas.insert(client.into(), quota);
     }
 
@@ -236,8 +244,10 @@ impl ResourceSet {
     ///
     /// Panics if the kind is absent (see [`ResourceSet::get`]).
     pub fn get_mut(&mut self, kind: ResourceKind) -> &mut SharedResource {
-        // dronelint:allow(R3, documented # Panics invariant: every constructor populates all ResourceKind variants)
-        self.resources.get_mut(&kind).expect("resource kind present")
+        self.resources
+            .get_mut(&kind)
+            // dronelint:allow(R3, documented # Panics invariant: every constructor populates all ResourceKind variants)
+            .expect("resource kind present")
     }
 
     /// Removes a client's demand from every resource.
@@ -379,13 +389,19 @@ mod tests {
         let mut r = SharedResource::new(ResourceKind::Cpu, 4.0);
         r.register("flight", 1.0);
         r.register("attacker", 16.0);
-        assert!(r.slowdown_for(&"flight".into()) > 1.0, "uncapped attacker contends");
+        assert!(
+            r.slowdown_for(&"flight".into()) > 1.0,
+            "uncapped attacker contends"
+        );
         r.set_quota("attacker", 0.5);
         assert_eq!(r.total_demand(), 1.5);
         assert_eq!(r.rate_for(&"flight".into()), 1.0);
         assert_eq!(r.slowdown_for(&"flight".into()), 1.0);
         assert_eq!(r.rate_for(&"attacker".into()), 0.5);
-        assert!(r.slowdown_for(&"attacker".into()) > 1.0, "the cap is visible to the attacker");
+        assert!(
+            r.slowdown_for(&"attacker".into()) > 1.0,
+            "the cap is visible to the attacker"
+        );
     }
 
     #[test]
@@ -394,7 +410,11 @@ mod tests {
         r.register("a", 4.0);
         r.register("b", 4.0);
         r.set_quota("b", 0.0);
-        assert_eq!(r.slowdown_for(&"a".into()), 1.0, "frozen client contends nothing");
+        assert_eq!(
+            r.slowdown_for(&"a".into()),
+            1.0,
+            "frozen client contends nothing"
+        );
         r.clear_quota(&"b".into());
         assert_eq!(r.slowdown_for(&"a".into()), 2.0);
     }
@@ -407,7 +427,11 @@ mod tests {
         assert_eq!(r.rate_for(&"attacker".into()), 0.25);
         r.unregister(&"attacker".into());
         r.register("attacker", 8.0);
-        assert_eq!(r.rate_for(&"attacker".into()), 0.25, "cap outlives the demand");
+        assert_eq!(
+            r.rate_for(&"attacker".into()),
+            0.25,
+            "cap outlives the demand"
+        );
     }
 
     #[test]

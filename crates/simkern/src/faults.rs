@@ -115,15 +115,13 @@ impl StateHash for FaultKind {
                 h.write_f64(*bias);
             }
             FaultKind::GpsLoss | FaultKind::LinkPartition => {}
-            FaultKind::ContainerCrash { target } => {
-                match target {
-                    Some(name) => {
-                        h.write_u8(1);
-                        h.write_str(name);
-                    }
-                    None => h.write_u8(0),
+            FaultKind::ContainerCrash { target } => match target {
+                Some(name) => {
+                    h.write_u8(1);
+                    h.write_str(name);
                 }
-            }
+                None => h.write_u8(0),
+            },
             FaultKind::LinkBurstLoss { burst } => {
                 h.write_f64(burst.p_good_to_bad);
                 h.write_f64(burst.p_bad_to_good);
@@ -168,14 +166,21 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan with no events. Running it must not perturb anything.
     pub fn empty() -> FaultPlan {
-        FaultPlan { seed: 0, events: Vec::new() }
+        FaultPlan {
+            seed: 0,
+            events: Vec::new(),
+        }
     }
 
     /// A plan with exactly one event, for targeted tests.
     pub fn single(kind: FaultKind, arm_tick: u64, disarm_tick: u64) -> FaultPlan {
         FaultPlan {
             seed: 0,
-            events: vec![FaultEvent { kind, arm_tick, disarm_tick }],
+            events: vec![FaultEvent {
+                kind,
+                arm_tick,
+                disarm_tick,
+            }],
         }
     }
 
@@ -200,30 +205,48 @@ impl FaultPlan {
         let mut crash_used = false;
         for _ in 0..count {
             let kind = match rng.gen_range(0..10u32) {
-                0 => FaultKind::SensorDropout { channel: Self::pick_channel(&mut rng) },
-                1 => FaultKind::SensorStuck { channel: Self::pick_channel(&mut rng) },
+                0 => FaultKind::SensorDropout {
+                    channel: Self::pick_channel(&mut rng),
+                },
+                1 => FaultKind::SensorStuck {
+                    channel: Self::pick_channel(&mut rng),
+                },
                 2 => FaultKind::SensorBias {
                     channel: Self::pick_channel(&mut rng),
                     bias: rng.gen_range(-2.0..2.0),
                 },
                 3 => FaultKind::GpsLoss,
                 4 => FaultKind::LinkPartition,
-                5 => FaultKind::LinkBurstLoss { burst: BurstLoss::cellular_fade() },
-                6 => FaultKind::BinderFailure { period: rng.gen_range(2..6) },
-                7 => FaultKind::BinderTimeout { period: rng.gen_range(2..6) },
+                5 => FaultKind::LinkBurstLoss {
+                    burst: BurstLoss::cellular_fade(),
+                },
+                6 => FaultKind::BinderFailure {
+                    period: rng.gen_range(2..6),
+                },
+                7 => FaultKind::BinderTimeout {
+                    period: rng.gen_range(2..6),
+                },
                 8 if !crash_used => {
                     crash_used = true;
-                    FaultKind::ContainerCrash { target: Self::pick_target(&mut rng, targets) }
+                    FaultKind::ContainerCrash {
+                        target: Self::pick_target(&mut rng, targets),
+                    }
                 }
                 8 => FaultKind::GpsLoss,
-                _ => FaultKind::BatteryDegradation { health: rng.gen_range(0.6..0.95) },
+                _ => FaultKind::BatteryDegradation {
+                    health: rng.gen_range(0.6..0.95),
+                },
             };
             // Arm within the first three quarters so the fault has
             // airtime; keep windows short enough that failsafes can
             // hand control back before the flight budget runs out.
             let arm_tick = rng.gen_range(4..horizon * 3 / 4);
             let duration = rng.gen_range(3u64..=15);
-            events.push(FaultEvent { kind, arm_tick, disarm_tick: arm_tick + duration });
+            events.push(FaultEvent {
+                kind,
+                arm_tick,
+                disarm_tick: arm_tick + duration,
+            });
         }
         FaultPlan { seed, events }
     }
@@ -344,7 +367,12 @@ pub struct FleetFaultPlan {
 impl FleetFaultPlan {
     /// A plan injecting nothing anywhere.
     pub fn empty() -> FleetFaultPlan {
-        FleetFaultPlan { seed: 0, flights: Vec::new(), correlated: Vec::new(), cloud: Vec::new() }
+        FleetFaultPlan {
+            seed: 0,
+            flights: Vec::new(),
+            correlated: Vec::new(),
+            cloud: Vec::new(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -363,7 +391,10 @@ impl FleetFaultPlan {
             .map(|p| p.events.clone())
             .unwrap_or_default();
         events.extend(self.correlated.iter().cloned());
-        FaultPlan { seed: self.seed, events }
+        FaultPlan {
+            seed: self.seed,
+            events,
+        }
     }
 
     /// The cloud fault kinds armed for `wave`, in schedule order.
@@ -389,14 +420,17 @@ impl FleetFaultPlan {
                 events: p
                     .events
                     .iter()
-                    .filter(|e| {
-                        matches!(e.kind, FaultKind::ContainerCrash { target: Some(_) })
-                    })
+                    .filter(|e| matches!(e.kind, FaultKind::ContainerCrash { target: Some(_) }))
                     .cloned()
                     .collect(),
             })
             .collect();
-        FleetFaultPlan { seed: self.seed, flights, correlated: Vec::new(), cloud: Vec::new() }
+        FleetFaultPlan {
+            seed: self.seed,
+            flights,
+            correlated: Vec::new(),
+            cloud: Vec::new(),
+        }
     }
 
     /// The sorted, deduplicated set of tenants named by container
@@ -448,25 +482,41 @@ impl FleetFaultPlan {
             let mut events = Vec::with_capacity(count);
             for _ in 0..count {
                 let kind = match rng.gen_range(0..9u32) {
-                    0 => FaultKind::SensorDropout { channel: FaultPlan::pick_channel(&mut rng) },
-                    1 => FaultKind::SensorStuck { channel: FaultPlan::pick_channel(&mut rng) },
+                    0 => FaultKind::SensorDropout {
+                        channel: FaultPlan::pick_channel(&mut rng),
+                    },
+                    1 => FaultKind::SensorStuck {
+                        channel: FaultPlan::pick_channel(&mut rng),
+                    },
                     2 => FaultKind::SensorBias {
                         channel: FaultPlan::pick_channel(&mut rng),
                         bias: rng.gen_range(-1.5..1.5),
                     },
                     3 => FaultKind::GpsLoss,
-                    4 => FaultKind::LinkBurstLoss { burst: BurstLoss::cellular_fade() },
-                    5 => FaultKind::BinderFailure { period: rng.gen_range(2..6) },
-                    6 => FaultKind::BinderTimeout { period: rng.gen_range(2..6) },
+                    4 => FaultKind::LinkBurstLoss {
+                        burst: BurstLoss::cellular_fade(),
+                    },
+                    5 => FaultKind::BinderFailure {
+                        period: rng.gen_range(2..6),
+                    },
+                    6 => FaultKind::BinderTimeout {
+                        period: rng.gen_range(2..6),
+                    },
                     7 if !tenants.is_empty() => FaultKind::ContainerCrash {
                         target: FaultPlan::pick_target(&mut rng, tenants),
                     },
                     7 => FaultKind::GpsLoss,
-                    _ => FaultKind::BatteryDegradation { health: rng.gen_range(0.7..0.95) },
+                    _ => FaultKind::BatteryDegradation {
+                        health: rng.gen_range(0.7..0.95),
+                    },
                 };
                 let arm_tick = rng.gen_range(4..4 + arm_span);
                 let duration = rng.gen_range(3u64..=10);
-                events.push(FaultEvent { kind, arm_tick, disarm_tick: arm_tick + duration });
+                events.push(FaultEvent {
+                    kind,
+                    arm_tick,
+                    disarm_tick: arm_tick + duration,
+                });
             }
             flights.push(FaultPlan { seed, events });
         }
@@ -480,8 +530,12 @@ impl FleetFaultPlan {
                 // and ends flights early — the path that exercises
                 // cross-flight resume.
                 1 => FaultKind::LinkPartition,
-                2 => FaultKind::LinkBurstLoss { burst: BurstLoss::cellular_fade() },
-                _ => FaultKind::BatteryDegradation { health: rng.gen_range(0.75..0.95) },
+                2 => FaultKind::LinkBurstLoss {
+                    burst: BurstLoss::cellular_fade(),
+                },
+                _ => FaultKind::BatteryDegradation {
+                    health: rng.gen_range(0.75..0.95),
+                },
             };
             let duration = if matches!(kind, FaultKind::LinkPartition) {
                 rng.gen_range(12u64..=20)
@@ -489,7 +543,11 @@ impl FleetFaultPlan {
                 rng.gen_range(4u64..=12)
             };
             let arm_tick = rng.gen_range(4..4 + arm_span);
-            correlated.push(FaultEvent { kind, arm_tick, disarm_tick: arm_tick + duration });
+            correlated.push(FaultEvent {
+                kind,
+                arm_tick,
+                disarm_tick: arm_tick + duration,
+            });
         }
 
         let waves = n_flights.max(1) as u64;
@@ -505,10 +563,19 @@ impl FleetFaultPlan {
                 _ => CloudFaultKind::PlannerReject,
             };
             let arm_wave = rng.gen_range(0..waves);
-            cloud.push(CloudFaultEvent { kind, arm_wave, disarm_wave: arm_wave + 1 });
+            cloud.push(CloudFaultEvent {
+                kind,
+                arm_wave,
+                disarm_wave: arm_wave + 1,
+            });
         }
 
-        FleetFaultPlan { seed, flights, correlated, cloud }
+        FleetFaultPlan {
+            seed,
+            flights,
+            correlated,
+            cloud,
+        }
     }
 }
 
@@ -573,7 +640,10 @@ impl FaultClock {
             let should_be_armed = tick >= arm && tick < disarm;
             if should_be_armed != self.active[i] {
                 self.active[i] = should_be_armed;
-                out.push(FaultTransition { index: i, armed: should_be_armed });
+                out.push(FaultTransition {
+                    index: i,
+                    armed: should_be_armed,
+                });
             }
         }
         out
@@ -625,7 +695,9 @@ mod tests {
             let plan = FaultPlan::generate_targeted(seed, 120, &targets);
             for e in &plan.events {
                 if let FaultKind::ContainerCrash { target } = &e.kind {
-                    let t = target.as_deref().expect("targeted plans always name a victim");
+                    let t = target
+                        .as_deref()
+                        .expect("targeted plans always name a victim");
                     assert!(targets.iter().any(|x| x == t), "unknown target {t}");
                     named += 1;
                 }
@@ -733,7 +805,9 @@ mod tests {
     #[test]
     fn effective_plan_merges_flight_and_correlated_events() {
         let mut fleet = FleetFaultPlan::empty();
-        fleet.flights.push(FaultPlan::single(FaultKind::GpsLoss, 5, 10));
+        fleet
+            .flights
+            .push(FaultPlan::single(FaultKind::GpsLoss, 5, 10));
         fleet.correlated.push(FaultEvent {
             kind: FaultKind::LinkPartition,
             arm_tick: 20,
@@ -758,7 +832,9 @@ mod tests {
             disarm_wave: 2,
         });
         fleet.cloud.push(CloudFaultEvent {
-            kind: CloudFaultKind::StorageWriteFail { transient_failures: 2 },
+            kind: CloudFaultKind::StorageWriteFail {
+                transient_failures: 2,
+            },
             arm_wave: 1,
             disarm_wave: 3,
         });
@@ -767,12 +843,16 @@ mod tests {
             fleet.cloud_armed(1),
             vec![
                 CloudFaultKind::PortalDown,
-                CloudFaultKind::StorageWriteFail { transient_failures: 2 },
+                CloudFaultKind::StorageWriteFail {
+                    transient_failures: 2
+                },
             ]
         );
         assert_eq!(
             fleet.cloud_armed(2),
-            vec![CloudFaultKind::StorageWriteFail { transient_failures: 2 }]
+            vec![CloudFaultKind::StorageWriteFail {
+                transient_failures: 2
+            }]
         );
     }
 
@@ -783,11 +863,17 @@ mod tests {
             seed: 0,
             events: vec![
                 FaultEvent {
-                    kind: FaultKind::ContainerCrash { target: Some("vd-a".into()) },
+                    kind: FaultKind::ContainerCrash {
+                        target: Some("vd-a".into()),
+                    },
                     arm_tick: 5,
                     disarm_tick: 9,
                 },
-                FaultEvent { kind: FaultKind::GpsLoss, arm_tick: 6, disarm_tick: 12 },
+                FaultEvent {
+                    kind: FaultKind::GpsLoss,
+                    arm_tick: 6,
+                    disarm_tick: 12,
+                },
                 FaultEvent {
                     kind: FaultKind::ContainerCrash { target: None },
                     arm_tick: 7,
@@ -807,7 +893,11 @@ mod tests {
         });
         let crash = fleet.crash_only();
         assert_eq!(crash.flights.len(), 1);
-        assert_eq!(crash.flights[0].events.len(), 1, "unnamed crash dropped too");
+        assert_eq!(
+            crash.flights[0].events.len(),
+            1,
+            "unnamed crash dropped too"
+        );
         assert!(crash.correlated.is_empty());
         assert!(crash.cloud.is_empty());
         assert_eq!(fleet.crash_targets(), vec!["vd-a".to_string()]);
@@ -819,13 +909,19 @@ mod tests {
         assert!(clock.transitions_at(9).is_empty());
         assert_eq!(
             clock.transitions_at(10),
-            vec![FaultTransition { index: 0, armed: true }]
+            vec![FaultTransition {
+                index: 0,
+                armed: true
+            }]
         );
         assert!(clock.transitions_at(15).is_empty());
         assert!(clock.is_armed(0));
         assert_eq!(
             clock.transitions_at(20),
-            vec![FaultTransition { index: 0, armed: false }]
+            vec![FaultTransition {
+                index: 0,
+                armed: false
+            }]
         );
         assert!(!clock.is_armed(0));
         assert!(clock.transitions_at(21).is_empty());

@@ -95,10 +95,7 @@ pub struct Kernel {
 impl Kernel {
     /// Boots a kernel on Raspberry Pi 3-class hardware.
     pub fn boot(config: KernelConfig, seed: u64) -> Self {
-        let latency = LatencyModel::new(
-            config.preemption,
-            vec![profiles::idle_housekeeping()],
-        );
+        let latency = LatencyModel::new(config.preemption, vec![profiles::idle_housekeeping()]);
         Kernel {
             config,
             tasks: TaskTable::new(),
@@ -208,10 +205,9 @@ mod tests {
     fn rt_memory_penalty_matches_figure_10_ratio() {
         // Figure 10: at 3 contenders, memory overhead is 1.8x on
         // PREEMPT vs 2.3x on PREEMPT_RT, a ratio of ~1.28.
-        let preempt = KernelConfig::NAVIO2_DEFAULT
-            .throughput_penalty(ResourceKind::MemoryBandwidth, 3);
-        let rt = KernelConfig::ANDRONE_DEFAULT
-            .throughput_penalty(ResourceKind::MemoryBandwidth, 3);
+        let preempt =
+            KernelConfig::NAVIO2_DEFAULT.throughput_penalty(ResourceKind::MemoryBandwidth, 3);
+        let rt = KernelConfig::ANDRONE_DEFAULT.throughput_penalty(ResourceKind::MemoryBandwidth, 3);
         let ratio = rt / preempt;
         assert!((1.2..1.35).contains(&ratio), "ratio {ratio}");
     }

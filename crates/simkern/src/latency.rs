@@ -428,13 +428,15 @@ mod tests {
 
     #[test]
     fn removing_a_source_restores_the_quiet_model() {
-        let mut m =
-            LatencyModel::new(Preemption::PreemptRt, vec![profiles::idle_housekeeping()]);
+        let mut m = LatencyModel::new(Preemption::PreemptRt, vec![profiles::idle_housekeeping()]);
         m.add_source(profiles::attack_unenforced("attack:flood"));
         assert!(m.has_source("attack:flood"));
         assert!(m.remove_source("attack:flood"));
         assert!(!m.has_source("attack:flood"));
-        assert!(!m.remove_source("attack:flood"), "second removal is a no-op");
+        assert!(
+            !m.remove_source("attack:flood"),
+            "second removal is a no-op"
+        );
         let quiet = LatencyModel::new(Preemption::PreemptRt, vec![profiles::idle_housekeeping()]);
         assert_eq!(run(&m, 50_000, 21), run(&quiet, 50_000, 21));
     }
@@ -462,6 +464,9 @@ mod tests {
             ],
         );
         let (_, max) = run(&m, 400_000, 23);
-        assert!(max < 2_500.0, "throttled attack max {max} must meet the fast loop");
+        assert!(
+            max < 2_500.0,
+            "throttled attack max {max} must meet the fast loop"
+        );
     }
 }

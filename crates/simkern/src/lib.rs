@@ -45,8 +45,8 @@ pub mod time;
 pub use cpu::{ClientId, ResourceKind, ResourceSet, SharedResource};
 pub use error::KernelError;
 pub use faults::{
-    CloudFaultEvent, CloudFaultKind, FaultClock, FaultEvent, FaultKind, FaultPlan,
-    FaultTransition, FleetFaultPlan, SensorChannel,
+    CloudFaultEvent, CloudFaultKind, FaultClock, FaultEvent, FaultKind, FaultPlan, FaultTransition,
+    FleetFaultPlan, SensorChannel,
 };
 pub use kernel::{Kernel, KernelConfig, SharedKernel};
 pub use latency::{InterferenceSource, LatencyModel, Preemption, SectionParams};

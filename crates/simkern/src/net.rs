@@ -184,7 +184,11 @@ impl LinkModel {
                 } else if b.p_good_to_bad > 0.0 && rng.gen::<f64>() < b.p_good_to_bad {
                     state.in_bad = true;
                 }
-                let p = if state.in_bad { b.loss_bad } else { b.loss_good };
+                let p = if state.in_bad {
+                    b.loss_bad
+                } else {
+                    b.loss_good
+                };
                 p > 0.0 && rng.gen::<f64>() < p
             }
         };

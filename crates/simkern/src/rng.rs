@@ -153,10 +153,15 @@ mod tests {
         }
         // Distinct tenants and epochs draw distinct delays (the
         // cadence an adaptive attacker would have to learn).
-        let spread: std::collections::BTreeSet<u64> =
-            (0..16).map(|e| refill_jitter_ns(9, 3, e, 1_500_000_000)).collect();
+        let spread: std::collections::BTreeSet<u64> = (0..16)
+            .map(|e| refill_jitter_ns(9, 3, e, 1_500_000_000))
+            .collect();
         assert!(spread.len() > 8, "jitter barely varies: {spread:?}");
-        assert_eq!(refill_jitter_ns(9, 3, 0, 0), 0, "zero range disables jitter");
+        assert_eq!(
+            refill_jitter_ns(9, 3, 0, 0),
+            0,
+            "zero range disables jitter"
+        );
     }
 
     #[test]

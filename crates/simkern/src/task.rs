@@ -288,8 +288,13 @@ mod tests {
     fn table_with(n: usize, container: ContainerId) -> TaskTable {
         let mut t = TaskTable::new();
         for i in 0..n {
-            t.spawn(format!("task{i}"), Euid(10_000), container, SchedPolicy::DEFAULT)
-                .unwrap();
+            t.spawn(
+                format!("task{i}"),
+                Euid(10_000),
+                container,
+                SchedPolicy::DEFAULT,
+            )
+            .unwrap();
         }
         t
     }
@@ -311,13 +316,28 @@ mod tests {
     fn invalid_policies_are_rejected() {
         let mut t = TaskTable::new();
         assert!(t
-            .spawn("x", Euid(0), ContainerId::HOST, SchedPolicy::Fifo { rt_prio: 0 })
+            .spawn(
+                "x",
+                Euid(0),
+                ContainerId::HOST,
+                SchedPolicy::Fifo { rt_prio: 0 }
+            )
             .is_err());
         assert!(t
-            .spawn("x", Euid(0), ContainerId::HOST, SchedPolicy::Fifo { rt_prio: 100 })
+            .spawn(
+                "x",
+                Euid(0),
+                ContainerId::HOST,
+                SchedPolicy::Fifo { rt_prio: 100 }
+            )
             .is_err());
         assert!(t
-            .spawn("x", Euid(0), ContainerId::HOST, SchedPolicy::Normal { nice: 42 })
+            .spawn(
+                "x",
+                Euid(0),
+                ContainerId::HOST,
+                SchedPolicy::Normal { nice: 42 }
+            )
             .is_err());
     }
 

@@ -253,10 +253,7 @@ mod tests {
     #[test]
     fn duration_unit_constructors_agree() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
-        assert_eq!(
-            SimDuration::from_millis(1),
-            SimDuration::from_micros(1_000)
-        );
+        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1_000));
     }
 

@@ -84,7 +84,10 @@ impl Serialize for VirtualDroneSpec {
     fn serialize_value(&self) -> Value {
         let mut obj = BTreeMap::new();
         obj.insert("waypoints".to_string(), self.waypoints.serialize_value());
-        obj.insert("max-duration".to_string(), self.max_duration.serialize_value());
+        obj.insert(
+            "max-duration".to_string(),
+            self.max_duration.serialize_value(),
+        );
         obj.insert(
             "energy-allotted".to_string(),
             self.energy_allotted.serialize_value(),
@@ -209,8 +212,8 @@ impl VirtualDroneSpec {
             return Err(SpecError::NonPositiveBudget("energy-allotted"));
         }
         for d in &self.continuous_devices {
-            let device = DeviceClass::parse(d)
-                .ok_or_else(|| SpecError::UnknownDevice(d.clone()))?;
+            let device =
+                DeviceClass::parse(d).ok_or_else(|| SpecError::UnknownDevice(d.clone()))?;
             if device == DeviceClass::FlightControl {
                 return Err(SpecError::ContinuousFlightControl);
             }

@@ -341,7 +341,12 @@ impl Vdc {
     }
 
     /// Registers a virtual drone before flight.
-    pub fn register(&mut self, name: impl Into<String>, container: ContainerId, spec: VirtualDroneSpec) {
+    pub fn register(
+        &mut self,
+        name: impl Into<String>,
+        container: ContainerId,
+        spec: VirtualDroneSpec,
+    ) {
         let name = name.into();
         self.access.borrow_mut().register(
             container,
@@ -400,7 +405,8 @@ impl Vdc {
         let waypoint = rec.spec.waypoints.get(index).copied();
         rec.waypoint_done = false;
         if let Some(waypoint) = waypoint {
-            rec.events.push_back(VdcEvent::WaypointActive { index, waypoint });
+            rec.events
+                .push_back(VdcEvent::WaypointActive { index, waypoint });
         }
         self.access
             .borrow_mut()
@@ -725,7 +731,10 @@ mod tests {
         vdc.on_waypoint_arrived("vd1", 0);
         assert!(vdc.allows("vd1", DeviceClass::Camera));
         let events = vdc.drain_events("vd1");
-        assert!(matches!(events[0], VdcEvent::WaypointActive { index: 0, .. }));
+        assert!(matches!(
+            events[0],
+            VdcEvent::WaypointActive { index: 0, .. }
+        ));
         vdc.on_waypoint_departed("vd1", 0);
         assert!(!vdc.allows("vd1", DeviceClass::Camera));
         assert_eq!(
@@ -741,10 +750,7 @@ mod tests {
         vdc.on_waypoint_departed("vd1", 0);
         vdc.on_waypoint_arrived("vd1", 1);
         vdc.on_waypoint_departed("vd1", 1);
-        assert_eq!(
-            vdc.access().borrow().phase(c),
-            Some(FlightPhase::Finished)
-        );
+        assert_eq!(vdc.access().borrow().phase(c), Some(FlightPhase::Finished));
         assert_eq!(vdc.record("vd1").unwrap().waypoints_completed(), 2);
     }
 
@@ -779,7 +785,11 @@ mod tests {
         let mut spec_cont = VirtualDroneSpec::example_survey();
         spec_cont.continuous_devices = vec!["gps".into()];
         vdc.register("vd-cont", ContainerId(10), spec_cont);
-        vdc.register("vd-other", ContainerId(11), VirtualDroneSpec::example_survey());
+        vdc.register(
+            "vd-other",
+            ContainerId(11),
+            VirtualDroneSpec::example_survey(),
+        );
 
         // vd-cont starts operating (continuous access begins).
         vdc.on_waypoint_arrived("vd-cont", 0);
@@ -828,7 +838,11 @@ mod tests {
             Some(FlightPhase::AtWaypoint(0)),
             "flight phase survives the rebind"
         );
-        assert_eq!(vdc.access().borrow().phase(old), None, "old id unregistered");
+        assert_eq!(
+            vdc.access().borrow().phase(old),
+            None,
+            "old id unregistered"
+        );
         assert!(vdc.allows("vd1", DeviceClass::Camera));
     }
 

@@ -177,11 +177,7 @@ impl AdaptivePlan {
     /// A synchronized colluding group over the whole roster: every
     /// member bursts on the same phase, the aggregate-spike worst
     /// case the admission cap exists for.
-    pub fn colluding(
-        roster: &[String],
-        arm_tick: u64,
-        disarm_tick: u64,
-    ) -> AdaptivePlan {
+    pub fn colluding(roster: &[String], arm_tick: u64, disarm_tick: u64) -> AdaptivePlan {
         let group = roster.len() as u32;
         AdaptivePlan {
             seed: 0,
@@ -399,7 +395,11 @@ impl AttackerBrain {
                 }
             }
             AdaptiveStrategy::Collude { slot, .. } => {
-                let quantum = if self.quantum > 0 { self.quantum } else { PRIOR_QUANTUM };
+                let quantum = if self.quantum > 0 {
+                    self.quantum
+                } else {
+                    PRIOR_QUANTUM
+                };
                 let bank = if self.bank > 0 { self.bank } else { PRIOR_BANK };
                 match (obs.tick + u64::from(slot)) % 3 {
                     // Save: bank a refill quantum.
@@ -466,7 +466,10 @@ mod tests {
     fn refill_probe_learns_the_quantum_from_feedback() {
         let mut brain = AttackerBrain::new(7, 0, AdaptiveStrategy::RefillProbe);
         // Tick 0: nothing known, the brain slams.
-        let cmd = brain.plan_tick(&AttackerObservation { tick: 0, ..Default::default() });
+        let cmd = brain.plan_tick(&AttackerObservation {
+            tick: 0,
+            ..Default::default()
+        });
         assert!(cmd.txns >= 320, "probe phase should slam: {}", cmd.txns);
         // Feedback: 120 admitted, the rest rejected — the boundary.
         let cmd = brain.plan_tick(&AttackerObservation {
@@ -490,7 +493,11 @@ mod tests {
             rejected: u64::from(cmd.txns) - 60,
             suspended: false,
         });
-        assert!((60..80).contains(&cmd.txns), "re-learn after halving: {}", cmd.txns);
+        assert!(
+            (60..80).contains(&cmd.txns),
+            "re-learn after halving: {}",
+            cmd.txns
+        );
     }
 
     #[test]
@@ -506,7 +513,12 @@ mod tests {
                 suspended: true,
                 ..Default::default()
             });
-            assert_eq!(cmd.txns, 0, "{} must go quiet when suspended", strategy.name());
+            assert_eq!(
+                cmd.txns,
+                0,
+                "{} must go quiet when suspended",
+                strategy.name()
+            );
         }
     }
 
@@ -514,7 +526,10 @@ mod tests {
     fn rung_edge_rider_spends_a_bounded_rejection_budget() {
         let mut brain = AttackerBrain::new(7, 0, AdaptiveStrategy::RungEdgeRide);
         let mut cum = 0u64;
-        let mut obs = AttackerObservation { tick: 0, ..Default::default() };
+        let mut obs = AttackerObservation {
+            tick: 0,
+            ..Default::default()
+        };
         for tick in 0..64 {
             let cmd = brain.plan_tick(&obs);
             let sent = u64::from(cmd.txns);
@@ -556,7 +571,11 @@ mod tests {
             let cmds: Vec<u32> = brains
                 .iter_mut()
                 .map(|b| {
-                    b.plan_tick(&AttackerObservation { tick, ..Default::default() }).txns
+                    b.plan_tick(&AttackerObservation {
+                        tick,
+                        ..Default::default()
+                    })
+                    .txns
                 })
                 .collect();
             let spread = cmds.iter().max().unwrap() - cmds.iter().min().unwrap();
@@ -577,7 +596,10 @@ mod tests {
             (0..16)
                 .map(|tick| {
                     brain
-                        .plan_tick(&AttackerObservation { tick, ..Default::default() })
+                        .plan_tick(&AttackerObservation {
+                            tick,
+                            ..Default::default()
+                        })
                         .txns
                 })
                 .collect::<Vec<u32>>()
@@ -588,7 +610,10 @@ mod tests {
         let first: Vec<u32> = (0..16)
             .map(|tick| {
                 other
-                    .plan_tick(&AttackerObservation { tick, ..Default::default() })
+                    .plan_tick(&AttackerObservation {
+                        tick,
+                        ..Default::default()
+                    })
                     .txns
             })
             .collect();

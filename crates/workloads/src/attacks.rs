@@ -137,7 +137,10 @@ pub struct AttackPlan {
 impl AttackPlan {
     /// A plan with no events. Running it must not perturb anything.
     pub fn empty() -> AttackPlan {
-        AttackPlan { seed: 0, events: Vec::new() }
+        AttackPlan {
+            seed: 0,
+            events: Vec::new(),
+        }
     }
 
     /// A plan with exactly one event, for targeted tests.
@@ -170,13 +173,21 @@ impl AttackPlan {
         let mut events = Vec::with_capacity(count);
         for _ in 0..count {
             let kind = match rng.gen_range(0..5u32) {
-                0 => AttackKind::BinderFlood { per_tick: rng.gen_range(200..=800) },
+                0 => AttackKind::BinderFlood {
+                    per_tick: rng.gen_range(200..=800),
+                },
                 1 => AttackKind::ParcelBomb {
                     wire_size: rng.gen_range(262_144..=2_097_152),
                 },
-                2 => AttackKind::TelemetryStorm { subscribers: rng.gen_range(64..=512) },
-                3 => AttackKind::CpuSaturation { demand: rng.gen_range(4.0..16.0) },
-                _ => AttackKind::FdExhaustion { per_tick: rng.gen_range(32..=128) },
+                2 => AttackKind::TelemetryStorm {
+                    subscribers: rng.gen_range(64..=512),
+                },
+                3 => AttackKind::CpuSaturation {
+                    demand: rng.gen_range(4.0..16.0),
+                },
+                _ => AttackKind::FdExhaustion {
+                    per_tick: rng.gen_range(32..=128),
+                },
             };
             // Arm within the first three quarters so the attack has
             // airtime; windows are long enough that the escalation
@@ -215,8 +226,7 @@ impl AttackPlan {
     /// The sorted, deduplicated set of tenants named as attackers
     /// anywhere in the plan.
     pub fn attackers(&self) -> Vec<String> {
-        let mut out: Vec<String> =
-            self.events.iter().map(|e| e.attacker.clone()).collect();
+        let mut out: Vec<String> = self.events.iter().map(|e| e.attacker.clone()).collect();
         out.sort();
         out.dedup();
         out
@@ -287,7 +297,11 @@ mod tests {
         let mut named: std::collections::BTreeSet<String> = Default::default();
         for seed in 0..256 {
             for e in &AttackPlan::generate(seed, 120, &roster).events {
-                assert!(roster.contains(&e.attacker), "unknown attacker {}", e.attacker);
+                assert!(
+                    roster.contains(&e.attacker),
+                    "unknown attacker {}",
+                    e.attacker
+                );
                 named.insert(e.attacker.clone());
             }
         }

@@ -6,9 +6,7 @@
 //! full-fidelity run "to provide sufficient samples to have a high
 //! confidence in encountering worst case latencies".
 
-use androne_simkern::{
-    ContainerId, Euid, Kernel, LogHistogram, SchedPolicy, SimDuration, Summary,
-};
+use androne_simkern::{ContainerId, Euid, Kernel, LogHistogram, SchedPolicy, SimDuration, Summary};
 
 /// Result of a cyclictest run.
 #[derive(Debug, Clone)]
@@ -89,7 +87,10 @@ mod tests {
 
     const LOOPS: u64 = 300_000;
 
-    fn run_with(config: KernelConfig, load: Option<fn() -> androne_simkern::InterferenceSource>) -> CyclictestResult {
+    fn run_with(
+        config: KernelConfig,
+        load: Option<fn() -> androne_simkern::InterferenceSource>,
+    ) -> CyclictestResult {
         let mut kernel = Kernel::boot(config, 11);
         if let Some(load) = load {
             kernel.add_interference(load());

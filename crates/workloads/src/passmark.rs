@@ -62,7 +62,11 @@ impl PassmarkScores {
 ///
 /// `in_container` selects whether instances run inside virtual drone
 /// containers (AnDrone) or natively (the stock baseline).
-pub fn run_concurrent(kernel: &mut Kernel, instances: usize, in_container: bool) -> Vec<PassmarkScores> {
+pub fn run_concurrent(
+    kernel: &mut Kernel,
+    instances: usize,
+    in_container: bool,
+) -> Vec<PassmarkScores> {
     assert!(instances >= 1, "need at least one instance");
     let config = kernel.config();
     let mut out = Vec::with_capacity(instances);
@@ -86,7 +90,11 @@ pub fn run_concurrent(kernel: &mut Kernel, instances: usize, in_container: bool)
         let score = |kind: ResourceKind| -> f64 {
             let slowdown = kernel.resources.get(kind).slowdown_for(&id);
             let penalty = kernel_penalty(config, kind, instances);
-            let container = if in_container { CONTAINER_OVERHEAD } else { 1.0 };
+            let container = if in_container {
+                CONTAINER_OVERHEAD
+            } else {
+                1.0
+            };
             1.0 / (slowdown * penalty * container)
         };
         out.push(PassmarkScores {
@@ -148,8 +156,16 @@ mod tests {
     fn cpu_scales_linearly_with_instances() {
         let o2 = overheads(KernelConfig::NAVIO2_DEFAULT, 2);
         let o3 = overheads(KernelConfig::NAVIO2_DEFAULT, 3);
-        assert!((o2.cpu / 2.0 - 1.0).abs() < 0.05, "2 instances ~2x: {}", o2.cpu);
-        assert!((o3.cpu / 3.0 - 1.0).abs() < 0.05, "3 instances ~3x: {}", o3.cpu);
+        assert!(
+            (o2.cpu / 2.0 - 1.0).abs() < 0.05,
+            "2 instances ~2x: {}",
+            o2.cpu
+        );
+        assert!(
+            (o3.cpu / 3.0 - 1.0).abs() < 0.05,
+            "3 instances ~3x: {}",
+            o3.cpu
+        );
     }
 
     #[test]

@@ -52,7 +52,10 @@ pub fn start_stress(kernel: &mut Kernel, config: StressConfig) -> StressHandle {
     kernel
         .resources
         .get_mut(ResourceKind::DiskBandwidth)
-        .register(id.clone(), 0.4 * (config.hdd_workers + config.io_workers) as f64);
+        .register(
+            id.clone(),
+            0.4 * (config.hdd_workers + config.io_workers) as f64,
+        );
     kernel
         .resources
         .get_mut(ResourceKind::MemoryBandwidth)

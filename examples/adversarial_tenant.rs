@@ -124,7 +124,10 @@ fn main() {
         .filter(|r| r.record.event.kind() == "binder_throttle")
         .count();
     assert!(throttle_edges > 0, "throttle edges reached the black box");
-    assert!(!snapshot.jitter_tail.is_empty(), "the monitor fed the jitter tail");
+    assert!(
+        !snapshot.jitter_tail.is_empty(),
+        "the monitor fed the jitter tail"
+    );
     // The enforcement-trajectory tails ride the same recent-tail
     // mechanism: per-tick throttle deltas and the armed CPU quota.
     assert!(

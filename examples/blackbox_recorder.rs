@@ -16,9 +16,7 @@ use androne::obs::{metrics_to_json, BlackBoxSnapshot};
 use androne::planner::{FlightPlan, Leg};
 use androne::simkern::{FaultKind, FaultPlan};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
-use androne::{
-    execute_flight_probed, Drone, EndReason, FaultInjector, FlightRecorder, ProbeStack,
-};
+use androne::{execute_flight_probed, Drone, EndReason, FaultInjector, FlightRecorder, ProbeStack};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -84,14 +82,25 @@ fn main() {
     let (drone, end_b, snapshot) = fly();
     let digest_a = drone_a.obs.metrics_digest();
     let digest_b = drone.obs.metrics_digest();
-    assert_eq!(end_a, EndReason::LinkLost, "partition must end the flight LinkLost");
+    assert_eq!(
+        end_a,
+        EndReason::LinkLost,
+        "partition must end the flight LinkLost"
+    );
     assert_eq!(end_a, end_b, "end reason drift between identical runs");
-    assert_eq!(digest_a, digest_b, "metric digest drift between identical runs");
+    assert_eq!(
+        digest_a, digest_b,
+        "metric digest drift between identical runs"
+    );
 
     let snapshot = snapshot.expect("abnormal end freezes a black box");
     println!("end reason      : {:?}", end_b);
     println!("metric digest   : {digest_b:016x} (dual-run verified)");
-    println!("black-box window: {} records over {} s", snapshot.records.len(), WINDOW_S);
+    println!(
+        "black-box window: {} records over {} s",
+        snapshot.records.len(),
+        WINDOW_S
+    );
 
     let metrics = drone
         .obs

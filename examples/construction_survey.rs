@@ -90,7 +90,10 @@ fn main() {
             .driver
             .transact(app_pid, cam, svc_codes::OP, Parcel::new())
             .is_err());
-        drone.vdc.borrow_mut().on_waypoint_arrived("vd-survey", wp_index);
+        drone
+            .vdc
+            .borrow_mut()
+            .on_waypoint_arrived("vd-survey", wp_index);
         println!("  at waypoint {wp_index}: camera granted");
         for _ in 0..4 {
             let reply = drone
@@ -106,7 +109,10 @@ fn main() {
             );
             drone.sitl.run_for(SimDuration::from_millis(500));
         }
-        drone.vdc.borrow_mut().on_waypoint_departed("vd-survey", wp_index);
+        drone
+            .vdc
+            .borrow_mut()
+            .on_waypoint_departed("vd-survey", wp_index);
         println!("  leaving waypoint {wp_index}: camera revoked");
     }
     // Return and land via the planned-flight machinery (already at
@@ -114,12 +120,10 @@ fn main() {
     let outcome = execute_flight(&mut drone, plan, 500.0, None);
 
     // The app stores its mosaic and marks it for the user.
-    drone
-        .runtime
-        .get_mut("vd-survey")
-        .unwrap()
-        .fs
-        .write("/data/survey/orthomosaic.tif", format!("mosaic-of-{frames}-frames"));
+    drone.runtime.get_mut("vd-survey").unwrap().fs.write(
+        "/data/survey/orthomosaic.tif",
+        format!("mosaic-of-{frames}-frames"),
+    );
     drone
         .vdc
         .borrow_mut()

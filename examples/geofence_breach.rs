@@ -45,7 +45,9 @@ fn main() {
     // Fly to the waypoint and hand over control.
     println!("Flying to the user's waypoint (30 m geofence)...");
     assert!(drone.sitl.arm_and_takeoff(15.0, SimDuration::from_secs(30)));
-    assert!(drone.sitl.goto(waypoint, 5.0, 2.0, SimDuration::from_secs(60)));
+    assert!(drone
+        .sitl
+        .goto(waypoint, 5.0, 2.0, SimDuration::from_secs(60)));
     drone.vdc.borrow_mut().on_waypoint_arrived("vd-user", 0);
     drone.proxy.activate_vfc("vd-user");
     println!("Control handed to vd-user.");
@@ -91,7 +93,10 @@ fn main() {
         drone.proxy.breaches_handled
     );
     assert!(recovered_notice, "user was told control returned");
-    assert_eq!(drone.proxy.vfc("vd-user").unwrap().state(), VfcState::Active);
+    assert_eq!(
+        drone.proxy.vfc("vd-user").unwrap().state(),
+        VfcState::Active
+    );
     assert!(dist < 30.0, "back inside the fence");
 
     // The user resumes flying inside the fence.

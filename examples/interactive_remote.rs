@@ -44,7 +44,9 @@ fn main() {
     // Fly to the waypoint and hand over.
     println!("Positioning the drone at the user's waypoint...");
     assert!(drone.sitl.arm_and_takeoff(15.0, SimDuration::from_secs(30)));
-    assert!(drone.sitl.goto(waypoint, 5.0, 2.0, SimDuration::from_secs(60)));
+    assert!(drone
+        .sitl
+        .goto(waypoint, 5.0, 2.0, SimDuration::from_secs(60)));
     drone.vdc.borrow_mut().on_waypoint_arrived("vd-remote", 0);
     drone.proxy.activate_vfc("vd-remote");
 

@@ -45,7 +45,11 @@ fn main() {
     drone
         .deploy_vdrone(
             "vd-survey",
-            spec(wp(&base, 80.0, 0.0, 40.0), &["camera", "gps", "flight-control"], 30_000.0),
+            spec(
+                wp(&base, 80.0, 0.0, 40.0),
+                &["camera", "gps", "flight-control"],
+                30_000.0,
+            ),
             &[],
         )
         .unwrap();
@@ -59,7 +63,11 @@ fn main() {
     drone
         .deploy_vdrone(
             "vd-direct",
-            spec(wp(&base, 0.0, 100.0, 30.0), &["camera", "flight-control"], 20_000.0),
+            spec(
+                wp(&base, 0.0, 100.0, 30.0),
+                &["camera", "flight-control"],
+                20_000.0,
+            ),
             &[],
         )
         .unwrap();

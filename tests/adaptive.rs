@@ -25,8 +25,7 @@
 use std::collections::BTreeMap;
 
 use androne::fleet::{
-    FleetAttackPlan, FleetConfig, FleetOutcome, FleetSpec,
-    FleetTenant, TenantResolution,
+    FleetAttackPlan, FleetConfig, FleetOutcome, FleetSpec, FleetTenant, TenantResolution,
 };
 use androne::hal::GeoPoint;
 use androne::simkern::FleetFaultPlan;
@@ -158,7 +157,10 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
         let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
         let mut adaptive = BTreeMap::new();
         adaptive.insert(0usize, AdaptivePlan::generate(seed, 120, &tenant_names));
-        adaptive.insert(1usize, AdaptivePlan::generate(seed ^ 0xBEEF, 120, &tenant_names));
+        adaptive.insert(
+            1usize,
+            AdaptivePlan::generate(seed ^ 0xBEEF, 120, &tenant_names),
+        );
         let attacks = FleetAttackPlan {
             adaptive,
             defense: Some(AttackDefense::hardened()),
@@ -166,9 +168,19 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
         };
         let label = format!("adaptive seed {seed:#x} ({} tenants)", cfg.tenants.len());
 
-        let a = FleetSpec::new(cfg.clone()).attacks(attacks.clone()).run().expect("run");
-        let b = FleetSpec::new(cfg.clone()).attacks(attacks.clone()).run().expect("rerun");
-        assert_eq!(a.fleet_digest(), b.fleet_digest(), "{label}: dual-run divergence");
+        let a = FleetSpec::new(cfg.clone())
+            .attacks(attacks.clone())
+            .run()
+            .expect("run");
+        let b = FleetSpec::new(cfg.clone())
+            .attacks(attacks.clone())
+            .run()
+            .expect("rerun");
+        assert_eq!(
+            a.fleet_digest(),
+            b.fleet_digest(),
+            "{label}: dual-run divergence"
+        );
         assert_eq!(
             a.metrics_digest(),
             b.metrics_digest(),
@@ -190,9 +202,14 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
         }
         assert_terminal_outcomes(&a, &label);
         for &t in &threads {
-            let cfg_t = FleetConfig { threads: t, ..cfg.clone() };
-            let run =
-                FleetSpec::new(cfg_t.clone()).attacks(attacks.clone()).run().expect("run");
+            let cfg_t = FleetConfig {
+                threads: t,
+                ..cfg.clone()
+            };
+            let run = FleetSpec::new(cfg_t.clone())
+                .attacks(attacks.clone())
+                .run()
+                .expect("run");
             assert_eq!(
                 a.fleet_digest(),
                 run.fleet_digest(),
@@ -246,7 +263,9 @@ fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it(
         defense: Some(AttackDefense::default()),
         ..FleetAttackPlan::none()
     };
-    let run = FleetSpec::new(cfg.clone()).attacks(per_tenant_only.clone()).run()
+    let run = FleetSpec::new(cfg.clone())
+        .attacks(per_tenant_only.clone())
+        .run()
         .expect("run");
     assert_eq!(
         (run.fleet_digest(), run.metrics_digest()),
@@ -289,7 +308,10 @@ fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it(
         defense: Some(AttackDefense::hardened()),
         ..FleetAttackPlan::none()
     };
-    let run = FleetSpec::new(cfg.clone()).attacks(hardened.clone()).run().expect("run");
+    let run = FleetSpec::new(cfg.clone())
+        .attacks(hardened.clone())
+        .run()
+        .expect("run");
     assert_eq!(
         (run.fleet_digest(), run.metrics_digest()),
         COLLUSION_HARDENED_PIN,
@@ -301,7 +323,10 @@ fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it(
         misses, 0,
         "hardened collusion missed {misses}/{samples} deadlines (max {max_us:.1} µs)"
     );
-    assert!(max_us < ARDUPILOT_DEADLINE_US, "hardened max {max_us:.1} µs");
+    assert!(
+        max_us < ARDUPILOT_DEADLINE_US,
+        "hardened max {max_us:.1} µs"
+    );
     // The aggregate cap converts the group's burst overflow into
     // per-tenant throttles, so enforcement visibly engaged.
     let ladder: Vec<&String> = run.flights[0]
@@ -336,7 +361,10 @@ fn empty_adaptive_plan_is_zero_work() {
         threads: 1,
     };
     let faults = FleetFaultPlan::empty();
-    let legacy = FleetSpec::new(cfg.clone()).faults(faults.clone()).run().expect("legacy run");
+    let legacy = FleetSpec::new(cfg.clone())
+        .faults(faults.clone())
+        .run()
+        .expect("legacy run");
 
     let mut adaptive = BTreeMap::new();
     adaptive.insert(0usize, AdaptivePlan::empty());
@@ -346,7 +374,11 @@ fn empty_adaptive_plan_is_zero_work() {
         ..FleetAttackPlan::none()
     };
     assert!(armed_but_empty.is_empty());
-    let run = FleetSpec::new(cfg.clone()).faults(faults.clone()).attacks(armed_but_empty.clone()).run().expect("run");
+    let run = FleetSpec::new(cfg.clone())
+        .faults(faults.clone())
+        .attacks(armed_but_empty.clone())
+        .run()
+        .expect("run");
     assert_eq!(legacy.fleet_digest(), run.fleet_digest());
     assert_eq!(legacy.metrics_digest(), run.metrics_digest());
     assert!(run.flights.iter().all(|f| f.rt_deadline.is_none()));

@@ -25,8 +25,7 @@
 use std::collections::BTreeMap;
 
 use androne::fleet::{
-    FleetAttackPlan, FleetConfig, FleetOutcome, FleetSpec,
-    FleetTenant, TenantResolution,
+    FleetAttackPlan, FleetConfig, FleetOutcome, FleetSpec, FleetTenant, TenantResolution,
 };
 use androne::hal::GeoPoint;
 use androne::simkern::latency::profiles;
@@ -147,7 +146,10 @@ fn attacked_fleet_holds_deadline_and_determinism() {
         // flights fly clean so the gate also covers the mixed case.
         let mut flights = BTreeMap::new();
         flights.insert(0usize, AttackPlan::generate(seed, 120, &tenant_names));
-        flights.insert(1usize, AttackPlan::generate(seed ^ 0xDEAD, 120, &tenant_names));
+        flights.insert(
+            1usize,
+            AttackPlan::generate(seed ^ 0xDEAD, 120, &tenant_names),
+        );
         let attacks = FleetAttackPlan {
             flights,
             defense: Some(AttackDefense::default()),
@@ -156,9 +158,19 @@ fn attacked_fleet_holds_deadline_and_determinism() {
         let label = format!("attack seed {seed:#x} ({} tenants)", cfg.tenants.len());
 
         // (c) dual-run bit-identity of the attacked run.
-        let a = FleetSpec::new(cfg.clone()).attacks(attacks.clone()).run().expect("run");
-        let b = FleetSpec::new(cfg.clone()).attacks(attacks.clone()).run().expect("rerun");
-        assert_eq!(a.fleet_digest(), b.fleet_digest(), "{label}: dual-run divergence");
+        let a = FleetSpec::new(cfg.clone())
+            .attacks(attacks.clone())
+            .run()
+            .expect("run");
+        let b = FleetSpec::new(cfg.clone())
+            .attacks(attacks.clone())
+            .run()
+            .expect("rerun");
+        assert_eq!(
+            a.fleet_digest(),
+            b.fleet_digest(),
+            "{label}: dual-run divergence"
+        );
         assert_eq!(
             a.metrics_digest(),
             b.metrics_digest(),
@@ -171,7 +183,9 @@ fn attacked_fleet_holds_deadline_and_determinism() {
             let threads: usize = width.parse().expect("ATTACK_THREADS entry");
             let mut tcfg = cfg.clone();
             tcfg.threads = threads;
-            let t = FleetSpec::new(tcfg.clone()).attacks(attacks.clone()).run()
+            let t = FleetSpec::new(tcfg.clone())
+                .attacks(attacks.clone())
+                .run()
                 .expect("threaded run");
             assert_eq!(
                 a.fleet_digest(),
@@ -187,7 +201,11 @@ fn attacked_fleet_holds_deadline_and_determinism() {
 
         // (a) the monitor rode every attacked flight and the fast
         // loop stayed inside the RT envelope end to end.
-        let monitored: Vec<_> = a.flights.iter().filter(|f| f.rt_deadline.is_some()).collect();
+        let monitored: Vec<_> = a
+            .flights
+            .iter()
+            .filter(|f| f.rt_deadline.is_some())
+            .collect();
         assert!(
             !monitored.is_empty(),
             "{label}: no flight carried the RT monitor"
@@ -196,7 +214,11 @@ fn attacked_fleet_holds_deadline_and_determinism() {
             let Some((samples, misses, max_us)) = f.rt_deadline else {
                 continue;
             };
-            assert!(samples > 0, "{label}: flight {} sampled nothing", f.flight_index);
+            assert!(
+                samples > 0,
+                "{label}: flight {} sampled nothing",
+                f.flight_index
+            );
             assert_eq!(
                 misses, 0,
                 "{label}: flight {} missed the 2500 µs deadline {misses}/{samples} times under enforcement (max {max_us:.1} µs)",
@@ -250,7 +272,10 @@ fn unenforced_flood_breaches_the_fast_loop_and_defense_restores_it() {
         defense: None,
         ..FleetAttackPlan::none()
     };
-    let run = FleetSpec::new(cfg.clone()).attacks(unenforced.clone()).run().expect("run");
+    let run = FleetSpec::new(cfg.clone())
+        .attacks(unenforced.clone())
+        .run()
+        .expect("run");
     let (samples, misses, max_us) = run.flights[0]
         .rt_deadline
         .expect("the attacked flight carries the monitor");
@@ -270,18 +295,27 @@ fn unenforced_flood_breaches_the_fast_loop_and_defense_restores_it() {
         defense: Some(AttackDefense::default()),
         ..FleetAttackPlan::none()
     };
-    let run = FleetSpec::new(cfg.clone()).attacks(defended.clone()).run().expect("run");
+    let run = FleetSpec::new(cfg.clone())
+        .attacks(defended.clone())
+        .run()
+        .expect("run");
     let (samples, misses, max_us) = run.flights[0].rt_deadline.expect("monitor rode the flight");
     assert!(samples > 0);
     assert_eq!(
         misses, 0,
         "the defended flood missed {misses}/{samples} deadlines (max {max_us:.1} µs)"
     );
-    assert!(max_us < ARDUPILOT_DEADLINE_US, "defended max {max_us:.1} µs");
+    assert!(
+        max_us < ARDUPILOT_DEADLINE_US,
+        "defended max {max_us:.1} µs"
+    );
     // The defense actually engaged: the flood tripped the budget and
     // the throttle counters surfaced in the merged metrics.
     assert!(
-        run.flights[0].injected.iter().any(|l| l.contains("binder-flood")),
+        run.flights[0]
+            .injected
+            .iter()
+            .any(|l| l.contains("binder-flood")),
         "attack transitions logged: {:?}",
         run.flights[0].injected
     );
@@ -315,7 +349,11 @@ fn cyclictest_bounds_the_throttled_attack_and_exposes_the_raw_one() {
         "unenforced attack must miss the fast loop (max {} µs)",
         raw.max_us()
     );
-    assert!(raw.max_us() > ARDUPILOT_DEADLINE_US, "max {} µs", raw.max_us());
+    assert!(
+        raw.max_us() > ARDUPILOT_DEADLINE_US,
+        "max {} µs",
+        raw.max_us()
+    );
     assert!(
         raw.max_us() > throttled.max_us(),
         "enforcement shrank the tail: {} vs {}",
@@ -364,7 +402,10 @@ fn escalation_ladder_walks_to_revocation_and_still_resolves() {
         }),
         ..FleetAttackPlan::none()
     };
-    let run = FleetSpec::new(cfg.clone()).attacks(attacks.clone()).run().expect("run");
+    let run = FleetSpec::new(cfg.clone())
+        .attacks(attacks.clone())
+        .run()
+        .expect("run");
     assert_eq!(
         (run.fleet_digest(), run.metrics_digest()),
         LADDER_PIN,
@@ -388,7 +429,10 @@ fn escalation_ladder_walks_to_revocation_and_still_resolves() {
         "the revoked tenant is terminally refunded: {t:?}"
     );
     let (_, misses, max_us) = f.rt_deadline.expect("monitor rode the flight");
-    assert_eq!(misses, 0, "enforced even while escalating (max {max_us:.1} µs)");
+    assert_eq!(
+        misses, 0,
+        "enforced even while escalating (max {max_us:.1} µs)"
+    );
     assert_terminal_outcomes(&run, "ladder");
 }
 
@@ -418,7 +462,10 @@ fn one_attacker_under_both_plan_kinds_walks_one_ladder() {
         AttackPlan::single(AttackKind::BinderFlood { per_tick: 800 }, "vd1", 2, 200),
     );
     let mut adaptive = BTreeMap::new();
-    adaptive.insert(0usize, AdaptivePlan::single(AdaptiveStrategy::RefillProbe, "vd1", 3, 200));
+    adaptive.insert(
+        0usize,
+        AdaptivePlan::single(AdaptiveStrategy::RefillProbe, "vd1", 3, 200),
+    );
     let attacks = FleetAttackPlan {
         flights,
         adaptive,
@@ -436,7 +483,10 @@ fn one_attacker_under_both_plan_kinds_walks_one_ladder() {
         .filter(|l| l.contains(" ladder vd1 "))
         .collect();
     for rung in ["rate-halved", "suspended", "revoked"] {
-        let steps = ladder.iter().filter(|l| l.contains(&format!("-> {rung} "))).count();
+        let steps = ladder
+            .iter()
+            .filter(|l| l.contains(&format!("-> {rung} ")))
+            .count();
         assert_eq!(steps, 1, "vd1 should reach {rung} exactly once: {ladder:?}");
     }
     let mut ticks: Vec<&str> = ladder
@@ -446,7 +496,11 @@ fn one_attacker_under_both_plan_kinds_walks_one_ladder() {
     let all = ticks.len();
     ticks.sort_unstable();
     ticks.dedup();
-    assert_eq!(ticks.len(), all, "vd1 stepped twice in one tick: {ladder:?}");
+    assert_eq!(
+        ticks.len(),
+        all,
+        "vd1 stepped twice in one tick: {ladder:?}"
+    );
     assert_terminal_outcomes(&run, "both plan kinds");
 }
 
@@ -457,8 +511,15 @@ fn one_attacker_under_both_plan_kinds_walks_one_ladder() {
 fn empty_attack_plan_is_zero_work() {
     let cfg = gate_config(0xF1EE_5EED, 3);
     let faults = FleetFaultPlan::empty();
-    let legacy = FleetSpec::new(cfg.clone()).faults(faults.clone()).run().expect("legacy run");
-    let attacked = FleetSpec::new(cfg.clone()).faults(faults.clone()).attacks(FleetAttackPlan::none()).run().expect("run");
+    let legacy = FleetSpec::new(cfg.clone())
+        .faults(faults.clone())
+        .run()
+        .expect("legacy run");
+    let attacked = FleetSpec::new(cfg.clone())
+        .faults(faults.clone())
+        .attacks(FleetAttackPlan::none())
+        .run()
+        .expect("run");
     assert_eq!(legacy.fleet_digest(), attacked.fleet_digest());
     assert_eq!(legacy.metrics_digest(), attacked.metrics_digest());
 
@@ -473,7 +534,11 @@ fn empty_attack_plan_is_zero_work() {
         ..FleetAttackPlan::none()
     };
     assert!(armed_but_empty.is_empty());
-    let run = FleetSpec::new(cfg.clone()).faults(faults.clone()).attacks(armed_but_empty.clone()).run().expect("run");
+    let run = FleetSpec::new(cfg.clone())
+        .faults(faults.clone())
+        .attacks(armed_but_empty.clone())
+        .run()
+        .expect("run");
     assert_eq!(legacy.fleet_digest(), run.fleet_digest());
     assert_eq!(legacy.metrics_digest(), run.metrics_digest());
     assert!(run.flights.iter().all(|f| f.rt_deadline.is_none()));
@@ -514,7 +579,10 @@ fn suspended_tenant_recovers_and_completes_after_going_quiet() {
             }),
             ..FleetAttackPlan::none()
         };
-        FleetSpec::new(cfg.clone()).attacks(attacks.clone()).run().expect("run")
+        FleetSpec::new(cfg.clone())
+            .attacks(attacks.clone())
+            .run()
+            .expect("run")
     };
     let run = run_at(1);
     assert_eq!(
@@ -546,7 +614,10 @@ fn suspended_tenant_recovers_and_completes_after_going_quiet() {
         "the recovered tenant must complete, not refund: {t:?}"
     );
     let (_, misses, max_us) = f.rt_deadline.expect("monitor rode the flight");
-    assert_eq!(misses, 0, "enforced throughout recovery (max {max_us:.1} µs)");
+    assert_eq!(
+        misses, 0,
+        "enforced throughout recovery (max {max_us:.1} µs)"
+    );
     assert_terminal_outcomes(&run, "recovery");
     for threads in [4usize, 8] {
         let other = run_at(threads);

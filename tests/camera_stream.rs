@@ -2,8 +2,8 @@
 //! the virtual drone holds its waypoint and stops — stream closed by
 //! the device container — the moment camera access is revoked.
 
-use androne::android::{svc_codes, svc_names, AndroneManifest};
 use androne::android::read_stream_frames;
+use androne::android::{svc_codes, svc_names, AndroneManifest};
 use androne::binder::{get_service, Parcel};
 use androne::container::DeviceNamespaceId;
 use androne::hal::GeoPoint;

@@ -25,7 +25,9 @@ use androne::planner::{FlightPlan, Leg};
 use androne::sanitizer::{first_divergence, Trace};
 use androne::simkern::{BurstLoss, FaultKind, FaultPlan, SensorChannel};
 use androne::vdc::{VirtualDroneSpec, WatchdogConfig, WaypointSpec};
-use androne::{execute_flight_probed, Drone, EndReason, FaultInjector, FlightLog, FnProbe, ProbeStack};
+use androne::{
+    execute_flight_probed, Drone, EndReason, FaultInjector, FlightLog, FnProbe, ProbeStack,
+};
 use rand::RngCore;
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
@@ -205,7 +207,10 @@ fn assert_invariants(run: &ChaosRun, label: &str) {
 /// Invariant 4 on a pair of same-seed runs.
 fn assert_dual_run_identity(a: &ChaosRun, b: &ChaosRun, label: &str) {
     if let Some(d) = first_divergence(&a.trace, &b.trace) {
-        panic!("{label}: dual-run divergence:\n{d}\nactions: {:?}", a.actions);
+        panic!(
+            "{label}: dual-run divergence:\n{d}\nactions: {:?}",
+            a.actions
+        );
     }
     assert_eq!(
         a.duration_s.to_bits(),
@@ -262,7 +267,10 @@ fn empty_fault_plan_is_bit_identical_to_baseline() {
         drone.board.borrow_mut().rng.next_u64(),
         10880446920844866505
     );
-    assert_eq!(drone.kernel.borrow_mut().rng().next_u64(), 8156589452691600790);
+    assert_eq!(
+        drone.kernel.borrow_mut().rng().next_u64(),
+        8156589452691600790
+    );
     assert!(injector.actions().is_empty());
 }
 
@@ -387,7 +395,10 @@ fn link_burst_loss_is_survivable() {
         ),
     );
     assert_invariants(&run, "burst loss");
-    assert!(run.actions.iter().any(|a| a.contains("arm link-burst-loss")));
+    assert!(run
+        .actions
+        .iter()
+        .any(|a| a.contains("arm link-burst-loss")));
 }
 
 #[test]
@@ -397,7 +408,10 @@ fn binder_transaction_failures_are_survivable() {
         FaultPlan::single(FaultKind::BinderFailure { period: 3 }, 5, 40),
     );
     assert_invariants(&run, "binder failure");
-    assert!(run.actions.iter().any(|a| a.contains("arm binder-failure/3")));
+    assert!(run
+        .actions
+        .iter()
+        .any(|a| a.contains("arm binder-failure/3")));
 }
 
 #[test]
@@ -407,15 +421,24 @@ fn binder_timeouts_are_survivable() {
         FaultPlan::single(FaultKind::BinderTimeout { period: 4 }, 5, 40),
     );
     assert_invariants(&run, "binder timeout");
-    assert!(run.actions.iter().any(|a| a.contains("arm binder-timeout/4")));
+    assert!(run
+        .actions
+        .iter()
+        .any(|a| a.contains("arm binder-timeout/4")));
 }
 
 #[test]
 fn container_crash_and_supervised_restart_preserve_the_allotment() {
     let baseline = run_with_faults(SEED, FaultPlan::empty());
-    let run = run_with_faults(SEED, FaultPlan::single(FaultKind::ContainerCrash { target: None }, 6, 12));
+    let run = run_with_faults(
+        SEED,
+        FaultPlan::single(FaultKind::ContainerCrash { target: None }, 6, 12),
+    );
     assert_invariants(&run, "container crash");
-    assert!(run.actions.iter().any(|a| a.contains("arm container-crash vd1")));
+    assert!(run
+        .actions
+        .iter()
+        .any(|a| a.contains("arm container-crash vd1")));
     assert!(
         run.actions
             .iter()

@@ -118,11 +118,16 @@ fn chaos_metrics_digest(chaos_seed: u64) -> u64 {
 /// depended on wall-clock time, iteration order, or an RNG draw.
 #[test]
 fn dual_run_metric_digests_are_bit_identical_across_chaos_seeds() {
-    for chaos_seed in [0x0b51, 0x0b52, 0x0b53, 0x0b54, 0x0b55, 0x0b56, 0x0b57, 0x0b58] {
+    for chaos_seed in [
+        0x0b51, 0x0b52, 0x0b53, 0x0b54, 0x0b55, 0x0b56, 0x0b57, 0x0b58,
+    ] {
         let a = chaos_metrics_digest(chaos_seed);
         let b = chaos_metrics_digest(chaos_seed);
         assert_eq!(a, b, "metric digest drift under chaos seed {chaos_seed:#x}");
-        assert_ne!(a, 0, "chaos flight must emit metrics (seed {chaos_seed:#x})");
+        assert_ne!(
+            a, 0,
+            "chaos flight must emit metrics (seed {chaos_seed:#x})"
+        );
     }
 }
 

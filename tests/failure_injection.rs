@@ -72,7 +72,10 @@ fn weather_abort_interrupts_and_flight_returns() {
     assert!(
         outcome.log.iter().any(|e| matches!(
             e,
-            FlightLog::WaypointEnd { reason: EndReason::Aborted, .. }
+            FlightLog::WaypointEnd {
+                reason: EndReason::Aborted,
+                ..
+            }
         )),
         "{:?}",
         outcome.log
@@ -129,7 +132,9 @@ fn interrupted_vdrone_resumes_on_a_later_flight() {
         .unwrap();
 
     // First flight: aborted by weather before reaching the waypoint.
-    let plans = androne.cloud.plan_flights(std::slice::from_ref(&order), BASE, 1);
+    let plans = androne
+        .cloud
+        .plan_flights(std::slice::from_ref(&order), BASE, 1);
     let outcome = androne
         .execute_one_flight(
             std::slice::from_ref(&order),
@@ -139,18 +144,32 @@ fn interrupted_vdrone_resumes_on_a_later_flight() {
         )
         .unwrap();
     assert!(!outcome.completed);
-    assert_eq!(facade_pin(&androne), FACADE_PINS[0], "after the aborted flight");
+    assert_eq!(
+        facade_pin(&androne),
+        FACADE_PINS[0],
+        "after the aborted flight"
+    );
     let saved = androne.cloud.vdr.get(&order.vd_name).unwrap();
-    assert_eq!(saved.reason, SaveReason::Interrupted, "saved for resumption");
+    assert_eq!(
+        saved.reason,
+        SaveReason::Interrupted,
+        "saved for resumption"
+    );
 
     // Second flight: the same virtual drone is pulled from the VDR
     // and completes.
-    let plans = androne.cloud.plan_flights(std::slice::from_ref(&order), BASE, 1);
+    let plans = androne
+        .cloud
+        .plan_flights(std::slice::from_ref(&order), BASE, 1);
     let outcome = androne
         .execute_one_flight(std::slice::from_ref(&order), plans[0].clone(), 400.0, None)
         .unwrap();
     assert!(outcome.completed, "log: {:?}", outcome.log);
-    assert_eq!(facade_pin(&androne), FACADE_PINS[1], "after the resumed flight");
+    assert_eq!(
+        facade_pin(&androne),
+        FACADE_PINS[1],
+        "after the resumed flight"
+    );
     assert_eq!(
         androne.cloud.vdr.get(&order.vd_name).unwrap().reason,
         SaveReason::Completed
@@ -207,12 +226,20 @@ fn energy_exhaustion_ends_the_waypoint_window() {
     drone
         .deploy_vdrone("vd1", spec(vec![wp(60.0, 0.0, 40.0)], 900.0, 600.0), &[])
         .unwrap();
-    let outcome = execute_flight(&mut drone, one_leg_plan("vd1", 60.0, 0.0, 300.0), 400.0, None);
+    let outcome = execute_flight(
+        &mut drone,
+        one_leg_plan("vd1", 60.0, 0.0, 300.0),
+        400.0,
+        None,
+    );
     assert!(outcome.completed);
     assert!(
         outcome.log.iter().any(|e| matches!(
             e,
-            FlightLog::WaypointEnd { reason: EndReason::EnergyExhausted, .. }
+            FlightLog::WaypointEnd {
+                reason: EndReason::EnergyExhausted,
+                ..
+            }
         )),
         "{:?}",
         outcome.log
@@ -274,9 +301,14 @@ fn kernel_crash_on_shared_hardware_cuts_the_motors() {
         ref mut driver,
         ..
     } = drone;
-    assert!(hal_bridge.gps_fix(driver).is_err(), "Binder died with the kernel");
+    assert!(
+        hal_bridge.gps_fix(driver).is_err(),
+        "Binder died with the kernel"
+    );
     // The unpowered airframe comes down.
-    drone.sitl.run_for(androne::simkern::SimDuration::from_secs(30));
+    drone
+        .sitl
+        .run_for(androne::simkern::SimDuration::from_secs(30));
     assert!(drone.sitl.on_ground(), "uncontrolled descent to ground");
     assert!(!drone.sitl.fc.armed());
 }
@@ -300,11 +332,18 @@ fn separate_flight_hardware_survives_a_kernel_crash() {
     assert!(hal_bridge.gps_fix(driver).is_err());
     // ...but the flight controller keeps flying and returns home.
     assert!(drone.sitl.fc.armed(), "fast loop unaffected");
-    drone.sitl.handle_message(&androne::mavlink::Message::CommandLong {
-        command: androne::mavlink::MavCmd::NavReturnToLaunch,
-        params: [0.0; 7],
-    });
-    drone.sitl.run_for(androne::simkern::SimDuration::from_secs(60));
+    drone
+        .sitl
+        .handle_message(&androne::mavlink::Message::CommandLong {
+            command: androne::mavlink::MavCmd::NavReturnToLaunch,
+            params: [0.0; 7],
+        });
+    drone
+        .sitl
+        .run_for(androne::simkern::SimDuration::from_secs(60));
     assert!(drone.sitl.on_ground());
-    assert!(drone.sitl.position().ground_distance_m(&BASE) < 5.0, "landed at base");
+    assert!(
+        drone.sitl.position().ground_distance_m(&BASE) < 5.0,
+        "landed at base"
+    );
 }

@@ -28,7 +28,13 @@ fn home() -> GeoPoint {
     GeoPoint::new(37.42, -122.08, 0.0)
 }
 
-const CLIENTS: [&str; 5] = ["gcs", "vd-active", "vd-approach", "vd-finished", "vd-pending"];
+const CLIENTS: [&str; 5] = [
+    "gcs",
+    "vd-active",
+    "vd-approach",
+    "vd-finished",
+    "vd-pending",
+];
 
 /// One client in every telemetry presentation state: pass-through
 /// (unrestricted and active), synthetic climb (approaching),
@@ -164,7 +170,10 @@ fn shared_fanout_matches_owned_per_message_transform() {
             assert_eq!(delivered, expected, "client {name}, round {round}");
             let delivered_bytes: Vec<u8> = delivered.iter().flat_map(wire).collect();
             let expected_bytes: Vec<u8> = expected.iter().flat_map(wire).collect();
-            assert_eq!(delivered_bytes, expected_bytes, "client {name}, round {round}");
+            assert_eq!(
+                delivered_bytes, expected_bytes,
+                "client {name}, round {round}"
+            );
         }
     }
 }

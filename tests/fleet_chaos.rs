@@ -32,7 +32,9 @@ use androne::simkern::{
     CloudFaultEvent, CloudFaultKind, FaultEvent, FaultKind, FaultPlan, FleetFaultPlan,
 };
 use androne::vdc::{VirtualDroneSpec, WatchdogConfig, WaypointSpec};
-use androne::{execute_flight_probed, Drone, EndReason, FaultInjector, FlightLog, FnProbe, ProbeStack};
+use androne::{
+    execute_flight_probed, Drone, EndReason, FaultInjector, FlightLog, FnProbe, ProbeStack,
+};
 use rand::RngCore;
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
@@ -222,14 +224,24 @@ fn fleet_gate_holds_invariants_across_generated_plans() {
         );
 
         // (a) dual-run bit-identity of the full faulted run.
-        let a = FleetSpec::new(cfg.clone()).faults(faults.clone()).run().expect("fleet run");
-        let b = FleetSpec::new(cfg.clone()).faults(faults.clone()).run().expect("fleet rerun");
+        let a = FleetSpec::new(cfg.clone())
+            .faults(faults.clone())
+            .run()
+            .expect("fleet run");
+        let b = FleetSpec::new(cfg.clone())
+            .faults(faults.clone())
+            .run()
+            .expect("fleet rerun");
         assert_eq!(
             a.fleet_digest(),
             b.fleet_digest(),
             "{label}: dual-run fleet divergence"
         );
-        assert_eq!(a.flights.len(), b.flights.len(), "{label}: flight count drift");
+        assert_eq!(
+            a.flights.len(),
+            b.flights.len(),
+            "{label}: flight count drift"
+        );
         assert_run_invariants(&cfg, &a, &label);
 
         // (a') thread-count independence: the parallel wave executor
@@ -241,7 +253,10 @@ fn fleet_gate_holds_invariants_across_generated_plans() {
             let threads: usize = width.parse().expect("FLEET_CHAOS_THREADS entry");
             let mut tcfg = cfg.clone();
             tcfg.threads = threads;
-            let t = FleetSpec::new(tcfg.clone()).faults(faults.clone()).run().expect("threaded fleet run");
+            let t = FleetSpec::new(tcfg.clone())
+                .faults(faults.clone())
+                .run()
+                .expect("threaded fleet run");
             assert_eq!(
                 a.fleet_digest(),
                 t.fleet_digest(),
@@ -282,7 +297,10 @@ fn fleet_gate_holds_invariants_across_generated_plans() {
                 }],
             }];
         }
-        let crashed = FleetSpec::new(cfg.clone()).faults(crash.clone()).run().expect("crash-only run");
+        let crashed = FleetSpec::new(cfg.clone())
+            .faults(crash.clone())
+            .run()
+            .expect("crash-only run");
         assert_run_invariants(&cfg, &crashed, &format!("{label} [crash-only]"));
         let victims = crash.crash_targets();
         assert!(!victims.is_empty(), "{label}: no crash victim to contain");
@@ -331,7 +349,10 @@ fn empty_fleet_plan_is_bit_identical_to_pr3_baseline() {
         drone.board.borrow_mut().rng.next_u64(),
         10880446920844866505
     );
-    assert_eq!(drone.kernel.borrow_mut().rng().next_u64(), 8156589452691600790);
+    assert_eq!(
+        drone.kernel.borrow_mut().rng().next_u64(),
+        8156589452691600790
+    );
     assert!(injector.actions().is_empty());
 }
 
@@ -351,7 +372,10 @@ fn portal_outage_defers_the_wave_and_orders_still_complete() {
             disarm_wave: 1,
         }],
     };
-    let run = FleetSpec::new(cfg.clone()).faults(faults.clone()).run().expect("fleet run");
+    let run = FleetSpec::new(cfg.clone())
+        .faults(faults.clone())
+        .run()
+        .expect("fleet run");
     assert_run_invariants(&cfg, &run, "portal outage");
     assert!(run.waves_run >= 2, "the outage consumed wave 0");
     assert!(
@@ -406,7 +430,10 @@ fn link_partition_interrupts_then_vdr_heals_and_the_drone_resumes() {
             disarm_wave: 2,
         }],
     };
-    let run = FleetSpec::new(cfg.clone()).faults(faults.clone()).run().expect("fleet run");
+    let run = FleetSpec::new(cfg.clone())
+        .faults(faults.clone())
+        .run()
+        .expect("fleet run");
     assert_run_invariants(&cfg, &run, "link partition resume");
 
     let t = &run.tenants["vd1"];

@@ -97,7 +97,10 @@ fn single_thread_reproduces_the_pre_pool_digests() {
         let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
         let faults = FleetFaultPlan::generate(seed, 3, &tenant_names, 150);
 
-        let faulted = FleetSpec::new(cfg.clone()).faults(faults).run().expect("faulted run");
+        let faulted = FleetSpec::new(cfg.clone())
+            .faults(faults)
+            .run()
+            .expect("faulted run");
         assert_eq!(
             faulted.fleet_digest(),
             faulted_pin,
@@ -157,13 +160,23 @@ fn panic_past_the_first_flight_spares_the_flown_tenants() {
     let cfg = gate_config(0xF1EE_5EED, 3, 4);
     let spec = FleetSpec::new(cfg);
     let clean = spec.run().expect("clean run");
-    assert!(clean.flights.len() >= 2, "scenario must plan multiple flights");
-    let chaos = spec.clone().chaos_panic_at(1).run().expect("run must survive");
+    assert!(
+        clean.flights.len() >= 2,
+        "scenario must plan multiple flights"
+    );
+    let chaos = spec
+        .clone()
+        .chaos_panic_at(1)
+        .run()
+        .expect("run must survive");
     // Flight 0 flies in both runs with identical bits (same seed,
     // same index — the panic at index 1 cannot reach back).
     assert!(!chaos.flights.is_empty(), "flight 0 should still fly");
     assert_eq!(chaos.flights[0].trace_digest, clean.flights[0].trace_digest);
-    assert!(chaos.cloud_log.iter().any(|l| l.contains("worker panicked")));
+    assert!(chaos
+        .cloud_log
+        .iter()
+        .any(|l| l.contains("worker panicked")));
     // Every tenant still resolves terminally.
     for (name, t) in &chaos.tenants {
         assert!(

@@ -89,14 +89,24 @@ fn saved(name: &str, owner: &str, flights_flown: u32, reason: SaveReason) -> Sav
 fn replay_vdr_tape(vdr: &mut VirtualDroneRepository) {
     for i in 0..24u32 {
         let name = format!("vd-u{:02}-{}", i % 12, i);
-        vdr.store(saved(&name, &format!("u{:02}", i % 12), 0, SaveReason::Interrupted));
+        vdr.store(saved(
+            &name,
+            &format!("u{:02}", i % 12),
+            0,
+            SaveReason::Interrupted,
+        ));
     }
     // Telescoped re-saves: the same names re-stored with progress.
     for round in 1..4u32 {
         for i in 0..24u32 {
             if i % 3 == 0 {
                 let name = format!("vd-u{:02}-{}", i % 12, i);
-                vdr.store(saved(&name, &format!("u{:02}", i % 12), round, SaveReason::Interrupted));
+                vdr.store(saved(
+                    &name,
+                    &format!("u{:02}", i % 12),
+                    round,
+                    SaveReason::Interrupted,
+                ));
             }
         }
     }
@@ -115,7 +125,9 @@ fn replay_vdr_tape(vdr: &mut VirtualDroneRepository) {
         assert!(vdr.get(&name).is_none(), "leased entry is off the shelf");
         assert!(vdr.abandon(&name), "lease must abandon back");
         assert_eq!(
-            vdr.get(&name).expect("abandoned entry restored").flights_flown,
+            vdr.get(&name)
+                .expect("abandoned entry restored")
+                .flights_flown,
             before,
             "abandon must restore the entry unmodified"
         );
@@ -141,9 +153,18 @@ fn vdr_shard_count_is_digest_invariant() {
         let (a, b) = (one.stats(), many.stats());
         assert_eq!(a.entries, b.entries, "shards={shards}: entry count");
         assert_eq!(a.leased, b.leased, "shards={shards}: lease count");
-        assert_eq!(a.journal_entries, b.journal_entries, "shards={shards}: journal");
-        assert_eq!(a.compacted_saves, b.compacted_saves, "shards={shards}: compaction");
-        assert_eq!(a.reclaimed_bytes, b.reclaimed_bytes, "shards={shards}: reclaim");
+        assert_eq!(
+            a.journal_entries, b.journal_entries,
+            "shards={shards}: journal"
+        );
+        assert_eq!(
+            a.compacted_saves, b.compacted_saves,
+            "shards={shards}: compaction"
+        );
+        assert_eq!(
+            a.reclaimed_bytes, b.reclaimed_bytes,
+            "shards={shards}: reclaim"
+        );
         assert_eq!(one.stored_bytes(), many.stored_bytes());
         // The split itself is real: multiple shards hold entries.
         let populated = many
@@ -181,7 +202,11 @@ fn vdr_outage_mid_checkout_loses_nothing() {
         Err(CloudError::VdrUnavailable)
     ));
     let stats = cloud.inner.vdr.stats();
-    assert_eq!(stats.entries + stats.leased, 8, "outage must not lose entries");
+    assert_eq!(
+        stats.entries + stats.leased,
+        8,
+        "outage must not lose entries"
+    );
     assert_eq!(stats.leased, 1, "the outstanding lease survives the outage");
     // The leaseholder can still conclude its resume: abandon returns
     // the drone to the shelf even while checkouts are refused.

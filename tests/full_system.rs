@@ -160,7 +160,9 @@ fn full_order_to_flight_workflow() {
         )
         .unwrap();
 
-    let outcomes = androne.execute_orders(std::slice::from_ref(&order), 300.0).unwrap();
+    let outcomes = androne
+        .execute_orders(std::slice::from_ref(&order), 300.0)
+        .unwrap();
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].completed);
 

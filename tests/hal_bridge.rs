@@ -20,7 +20,11 @@ fn flight_container_reads_gps_through_device_container() {
         ..
     } = drone;
     let fix = hal_bridge.gps_fix(driver).unwrap();
-    assert!((fix.latitude - BASE.latitude).abs() < 0.001, "{}", fix.latitude);
+    assert!(
+        (fix.latitude - BASE.latitude).abs() < 0.001,
+        "{}",
+        fix.latitude
+    );
     assert!((fix.longitude - BASE.longitude).abs() < 0.001);
     assert!(fix.ground_speed.abs() < 0.1, "at rest");
 }

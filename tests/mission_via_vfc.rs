@@ -17,7 +17,9 @@ fn tenant_uploads_and_flies_a_mission_through_its_vfc() {
     // Position the drone at the tenant's waypoint and hand over with
     // the FULL whitelist (mission upload requires it).
     assert!(drone.sitl.arm_and_takeoff(15.0, SimDuration::from_secs(30)));
-    assert!(drone.sitl.goto(waypoint, 5.0, 2.0, SimDuration::from_secs(60)));
+    assert!(drone
+        .sitl
+        .goto(waypoint, 5.0, 2.0, SimDuration::from_secs(60)));
     drone.proxy.add_vfc_client(Vfc::new(
         "vd-pro",
         CommandWhitelist::full(),
@@ -92,10 +94,7 @@ fn tenant_uploads_and_flies_a_mission_through_its_vfc() {
         drone.proxy.breaches_handled, 0,
         "the whole sweep stayed inside the fence"
     );
-    assert_eq!(
-        drone.proxy.vfc("vd-pro").unwrap().state(),
-        VfcState::Active
-    );
+    assert_eq!(drone.proxy.vfc("vd-pro").unwrap().state(), VfcState::Active);
 }
 
 #[test]

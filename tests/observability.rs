@@ -12,9 +12,7 @@ use androne::obs::{metrics_to_json, TraceEvent};
 use androne::planner::{FlightPlan, Leg};
 use androne::simkern::{FaultKind, FaultPlan};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
-use androne::{
-    execute_flight_probed, Drone, EndReason, FaultInjector, FlightRecorder, ProbeStack,
-};
+use androne::{execute_flight_probed, Drone, EndReason, FaultInjector, FlightRecorder, ProbeStack};
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
 const SEED: u64 = 1337;
@@ -85,7 +83,9 @@ fn black_box_freezes_on_link_lost() {
         recorded_flight(FaultPlan::single(FaultKind::LinkPartition, 5, 1_000));
     assert_eq!(end_reason, EndReason::LinkLost);
 
-    let snap = recorder.snapshot().expect("abnormal end freezes a black box");
+    let snap = recorder
+        .snapshot()
+        .expect("abnormal end freezes a black box");
     assert_eq!(snap.end_reason, "LinkLost");
     assert_eq!(snap.window_ns, WINDOW_S * 1_000_000_000);
     assert!(!snap.records.is_empty(), "black box carries trace records");
@@ -95,7 +95,10 @@ fn black_box_freezes_on_link_lost() {
     let mut last = 0;
     for r in &snap.records {
         assert!(r.record.t_ns >= cutoff, "record before window start");
-        assert!(r.record.t_ns <= snap.ended_at_ns, "record after end of flight");
+        assert!(
+            r.record.t_ns <= snap.ended_at_ns,
+            "record after end of flight"
+        );
         assert!(r.record.t_ns >= last, "records out of order");
         last = r.record.t_ns;
     }
@@ -124,7 +127,10 @@ fn black_box_freezes_on_link_lost() {
 fn black_box_stays_empty_on_completed_flight() {
     let (drone, end_reason, recorder) = recorded_flight(FaultPlan::empty());
     assert_eq!(end_reason, EndReason::Completed);
-    assert!(recorder.snapshot().is_none(), "no black box on a clean flight");
+    assert!(
+        recorder.snapshot().is_none(),
+        "no black box on a clean flight"
+    );
     // The trace itself still exists — the recorder is a freeze
     // policy, not the only consumer of the bus.
     assert!(!drone.obs.with(|o| o.trace.is_empty()).unwrap_or(true));
@@ -138,7 +144,14 @@ fn black_box_serializes_to_json() {
         recorded_flight(FaultPlan::single(FaultKind::LinkPartition, 5, 1_000));
     let snap = recorder.into_snapshot().expect("black box");
     let json = snap.to_json_pretty();
-    for key in ["end_reason", "LinkLost", "ended_at_ns", "window_ns", "records", "subsystem"] {
+    for key in [
+        "end_reason",
+        "LinkLost",
+        "ended_at_ns",
+        "window_ns",
+        "records",
+        "subsystem",
+    ] {
         assert!(json.contains(key), "JSON missing {key}: {json}");
     }
     let metrics = drone
@@ -156,12 +169,24 @@ fn black_box_serializes_to_json() {
 #[test]
 fn flight_metrics_expose_failsafe_counters() {
     let (drone, _, _) = recorded_flight(FaultPlan::single(FaultKind::LinkPartition, 5, 1_000));
-    let rtl = drone.obs.with(|o| o.metrics.counter("mav.failsafe.rtl")).unwrap_or(0);
-    let loiter = drone.obs.with(|o| o.metrics.counter("mav.failsafe.loiter")).unwrap_or(0);
+    let rtl = drone
+        .obs
+        .with(|o| o.metrics.counter("mav.failsafe.rtl"))
+        .unwrap_or(0);
+    let loiter = drone
+        .obs
+        .with(|o| o.metrics.counter("mav.failsafe.loiter"))
+        .unwrap_or(0);
     assert_eq!(rtl, 1, "one RTL transition");
     assert_eq!(loiter, 1, "one loiter transition");
-    let txns = drone.obs.with(|o| o.metrics.counter("binder.txn")).unwrap_or(0);
+    let txns = drone
+        .obs
+        .with(|o| o.metrics.counter("binder.txn"))
+        .unwrap_or(0);
     assert!(txns > 0, "binder transactions counted");
-    let dur = drone.obs.with(|o| o.metrics.gauge("flight.duration_s")).flatten();
+    let dur = drone
+        .obs
+        .with(|o| o.metrics.gauge("flight.duration_s"))
+        .flatten();
     assert!(dur.is_some_and(|d| d > 0.0), "flight duration gauge set");
 }

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and
 //! invariants (proptest).
 
-use androne::binder::{Parcel, PValue};
+use androne::binder::{PValue, Parcel};
 use androne::container::{FileChange, Image, Layer};
 use androne::energy::DorlingModel;
 use androne::flight::Geofence;
@@ -17,10 +17,11 @@ fn arb_pvalue() -> impl Strategy<Value = PValue> {
     prop_oneof![
         any::<i32>().prop_map(PValue::I32),
         any::<i64>().prop_map(PValue::I64),
-        any::<f64>().prop_filter("finite", |v| v.is_finite()).prop_map(PValue::F64),
+        any::<f64>()
+            .prop_filter("finite", |v| v.is_finite())
+            .prop_map(PValue::F64),
         "[a-z0-9./]{0,24}".prop_map(PValue::Str),
-        proptest::collection::vec(any::<u8>(), 0..64)
-            .prop_map(|b| PValue::Blob(Bytes::from(b))),
+        proptest::collection::vec(any::<u8>(), 0..64).prop_map(|b| PValue::Blob(Bytes::from(b))),
     ]
 }
 
@@ -47,10 +48,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 speed,
             }
         ),
-        (0u8..7, "[ -~]{0,60}").prop_map(|(severity, text)| Message::StatusText {
-            severity,
-            text,
-        }),
+        (0u8..7, "[ -~]{0,60}").prop_map(|(severity, text)| Message::StatusText { severity, text }),
     ]
 }
 

@@ -54,7 +54,10 @@ fn three_tenant_flight_with_breach_recovery() {
     drone
         .deploy_vdrone(
             "vd-survey",
-            spec(vec![wp(70.0, 0.0, 45.0)], vec!["camera", "gps", "flight-control"]),
+            spec(
+                vec![wp(70.0, 0.0, 45.0)],
+                vec!["camera", "gps", "flight-control"],
+            ),
             std::slice::from_ref(&manifest),
         )
         .unwrap();
@@ -184,7 +187,10 @@ fn interactive_tenant_breaches_and_recovers_mid_session() {
     ));
 
     // Hand over control.
-    drone.vdc.borrow_mut().on_waypoint_arrived("vd-interactive", 0);
+    drone
+        .vdc
+        .borrow_mut()
+        .on_waypoint_arrived("vd-interactive", 0);
     drone.proxy.activate_vfc("vd-interactive");
     assert_eq!(
         drone.proxy.vfc("vd-interactive").unwrap().state(),
@@ -208,7 +214,10 @@ fn interactive_tenant_breaches_and_recovers_mid_session() {
     for _ in 0..(40.0 * 400.0) as u64 {
         drone.proxy.step(&mut drone.sitl);
     }
-    assert_eq!(drone.proxy.breaches_handled, 1, "breach detected and handled");
+    assert_eq!(
+        drone.proxy.breaches_handled, 1,
+        "breach detected and handled"
+    );
 
     // Control came back: the VFC is Active again and accepts a
     // guided target inside the fence.
