@@ -56,7 +56,9 @@ impl Packing {
 /// First-fit packs `items` onto at most `fleet_size` flights, each
 /// carrying at most `party_cap` items and at most `battery_budget_j`
 /// joules of demand. Items too large for an empty bin spill rather
-/// than opening a doomed flight. Pure and deterministic.
+/// than opening a doomed flight; once every flight is full on the
+/// party cap the remaining items spill without a scan. Pure and
+/// deterministic.
 pub fn bin_pack(
     items: &[PackItem],
     fleet_size: usize,
@@ -73,6 +75,12 @@ pub fn bin_pack(
     // near-linear when items are uniform).
     let mut first_open = 0usize;
     for (idx, item) in items.iter().enumerate() {
+        if first_open == fleet_size {
+            // Every bin the fleet allows is open and full on the party
+            // cap: nothing more fits, so the rest spill in order.
+            packing.spilled.extend(idx..items.len());
+            break;
+        }
         if item.energy_j > battery_budget_j {
             packing.spilled.push(idx);
             continue;
@@ -168,7 +176,82 @@ mod tests {
         assert_eq!(bin_pack(&items, 3, 0, 1e9).spilled, vec![0]);
     }
 
+    /// The first-fit pass before the full-fleet early exit: every
+    /// item is checked against the open bins, even once all are full.
+    fn reference_bin_pack(
+        items: &[PackItem],
+        fleet_size: usize,
+        party_cap: usize,
+        battery_budget_j: f64,
+    ) -> Packing {
+        let mut packing = Packing::default();
+        if fleet_size == 0 || party_cap == 0 {
+            packing.spilled = (0..items.len()).collect();
+            return packing;
+        }
+        let mut first_open = 0usize;
+        for (idx, item) in items.iter().enumerate() {
+            if item.energy_j > battery_budget_j {
+                packing.spilled.push(idx);
+                continue;
+            }
+            let mut placed = false;
+            for b in first_open..packing.flights.len() {
+                let bin = &mut packing.flights[b];
+                if bin.items.len() < party_cap && bin.energy_j + item.energy_j <= battery_budget_j {
+                    bin.items.push(idx);
+                    bin.energy_j += item.energy_j;
+                    bin.time_s += item.time_s;
+                    placed = true;
+                    break;
+                }
+            }
+            if !placed {
+                if packing.flights.len() < fleet_size {
+                    packing.flights.push(PackedFlight {
+                        items: vec![idx],
+                        energy_j: item.energy_j,
+                        time_s: item.time_s,
+                    });
+                } else {
+                    packing.spilled.push(idx);
+                }
+            }
+            while first_open < packing.flights.len()
+                && packing.flights[first_open].items.len() >= party_cap
+            {
+                first_open += 1;
+            }
+        }
+        packing
+    }
+
     use proptest::prelude::*;
+
+    // Overloaded waves offer many times the legs the fleet can carry;
+    // the early exit must spill exactly what the full scan spilled.
+    proptest! {
+        #[test]
+        fn early_exit_matches_the_full_scan(
+            demands in prop::collection::vec((0.0f64..40_000.0, 0.0f64..900.0), 0..96),
+            fleet_size in 0usize..8,
+            party_cap in 0usize..5,
+            budget in 1_000.0f64..120_000.0,
+        ) {
+            let items: Vec<PackItem> = demands
+                .iter()
+                .map(|&(energy_j, time_s)| PackItem {
+                    owner: String::new(),
+                    energy_j,
+                    time_s,
+                })
+                .collect();
+            prop_assert_eq!(
+                bin_pack(&items, fleet_size, party_cap, budget),
+                reference_bin_pack(&items, fleet_size, party_cap, budget)
+            );
+        }
+    }
 
     // The same demands pack identically whether their owners are
     // distinct, relabelled, shared or empty: the packer counts items,
