@@ -85,11 +85,6 @@ impl ActivityManager {
             PERMISSION_DENIED
         }
     }
-
-    /// Packages registered (diagnostics).
-    pub fn packages(&self) -> Vec<String> {
-        self.apps.keys().cloned().collect()
-    }
 }
 
 impl BinderService for ActivityManager {

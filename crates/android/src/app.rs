@@ -91,14 +91,6 @@ impl AppRegistry {
         self.apps.get_mut(package)
     }
 
-    /// Marks an app as running under `pid`.
-    pub fn mark_running(&mut self, package: &str, pid: Pid) {
-        if let Some(app) = self.apps.get_mut(package) {
-            app.pid = Some(pid);
-            app.state = AppState::Running;
-        }
-    }
-
     /// Delivers `onSaveInstanceState()`: stores the bundle and stops
     /// the app.
     pub fn save_instance_state(&mut self, package: &str, bundle: Bundle) {
@@ -173,11 +165,9 @@ mod tests {
     fn lifecycle_save_restore_round_trip() {
         let mut reg = AppRegistry::new();
         reg.install(manifest("com.example.survey"));
-        reg.mark_running("com.example.survey", Pid(42));
-        assert_eq!(
-            reg.get("com.example.survey").unwrap().state,
-            AppState::Running
-        );
+        let app = reg.get_mut("com.example.survey").unwrap();
+        app.pid = Some(Pid(42));
+        app.state = AppState::Running;
 
         let mut bundle = Bundle::new();
         bundle.insert("next-waypoint".into(), "2".into());

@@ -164,15 +164,6 @@ impl AndroneManifest {
             .map(|p| p.device)
             .collect()
     }
-
-    /// Required argument names the portal must prompt for.
-    pub fn required_arguments(&self) -> Vec<&str> {
-        self.arguments
-            .iter()
-            .filter(|a| a.required)
-            .map(|a| a.name.as_str())
-            .collect()
-    }
 }
 
 /// A parsed tag: name plus attribute map.
@@ -248,8 +239,9 @@ mod tests {
             vec![DeviceClass::Camera, DeviceClass::FlightControl]
         );
         assert_eq!(m.continuous_devices(), vec![DeviceClass::Gps]);
-        assert_eq!(m.required_arguments(), vec!["survey-areas"]);
         assert_eq!(m.arguments.len(), 2);
+        assert_eq!(m.arguments[0].name, "survey-areas");
+        assert!(m.arguments[0].required && !m.arguments[1].required);
         assert_eq!(m.arguments[1].arg_type, "int");
     }
 

@@ -79,11 +79,6 @@ impl ServiceManager {
         self.services.keys().map(String::as_str)
     }
 
-    /// Whether a name is registered.
-    pub fn has_service(&self, name: &str) -> bool {
-        self.services.contains_key(name)
-    }
-
     fn add_service(
         &mut self,
         data: &Parcel,

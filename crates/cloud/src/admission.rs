@@ -287,11 +287,6 @@ impl<T> AdmissionQueue<T> {
         self.pending == 0
     }
 
-    /// Distinct non-empty lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// High-water mark of the queue depth over this queue's life.
     pub fn peak_depth(&self) -> usize {
         self.peak_depth
@@ -428,7 +423,7 @@ mod tests {
                 }
                 let pending: usize = lanes.values().map(VecDeque::len).sum();
                 proptest::prop_assert_eq!(q.pending(), pending);
-                proptest::prop_assert_eq!(q.lane_count(), lanes.len());
+                proptest::prop_assert_eq!(q.lanes.len(), lanes.len());
             }
         }
     }

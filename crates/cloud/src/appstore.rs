@@ -58,11 +58,6 @@ impl AppStore {
         self.listings.get(package)
     }
 
-    /// Browses all listings.
-    pub fn browse(&self) -> impl Iterator<Item = &AppListing> {
-        self.listings.values()
-    }
-
     /// Simple keyword search over descriptions and package names.
     pub fn search(&self, query: &str) -> Vec<&AppListing> {
         let q = query.to_lowercase();
@@ -101,6 +96,6 @@ mod tests {
     fn bad_manifests_are_rejected() {
         let mut store = AppStore::new();
         assert!(store.publish("<oops/>", "broken").is_err());
-        assert_eq!(store.browse().count(), 0);
+        assert!(store.listings.is_empty());
     }
 }

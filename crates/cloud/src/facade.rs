@@ -100,7 +100,7 @@ impl Backpressure for OrderSubmitError {
 
 /// The receipt of a successfully enqueued order: not planned yet,
 /// just admitted into its tenant's FIFO lane. The order id names the
-/// order among [`FallibleCloud::queued_orders`]; the ticket carries
+/// order among the cloud's queued orders; the ticket carries
 /// no copy of the virtual drone's name, which the lane key already
 /// holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,11 +114,11 @@ pub struct AdmissionTicket {
 
 /// An offload held back by a storage outage, awaiting heal.
 #[derive(Debug, Clone)]
-pub struct BufferedOffload {
-    pub user: String,
-    pub flight_id: u64,
-    pub path: String,
-    pub data: bytes::Bytes,
+struct BufferedOffload {
+    user: String,
+    flight_id: u64,
+    path: String,
+    data: bytes::Bytes,
 }
 
 /// [`CloudService`] behind injected fault windows.
@@ -258,16 +258,6 @@ impl FallibleCloud {
         })
     }
 
-    /// Orders currently queued (behind an outage or awaiting batched
-    /// admission), in global sequence order.
-    pub fn queued_orders(&self) -> Vec<&PlacedOrder> {
-        self.admission
-            .iter_pending()
-            .into_iter()
-            .map(|(_, _, o)| o)
-            .collect()
-    }
-
     /// Enqueues an order that cleared portal validation without
     /// planning it: the non-blocking front door of the control plane,
     /// and the retry path after [`OrderSubmitError::Backpressure`],
@@ -332,11 +322,6 @@ impl FallibleCloud {
     /// round-robin across tenant lanes when batched).
     pub fn admit_orders(&mut self) -> Vec<PlacedOrder> {
         self.admission.admit().into_iter().map(|a| a.item).collect()
-    }
-
-    /// Offloads currently buffered behind a storage outage.
-    pub fn buffered_offloads(&self) -> &[BufferedOffload] {
-        &self.buffered
     }
 
     /// Plans the wave's flights, or queues the orders behind a typed
@@ -585,12 +570,12 @@ mod tests {
             .try_plan_flights(&[order("vd-a")], BASE, 1)
             .unwrap_err();
         assert_eq!(err, CloudError::PortalDown);
-        assert_eq!(cloud.queued_orders().len(), 1);
+        assert_eq!(cloud.admission.pending(), 1);
 
         cloud.begin_wave(1, vec![]);
         let plans = cloud.try_plan_flights(&[], BASE, 1).unwrap();
         assert!(!plans.is_empty(), "queued order planned after heal");
-        assert!(cloud.queued_orders().is_empty());
+        assert!(cloud.admission.is_empty());
     }
 
     #[test]
@@ -606,7 +591,7 @@ mod tests {
         // The caller retries the same wave orders; no duplicate queue
         // entries accumulate.
         let _ = cloud.try_plan_flights(&[order("vd-a")], BASE, 1);
-        assert_eq!(cloud.queued_orders().len(), 1);
+        assert_eq!(cloud.admission.pending(), 1);
     }
 
     #[test]
@@ -640,7 +625,7 @@ mod tests {
             1_000.0,
             vec![("/data/a.bin".into(), bytes::Bytes::from_static(b"xy"))],
         );
-        assert!(cloud.buffered_offloads().is_empty(), "retries succeeded");
+        assert!(cloud.buffered.is_empty(), "retries succeeded");
         assert!(cloud.inner.storage.fetch("alice", "/data/a.bin").is_some());
         assert!(
             cloud.backoff_spent.as_nanos() > 0,
@@ -664,14 +649,14 @@ mod tests {
             1_000.0,
             vec![("/data/a.bin".into(), bytes::Bytes::from_static(b"xy"))],
         );
-        assert_eq!(cloud.buffered_offloads().len(), 1, "offload buffered");
+        assert_eq!(cloud.buffered.len(), 1, "offload buffered");
         assert!(cloud.inner.storage.fetch("alice", "/data/a.bin").is_none());
         // Billing for storage waits for the write; energy reconciled.
         assert_eq!(cloud.inner.billing.bill("alice").storage_gb_months, 0.0);
         assert!((cloud.inner.billing.bill("alice").energy_j - 1_000.0).abs() < 1e-9);
 
         cloud.begin_wave(1, vec![]);
-        assert!(cloud.buffered_offloads().is_empty(), "drained on heal");
+        assert!(cloud.buffered.is_empty(), "drained on heal");
         assert!(cloud.inner.storage.fetch("alice", "/data/a.bin").is_some());
         assert!(cloud.inner.billing.bill("alice").storage_gb_months > 0.0);
     }

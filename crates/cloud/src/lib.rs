@@ -29,7 +29,7 @@ pub mod vdr;
 
 pub use admission::{AdmissionConfig, AdmissionError, AdmissionQueue, Admitted};
 pub use appstore::{AppListing, AppStore};
-pub use facade::{AdmissionTicket, BufferedOffload, CloudError, FallibleCloud, OrderSubmitError};
+pub use facade::{AdmissionTicket, CloudError, FallibleCloud, OrderSubmitError};
 pub use portal::{AppSelection, DroneType, OrderError, OrderRequest, PlacedOrder, Portal};
 pub use service::{CloudService, Notification, NotificationKind, MAX_VDRONES_PER_FLIGHT};
 pub use storage::{CloudStorage, StoredFile};

@@ -65,11 +65,6 @@ impl CloudStorage {
             .find(|f| f.path == path)
             .map(|f| f.data.clone())
     }
-
-    /// Total bytes stored for billing.
-    pub fn bytes_for(&self, user: &str) -> u64 {
-        self.list(user).iter().map(|f| f.data.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +81,7 @@ mod tests {
             s.fetch("alice", "/data/out/ortho.tif").unwrap(),
             Bytes::from_static(b"tiff-bytes")
         );
-        assert_eq!(s.bytes_for("alice"), 10);
+        assert_eq!(s.list("alice").len(), 1);
         assert!(s.fetch("bob", "/data/out/ortho.tif").is_none());
     }
 }

@@ -233,10 +233,6 @@ impl VirtualDroneRepository {
         }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Deterministic name → shard routing (FNV-1a via the sim state
     /// hasher; no process-seeded hashing anywhere near here).
     fn shard_index(&self, name: &str) -> usize {

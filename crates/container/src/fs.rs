@@ -45,11 +45,6 @@ impl ContainerFs {
         self.upper.write(path, contents);
     }
 
-    /// Deletes a file (whiteout in the writable layer).
-    pub fn delete(&mut self, path: impl Into<String>) {
-        self.upper.whiteout(path);
-    }
-
     /// Returns `true` if the path is visible.
     pub fn exists(&self, path: &str) -> bool {
         self.read(path).is_some()
@@ -70,16 +65,6 @@ impl ContainerFs {
     /// The read-only image layers below the writable layer.
     pub fn image_layers(&self) -> &[std::sync::Arc<Layer>] {
         self.image.layers()
-    }
-
-    /// Consumes the filesystem, returning `(image, writable layer)`.
-    pub fn into_parts(self) -> (Image, Layer) {
-        (self.image, self.upper)
-    }
-
-    /// Bytes of container-private storage (the writable layer only).
-    pub fn private_bytes(&self) -> u64 {
-        self.upper.size()
     }
 }
 
@@ -116,7 +101,7 @@ mod tests {
     #[test]
     fn delete_whiteouts_image_files() {
         let mut fs = fs();
-        fs.delete("/system/build.prop");
+        fs.upper.whiteout("/system/build.prop");
         assert!(!fs.exists("/system/build.prop"));
     }
 
@@ -124,9 +109,8 @@ mod tests {
     fn diff_round_trips_through_remount() {
         let mut fs = fs();
         fs.write("/data/state.json", "{\"wp\":2}");
-        fs.delete("/system/build.prop");
-        let (image, upper) = fs.into_parts();
-        let resumed = ContainerFs::mount_with_upper(image, upper);
+        fs.upper.whiteout("/system/build.prop");
+        let resumed = ContainerFs::mount_with_upper(fs.image, fs.upper);
         assert_eq!(
             resumed.read("/data/state.json").unwrap(),
             Bytes::from("{\"wp\":2}")
@@ -137,8 +121,8 @@ mod tests {
     #[test]
     fn private_bytes_counts_only_upper() {
         let mut fs = fs();
-        assert_eq!(fs.private_bytes(), 0);
+        assert_eq!(fs.diff().size(), 0);
         fs.write("/data/a", "12345");
-        assert_eq!(fs.private_bytes(), 5);
+        assert_eq!(fs.diff().size(), 5);
     }
 }

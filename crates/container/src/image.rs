@@ -278,33 +278,6 @@ impl ImageStore {
     pub fn stored_bytes(&self) -> u64 {
         self.layers.values().map(|l| l.size()).sum()
     }
-
-    /// Number of distinct layers held.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Names of all tagged images.
-    pub fn tags(&self) -> impl Iterator<Item = &str> {
-        self.tags.keys().map(String::as_str)
-    }
-
-    /// Removes a tag (the layers stay until [`ImageStore::gc`]).
-    pub fn untag(&mut self, name: &str) -> bool {
-        self.tags.remove(name).is_some()
-    }
-
-    /// Garbage-collects layers unreachable from any tag, returning
-    /// the bytes reclaimed. Virtual drone churn (deploy → save →
-    /// remove) would otherwise leak committed diff layers on the
-    /// storage-constrained microSD card.
-    pub fn gc(&mut self) -> u64 {
-        let live: std::collections::BTreeSet<LayerId> =
-            self.tags.values().flatten().copied().collect();
-        let before = self.stored_bytes();
-        self.layers.retain(|id, _| live.contains(id));
-        before - self.stored_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -390,26 +363,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(store.stored_bytes(), base_size + total_diffs);
-        assert_eq!(store.layer_count(), 4);
-    }
-
-    #[test]
-    fn gc_reclaims_untagged_layers_only() {
-        let mut store = ImageStore::new();
-        let base_id = store.put_layer(base());
-        let mut diff = Layer::new();
-        diff.write("/data/tmp", "scratch-bytes");
-        let diff_id = store.put_layer(diff.clone());
-        store.tag("vd", vec![base_id, diff_id]).unwrap();
-
-        assert_eq!(store.gc(), 0, "everything reachable");
-
-        store.untag("vd");
-        store.tag("base-only", vec![base_id]).unwrap();
-        let reclaimed = store.gc();
-        assert_eq!(reclaimed, diff.size());
-        assert_eq!(store.layer_count(), 1);
-        assert!(store.image("base-only").is_ok(), "live layers survive");
+        assert_eq!(store.layers.len(), 4);
     }
 
     #[test]

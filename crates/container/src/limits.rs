@@ -11,10 +11,6 @@
 pub struct ResourceLimits {
     /// Maximum resident memory in bytes, if capped.
     pub memory_bytes: Option<u64>,
-    /// CPU cap in cores (e.g. `Some(1.5)` = at most 1.5 cores).
-    pub cpu_cores: Option<f64>,
-    /// Relative block-I/O weight in `10..=1000` (cgroup blkio).
-    pub blkio_weight: u32,
 }
 
 impl Default for ResourceLimits {
@@ -25,11 +21,7 @@ impl Default for ResourceLimits {
 
 impl ResourceLimits {
     /// No caps: the evaluation configuration.
-    pub const UNLIMITED: ResourceLimits = ResourceLimits {
-        memory_bytes: None,
-        cpu_cores: None,
-        blkio_weight: 500,
-    };
+    pub const UNLIMITED: ResourceLimits = ResourceLimits { memory_bytes: None };
 
     /// Clamps a requested memory allocation to the cap, returning
     /// `true` if the total would stay within limits.
@@ -37,14 +29,6 @@ impl ResourceLimits {
         match self.memory_bytes {
             Some(cap) => current.saturating_add(requested) <= cap,
             None => true,
-        }
-    }
-
-    /// Clamps a CPU demand (in cores) to the cap.
-    pub fn clamp_cpu(&self, demand: f64) -> f64 {
-        match self.cpu_cores {
-            Some(cap) => demand.min(cap),
-            None => demand,
         }
     }
 }
@@ -57,26 +41,14 @@ mod tests {
     fn unlimited_permits_everything() {
         let l = ResourceLimits::UNLIMITED;
         assert!(l.permits_memory(u64::MAX - 1, 1));
-        assert_eq!(l.clamp_cpu(64.0), 64.0);
     }
 
     #[test]
     fn memory_cap_enforced() {
         let l = ResourceLimits {
             memory_bytes: Some(100),
-            ..ResourceLimits::UNLIMITED
         };
         assert!(l.permits_memory(60, 40));
         assert!(!l.permits_memory(61, 40));
-    }
-
-    #[test]
-    fn cpu_cap_clamps_demand() {
-        let l = ResourceLimits {
-            cpu_cores: Some(1.5),
-            ..ResourceLimits::UNLIMITED
-        };
-        assert_eq!(l.clamp_cpu(4.0), 1.5);
-        assert_eq!(l.clamp_cpu(1.0), 1.0);
     }
 }

@@ -62,11 +62,6 @@ impl NamespaceSet {
             device_ns: DeviceNamespaceId(id),
         }
     }
-
-    /// Whether two namespace sets share a device namespace.
-    pub fn shares_device_ns(&self, other: &NamespaceSet) -> bool {
-        self.device_ns == other.device_ns
-    }
 }
 
 #[cfg(test)]
@@ -77,8 +72,7 @@ mod tests {
     fn private_namespaces_do_not_collide() {
         let a = NamespaceSet::private(1);
         let b = NamespaceSet::private(2);
-        assert!(!a.shares_device_ns(&b));
-        assert!(a.shares_device_ns(&a));
+        assert_ne!(a.device_ns, b.device_ns);
         assert_ne!(a.pid_ns, b.pid_ns);
     }
 

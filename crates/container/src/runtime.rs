@@ -304,15 +304,6 @@ impl ContainerRuntime {
         self.containers.values()
     }
 
-    /// Names of running containers of a given kind.
-    pub fn running_of_kind(&self, kind: ContainerKind) -> Vec<String> {
-        self.containers
-            .values()
-            .filter(|c| c.kind == kind && c.state == ContainerState::Running)
-            .map(|c| c.name.clone())
-            .collect()
-    }
-
     /// Total board memory currently used (host base + containers).
     pub fn total_memory_used(&self) -> u64 {
         self.kernel.borrow().mem.used()
@@ -441,7 +432,6 @@ mod tests {
             "android-things",
             ResourceLimits {
                 memory_bytes: Some(10 * MIB),
-                ..ResourceLimits::UNLIMITED
             },
         )
         .unwrap();

@@ -338,10 +338,8 @@ fn leg_need(model: &DorlingModel, dist_m: f64) -> (f64, f64) {
 /// numbers the per-wave affordability pass reads live in [`Gate`].
 struct TenantState {
     user: String,
-    /// Per-waypoint `(energy_j, time_s)` needs from the placed spec.
-    needs: Vec<(f64, f64)>,
-    /// Per-waypoint ground distance from the base, metres (island
-    /// data).
+    /// Per-waypoint ground distance from the base, metres: island
+    /// data, and priced by [`leg_need`] wherever a leg's need is due.
     dists: Vec<f64>,
     next_wp: usize,
     billed_e: f64,
@@ -556,22 +554,20 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 .iter()
                 .map(|wp| BASE.ground_distance_m(&wp.position()))
                 .collect();
-            let needs: Vec<(f64, f64)> = dists.iter().map(|&d| leg_need(&model, d)).collect();
             let id = states.len();
-            let (need_e, need_t) = needs.first().copied().unwrap_or((0.0, 0.0));
+            let (need_e, need_t) = dists.first().map_or((0.0, 0.0), |&d| leg_need(&model, d));
             gates.push(Gate {
                 need_e,
                 need_t,
                 remaining_e: placed.spec.energy_allotted,
                 remaining_t: placed.spec.max_duration,
             });
-            if !needs.is_empty() {
+            if !dists.is_empty() {
                 ready.push_back(id);
             }
             names.push(placed.vd_name);
             states.push(TenantState {
                 user: placed.user,
-                needs,
                 dists,
                 next_wp: 0,
                 billed_e: 0.0,
@@ -685,7 +681,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 st.next_wp += 1;
                 st.flights_flown += 1;
                 cloud.inner.billing.charge_energy(&st.user, e);
-                let done = st.next_wp >= st.needs.len();
+                let done = st.next_wp >= st.dists.len();
                 let reason = if done {
                     SaveReason::Completed
                 } else {
@@ -737,7 +733,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                     resolved += 1;
                     obs.count("scale.tenants_completed", 1);
                 } else {
-                    (g.need_e, g.need_t) = st.needs[st.next_wp];
+                    (g.need_e, g.need_t) = leg_need(&model, st.dists[st.next_wp]);
                     ready.push_back(id);
                 }
             }
@@ -799,7 +795,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                     user: st.user,
                     resolution,
                     waypoints_completed: st.next_wp,
-                    waypoints_total: st.needs.len(),
+                    waypoints_total: st.dists.len(),
                     flights_flown: st.flights_flown,
                     billed_energy_j: st.billed_e,
                     refunded_energy_j: st.refunded_e,

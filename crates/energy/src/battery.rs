@@ -52,17 +52,6 @@ impl BatteryPack {
         true
     }
 
-    /// Unconditional drain (actual flight, as opposed to planning) —
-    /// may eat into the reserve.
-    pub fn force_drain(&mut self, j: f64) {
-        self.consumed_j += j.max(0.0);
-    }
-
-    /// State of charge in `0.0..=1.0`.
-    pub fn state_of_charge(&self) -> f64 {
-        (1.0 - self.consumed_j / self.capacity_j.max(1e-9)).clamp(0.0, 1.0)
-    }
-
     /// Degrades the cells: usable capacity shrinks to `health`
     /// (clamped to `(0.05, 1.0]`) of its current value. Consumed
     /// energy is untouched, so degradation mid-flight only removes
@@ -92,17 +81,9 @@ mod tests {
     }
 
     #[test]
-    fn force_drain_can_use_reserve() {
-        let mut b = BatteryPack::new(1000.0, 0.2);
-        b.force_drain(950.0);
-        assert_eq!(b.plannable_j(), 0.0);
-        assert!((b.state_of_charge() - 0.05).abs() < 1e-9);
-    }
-
-    #[test]
     fn degradation_shrinks_plannable_headroom() {
         let mut b = BatteryPack::new(1000.0, 0.2);
-        b.force_drain(100.0);
+        assert!(b.draw(100.0));
         b.degrade(0.8);
         assert!((b.capacity_j - 800.0).abs() < 1e-9);
         assert!((b.plannable_j() - 540.0).abs() < 1e-9);

@@ -105,11 +105,6 @@ impl BillingLedger {
         self.bill_mut(account, |b| b.storage_gb_months += gb_months.max(0.0));
     }
 
-    /// Records network transfer.
-    pub fn charge_transfer(&mut self, account: &str, gb: f64) {
-        self.bill_mut(account, |b| b.transfer_gb += gb.max(0.0));
-    }
-
     /// The bill for an account (zeroed if never charged).
     pub fn bill(&self, account: &str) -> Bill {
         self.bills.get(account).cloned().unwrap_or_default()
@@ -136,7 +131,7 @@ mod tests {
         let mut ledger = BillingLedger::new();
         ledger.charge_energy("alice", 10_000.0);
         ledger.charge_storage("alice", 2.0);
-        ledger.charge_transfer("alice", 1.0);
+        ledger.bill_mut("alice", |b| b.transfer_gb += 1.0);
         let total = ledger.bill("alice").total_cents(&p);
         assert!((total - (25.0 + 4.0 + 8.0)).abs() < 1e-9);
     }

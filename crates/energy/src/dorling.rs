@@ -12,8 +12,8 @@
 //!
 //! where `W` is frame+battery mass, `m` payload mass, `ρ` air
 //! density, `ζ` rotor disk area, and `n` the rotor count. Dorling et
-//! al. linearize it as `P ≈ α(W + m) + β` for use inside the VRP;
-//! both forms are provided.
+//! al. linearize it as `P ≈ α(W + m) + β` for use inside their VRP;
+//! this planner prices legs with the exact form.
 
 use androne_hal::G;
 
@@ -56,26 +56,6 @@ impl DorlingModel {
         ideal / self.efficiency
     }
 
-    /// Linearization coefficients `(alpha, beta)` such that
-    /// `P ≈ alpha·(W+m) + beta`, fitted over `0..=max_payload`.
-    pub fn linearize(&self, max_payload_kg: f64) -> (f64, f64) {
-        // Two-point fit at zero payload and max payload (what the
-        // VRP uses; the curve is gently convex so the fit is tight).
-        let p0 = self.hover_power_w(0.0);
-        let p1 = self.hover_power_w(max_payload_kg);
-        let m0 = self.frame_mass;
-        let m1 = self.frame_mass + max_payload_kg;
-        let alpha = (p1 - p0) / (m1 - m0);
-        let beta = p0 - alpha * m0;
-        (alpha, beta)
-    }
-
-    /// Linearized hover power, watts.
-    pub fn hover_power_linear_w(&self, payload_kg: f64, max_payload_kg: f64) -> f64 {
-        let (alpha, beta) = self.linearize(max_payload_kg);
-        alpha * (self.frame_mass + payload_kg) + beta
-    }
-
     /// Energy to fly a leg of `distance_m` at cruise speed with
     /// payload `m`, joules. Cruise power is approximated by hover
     /// power (Dorling et al.'s conservative assumption).
@@ -87,11 +67,6 @@ impl DorlingModel {
     /// Time to fly a leg at cruise speed, seconds.
     pub fn leg_time_s(&self, distance_m: f64) -> f64 {
         distance_m.max(0.0) / self.cruise_speed
-    }
-
-    /// Hover endurance on a battery of `capacity_j`, seconds.
-    pub fn hover_endurance_s(&self, capacity_j: f64, payload_kg: f64) -> f64 {
-        capacity_j / self.hover_power_w(payload_kg)
     }
 }
 
@@ -118,17 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn linearization_is_tight_within_fit_range() {
-        let m = DorlingModel::f450_prototype();
-        for payload in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let exact = m.hover_power_w(payload);
-            let lin = m.hover_power_linear_w(payload, 1.0);
-            let err = (exact - lin).abs() / exact;
-            assert!(err < 0.03, "payload {payload}: {err}");
-        }
-    }
-
-    #[test]
     fn leg_energy_scales_with_distance() {
         let m = DorlingModel::f450_prototype();
         let e1 = m.leg_energy_j(100.0, 0.0);
@@ -142,7 +106,7 @@ mod tests {
         let m = DorlingModel::f450_prototype();
         // 3S 5000 mAh ≈ 199.8 kJ; at ~180 W that's ~15-20 min, the
         // typical F450 figure.
-        let endurance = m.hover_endurance_s(11.1 * 5.0 * 3600.0, 0.0);
+        let endurance = 11.1 * 5.0 * 3600.0 / m.hover_power_w(0.0);
         assert!(
             (600.0..1_500.0).contains(&endurance),
             "endurance {endurance} s"

@@ -3,7 +3,7 @@
 //! Energy modelling and billing for the AnDrone reproduction:
 //!
 //! - [`dorling`]: the Dorling et al. multirotor power model the
-//!   paper's flight planner is built on (exact and linearized).
+//!   paper's flight planner is built on.
 //! - [`battery`]: battery packs as plannable energy budgets with
 //!   landing reserves.
 //! - [`billing`]: the paper's utility-style energy billing (max

@@ -463,11 +463,6 @@ impl FlightController {
         self.rate_yaw.reset();
     }
 
-    /// Whether a takeoff/climb phase is in progress (diagnostics).
-    pub fn airborne_phase(&self) -> bool {
-        !matches!(self.phase, Phase::Grounded)
-    }
-
     /// Periodic telemetry. Call once per fast loop; messages are
     /// emitted at their standard rates (heartbeat 1 Hz, attitude
     /// 10 Hz, position 4 Hz, sys-status 1 Hz).
@@ -632,7 +627,7 @@ mod tests {
             ),
             MavResult::Accepted
         );
-        assert!(fc.airborne_phase());
+        assert!(!matches!(fc.phase, Phase::Grounded));
     }
 
     #[test]

@@ -30,12 +30,6 @@ impl Geofence {
         self.center.distance_m(pos) <= self.radius_m
     }
 
-    /// Distance from `pos` to the fence boundary (negative when
-    /// inside).
-    pub fn boundary_distance_m(&self, pos: &GeoPoint) -> f64 {
-        self.center.distance_m(pos) - self.radius_m
-    }
-
     /// A recovery point safely inside the fence for a vehicle at
     /// `pos`: the projection of `pos` toward the center, at 80% of
     /// the radius, clamped to a sane altitude band.
@@ -72,7 +66,6 @@ mod tests {
     fn center_is_inside() {
         let f = fence();
         assert!(f.contains(&f.center));
-        assert!(f.boundary_distance_m(&f.center) < 0.0);
     }
 
     #[test]
@@ -88,10 +81,11 @@ mod tests {
     #[test]
     fn boundary_distance_sign_flips_at_radius() {
         let f = fence();
-        let inside = f.center.offset_m(20.0, 0.0, 0.0);
-        let outside = f.center.offset_m(45.0, 0.0, 0.0);
-        assert!(f.boundary_distance_m(&inside) < 0.0);
-        assert!(f.boundary_distance_m(&outside) > 0.0);
+        for (north_m, inside) in [(20.0, true), (29.9, true), (30.1, false), (45.0, false)] {
+            let p = f.center.offset_m(north_m, 0.0, 0.0);
+            assert_eq!(f.center.distance_m(&p) - f.radius_m < 0.0, inside);
+            assert_eq!(f.contains(&p), inside);
+        }
     }
 
     #[test]

@@ -402,16 +402,6 @@ impl MavProxy {
         self.link_partitioned
     }
 
-    /// Replaces the link-loss failsafe thresholds.
-    pub fn set_link_failsafe_config(&mut self, cfg: LinkFailsafeConfig) {
-        self.link_cfg = cfg;
-    }
-
-    /// Current position on the link-loss ladder.
-    pub fn link_failsafe_phase(&self) -> LinkFailsafePhase {
-        self.link_phase
-    }
-
     /// Whether the ladder has latched into RTL.
     pub fn link_failsafe_rtl_engaged(&self) -> bool {
         self.link_phase == LinkFailsafePhase::Rtl
@@ -826,10 +816,10 @@ mod tests {
         proxy.activate_vfc("vd1");
         // Recovery takes longer than the default RTL threshold; widen
         // it so the test can observe the Loiter rung on its own.
-        proxy.set_link_failsafe_config(LinkFailsafeConfig {
+        proxy.link_cfg = LinkFailsafeConfig {
             loiter_after_s: 2.0,
             rtl_after_s: 60.0,
-        });
+        };
 
         // Breach, then lose the link while recovery is steering.
         jump_position(&mut sitl, 80.0, 0.0);
@@ -845,7 +835,7 @@ mod tests {
                 break;
             }
             assert_eq!(
-                proxy.link_failsafe_phase(),
+                proxy.link_phase,
                 LinkFailsafePhase::Nominal,
                 "ladder paused during breach recovery"
             );
@@ -856,12 +846,12 @@ mod tests {
         // With recovery done and the link still dark, escalation
         // resumes (the down-clock kept counting, so Loiter is due).
         run(&mut proxy, &mut sitl, 1.0);
-        assert_eq!(proxy.link_failsafe_phase(), LinkFailsafePhase::Loiter);
+        assert_eq!(proxy.link_phase, LinkFailsafePhase::Loiter);
 
         // Link restored before RTL: control returns to Guided.
         proxy.set_link_partitioned(false);
         run(&mut proxy, &mut sitl, 0.01);
-        assert_eq!(proxy.link_failsafe_phase(), LinkFailsafePhase::Nominal);
+        assert_eq!(proxy.link_phase, LinkFailsafePhase::Nominal);
         assert_eq!(sitl.fc.mode(), FlightMode::Guided);
     }
 
@@ -872,9 +862,9 @@ mod tests {
         proxy.add_unrestricted_client("planner");
         proxy.set_link_partitioned(true);
         run(&mut proxy, &mut sitl, 2.5);
-        assert_eq!(proxy.link_failsafe_phase(), LinkFailsafePhase::Loiter);
+        assert_eq!(proxy.link_phase, LinkFailsafePhase::Loiter);
         run(&mut proxy, &mut sitl, 8.0);
-        assert_eq!(proxy.link_failsafe_phase(), LinkFailsafePhase::Rtl);
+        assert_eq!(proxy.link_phase, LinkFailsafePhase::Rtl);
         // Commands from ground-side clients were dropped throughout.
         proxy.client_send(
             "planner",
@@ -887,7 +877,7 @@ mod tests {
         // A returning link does not cancel the recall.
         proxy.set_link_partitioned(false);
         run(&mut proxy, &mut sitl, 1.0);
-        assert_eq!(proxy.link_failsafe_phase(), LinkFailsafePhase::Rtl);
+        assert_eq!(proxy.link_phase, LinkFailsafePhase::Rtl);
         assert!(proxy.link_failsafe_rtl_engaged());
     }
 

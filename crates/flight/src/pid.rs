@@ -31,11 +31,6 @@ impl Pid {
         }
     }
 
-    /// A proportional-only controller.
-    pub fn p_only(kp: f64, out_limit: f64) -> Self {
-        Pid::new(kp, 0.0, 0.0, out_limit, 0.0)
-    }
-
     /// Updates with error `err` over timestep `dt`, returning the
     /// limited output.
     pub fn update(&mut self, err: f64, dt: f64) -> f64 {
@@ -84,13 +79,13 @@ mod tests {
 
     #[test]
     fn proportional_action() {
-        let mut pid = Pid::p_only(2.0, 10.0);
+        let mut pid = Pid::new(2.0, 0.0, 0.0, 10.0, 0.0);
         assert_eq!(pid.update(3.0, 0.01), 6.0);
     }
 
     #[test]
     fn output_is_limited() {
-        let mut pid = Pid::p_only(100.0, 1.0);
+        let mut pid = Pid::new(100.0, 0.0, 0.0, 1.0, 0.0);
         assert_eq!(pid.update(5.0, 0.01), 1.0);
         assert_eq!(pid.update(-5.0, 0.01), -1.0);
     }
@@ -122,7 +117,7 @@ mod tests {
 
     #[test]
     fn zero_dt_is_safe() {
-        let mut pid = Pid::p_only(1.0, 1.0);
+        let mut pid = Pid::new(1.0, 0.0, 0.0, 1.0, 0.0);
         assert_eq!(pid.update(1.0, 0.0), 0.0);
     }
 }

@@ -62,11 +62,6 @@ impl Camera {
             data,
         }
     }
-
-    /// Frames captured so far.
-    pub fn frames_captured(&self) -> u64 {
-        self.seq
-    }
 }
 
 #[cfg(test)]

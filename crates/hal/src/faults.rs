@@ -55,15 +55,6 @@ pub struct SensorFaults {
     pub baro: SensorFaultMode,
 }
 
-impl SensorFaults {
-    /// Whether every channel is healthy.
-    pub fn all_nominal(&self) -> bool {
-        self.imu == SensorFaultMode::Nominal
-            && self.gps == SensorFaultMode::Nominal
-            && self.baro == SensorFaultMode::Nominal
-    }
-}
-
 impl StateHash for SensorFaults {
     fn state_hash(&self, h: &mut StateHasher) {
         self.imu.state_hash(h);
@@ -79,8 +70,9 @@ mod tests {
     #[test]
     fn default_is_all_nominal() {
         let f = SensorFaults::default();
-        assert!(f.all_nominal());
         assert_eq!(f.imu, SensorFaultMode::Nominal);
+        assert_eq!(f.gps, SensorFaultMode::Nominal);
+        assert_eq!(f.baro, SensorFaultMode::Nominal);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl Vec3 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    /// Dot product.
-    pub fn dot(self, o: Vec3) -> f64 {
-        self.x * o.x + self.y * o.y + self.z * o.z
-    }
-
     /// Clamps each component to `[-limit, limit]`.
     pub fn clamp_abs(self, limit: f64) -> Vec3 {
         Vec3 {
@@ -150,16 +145,6 @@ impl GeoPoint {
         // NED: z is *down*.
         Vec3::new(north, east, origin.altitude - self.altitude)
     }
-
-    /// Initial bearing toward `other` in radians from north.
-    pub fn bearing_to(&self, other: &GeoPoint) -> f64 {
-        let (lat1, lon1) = (self.latitude.to_radians(), self.longitude.to_radians());
-        let (lat2, lon2) = (other.latitude.to_radians(), other.longitude.to_radians());
-        let dlon = lon2 - lon1;
-        let y = dlon.sin() * lat2.cos();
-        let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlon.cos();
-        y.atan2(x)
-    }
 }
 
 /// Attitude as Euler angles in radians.
@@ -180,11 +165,6 @@ impl Attitude {
         pitch: 0.0,
         yaw: 0.0,
     };
-
-    /// Largest absolute lean angle (roll or pitch), radians.
-    pub fn max_lean(&self) -> f64 {
-        self.roll.abs().max(self.pitch.abs())
-    }
 }
 
 #[cfg(test)]
@@ -221,14 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn bearing_cardinal_directions() {
-        let north = HOME.offset_m(100.0, 0.0, 0.0);
-        let east = HOME.offset_m(0.0, 100.0, 0.0);
-        assert!(HOME.bearing_to(&north).abs() < 0.01);
-        assert!((HOME.bearing_to(&east) - std::f64::consts::FRAC_PI_2).abs() < 0.01);
-    }
-
-    #[test]
     fn vec3_algebra() {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert_eq!(v.norm(), 5.0);
@@ -236,7 +208,6 @@ mod tests {
         assert_eq!((v * 2.0).x, 6.0);
         assert_eq!((v - v).norm(), 0.0);
         assert_eq!((-v).x, -3.0);
-        assert_eq!(v.dot(Vec3::new(1.0, 0.0, 0.0)), 3.0);
         assert_eq!(v.clamp_abs(2.0), Vec3::new(2.0, 2.0, 0.0));
     }
 }

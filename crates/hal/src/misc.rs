@@ -60,11 +60,6 @@ impl Motors {
 pub struct BatteryMonitor;
 
 impl BatteryMonitor {
-    /// Terminal voltage, volts.
-    pub fn voltage(&self, truth: &VehicleTruth) -> f64 {
-        truth.battery_voltage
-    }
-
     /// Instantaneous current, amps.
     pub fn current(&self, truth: &VehicleTruth) -> f64 {
         truth.battery_current

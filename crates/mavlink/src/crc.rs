@@ -11,14 +11,13 @@ pub fn accumulate(crc: u16, byte: u8) -> u16 {
     (crc >> 8) ^ (wide << 8) ^ (wide << 3) ^ (wide >> 4)
 }
 
-/// CRC over a byte slice starting from [`CRC_INIT`].
-pub fn crc16(data: &[u8]) -> u16 {
-    data.iter().fold(CRC_INIT, |crc, &b| accumulate(crc, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn crc16(data: &[u8]) -> u16 {
+        data.iter().fold(CRC_INIT, |crc, &b| accumulate(crc, b))
+    }
 
     #[test]
     fn known_vector() {

@@ -52,17 +52,6 @@ impl ObsHandle {
         }
     }
 
-    /// A detached handle (same as [`Default`]); every operation is a
-    /// no-op.
-    pub fn detached() -> Self {
-        ObsHandle { inner: None }
-    }
-
-    /// True when this handle shares an [`Obs`].
-    pub fn is_attached(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Runs `f` against the shared state, if attached and not
     /// already borrowed. Returns `None` (doing nothing) otherwise.
     pub fn with<R>(&self, f: impl FnOnce(&mut Obs) -> R) -> Option<R> {
@@ -163,7 +152,7 @@ mod tests {
     #[test]
     fn detached_handle_is_inert() {
         let h = ObsHandle::default();
-        assert!(!h.is_attached());
+        assert!(h.inner.is_none());
         h.count("x", 1);
         h.emit(Subsystem::Flight, || panic!("payload built while detached"));
         assert_eq!(h.metrics_digest(), 0);

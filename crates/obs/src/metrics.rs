@@ -271,26 +271,11 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    /// The `label`ed member of histogram family `name`, if any
-    /// sample was recorded.
-    pub fn labeled_histogram(&self, name: &'static str, label: &str) -> Option<&Histogram> {
-        self.labeled_histograms.get(&(name, label.to_string()))
-    }
-
     /// All labeled counters, in (name, label) order.
     pub fn labeled_counters(&self) -> impl Iterator<Item = (&'static str, &str, u64)> + '_ {
         self.labeled_counters
             .iter()
             .map(|((name, label), &v)| (*name, label.as_str(), v))
-    }
-
-    /// All labeled histograms, in (name, label) order.
-    pub fn labeled_histograms(
-        &self,
-    ) -> impl Iterator<Item = (&'static str, &str, &Histogram)> + '_ {
-        self.labeled_histograms
-            .iter()
-            .map(|((name, label), h)| (*name, label.as_str(), h))
     }
 
     /// Current value of gauge `name`, if ever set.
@@ -423,6 +408,14 @@ mod tests {
     use super::*;
 
     const BOUNDS: &[u64] = &[10, 100, 1_000];
+
+    fn labeled_histogram<'a>(
+        m: &'a MetricsRegistry,
+        name: &'static str,
+        label: &str,
+    ) -> Option<&'a Histogram> {
+        m.labeled_histograms.get(&(name, label.to_string()))
+    }
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {
@@ -575,16 +568,12 @@ mod tests {
         m.observe_labeled("binder.latency_ns", "ctr2", BOUNDS, 5);
         m.observe_labeled("binder.latency_ns", "ctr2", BOUNDS, 5_000);
         m.observe_labeled("binder.latency_ns", "ctr3", BOUNDS, 50);
-        let h2 = m
-            .labeled_histogram("binder.latency_ns", "ctr2")
-            .expect("ctr2");
+        let h2 = labeled_histogram(&m, "binder.latency_ns", "ctr2").expect("ctr2");
         assert_eq!(h2.count(), 2);
         assert_eq!(h2.max(), 5_000);
-        let h3 = m
-            .labeled_histogram("binder.latency_ns", "ctr3")
-            .expect("ctr3");
+        let h3 = labeled_histogram(&m, "binder.latency_ns", "ctr3").expect("ctr3");
         assert_eq!(h3.count(), 1);
-        assert!(m.labeled_histogram("binder.latency_ns", "ctr9").is_none());
+        assert!(labeled_histogram(&m, "binder.latency_ns", "ctr9").is_none());
     }
 
     #[test]
@@ -616,7 +605,7 @@ mod tests {
         a.merge_from(&b);
         assert_eq!(a.labeled_counter("t", "x"), 5);
         assert_eq!(a.labeled_counter("t", "y"), 1);
-        assert_eq!(a.labeled_histogram("lh", "x").map(|h| h.count()), Some(2));
+        assert_eq!(labeled_histogram(&a, "lh", "x").map(|h| h.count()), Some(2));
     }
 
     #[test]

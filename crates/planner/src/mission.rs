@@ -1,6 +1,5 @@
 //! Mission plans: a solved route turned into an executable flight.
 
-use androne_energy::DorlingModel;
 use androne_hal::GeoPoint;
 
 use crate::vrp::{VrpProblem, VrpSolution};
@@ -82,23 +81,13 @@ impl FlightPlan {
         let leg = self.legs.iter().find(|l| l.owner == owner)?;
         Some((leg.eta_s * 0.8, (leg.eta_s + leg.service_time_s) * 1.2))
     }
-
-    /// Flight-time estimate from the energy model for a given
-    /// battery budget (used for portal quotes).
-    pub fn fits_battery(&self, budget_j: f64) -> bool {
-        self.estimated_energy_j <= budget_j
-    }
-
-    /// Hover-equivalent endurance estimate for quoting, s.
-    pub fn endurance_estimate_s(model: &DorlingModel, budget_j: f64) -> f64 {
-        model.hover_endurance_s(budget_j, 0.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vrp::WaypointTask;
+    use androne_energy::DorlingModel;
 
     const DEPOT: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
 
@@ -154,7 +143,7 @@ mod tests {
     #[test]
     fn battery_fit_check() {
         let p = plan();
-        assert!(p.fits_battery(200_000.0));
-        assert!(!p.fits_battery(1_000.0));
+        assert!(p.estimated_energy_j <= 200_000.0);
+        assert!(p.estimated_energy_j > 1_000.0);
     }
 }

@@ -101,14 +101,6 @@ impl Autopilot {
         self.state == PilotState::Done
     }
 
-    /// The leg currently being serviced, if any.
-    pub fn current_waypoint(&self) -> Option<usize> {
-        match self.state {
-            PilotState::AtWaypoint { leg } => Some(leg),
-            _ => None,
-        }
-    }
-
     /// Requests departure from the current waypoint (the virtual
     /// drone finished, or the VDC forced it).
     pub fn release_waypoint(&mut self) {
@@ -384,7 +376,7 @@ mod tests {
             evs.iter()
                 .any(|e| matches!(e, PilotEvent::ArrivedAtWaypoint { .. }))
         });
-        assert_eq!(pilot.current_waypoint(), Some(0));
+        assert_eq!(pilot.state, PilotState::AtWaypoint { leg: 0 });
         pilot.release_waypoint();
         let events = run_until(&mut pilot, &mut proxy, &mut sitl, 5.0, |evs| {
             evs.iter()

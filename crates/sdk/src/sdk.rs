@@ -92,17 +92,6 @@ impl AndroneSdk {
             .unwrap_or(0.0)
     }
 
-    /// `isSuspended()`: whether the QoS escalation ladder currently
-    /// holds this tenant at the `Suspended` rung. Part of the real
-    /// tenant-visible surface — which also makes it the ladder signal
-    /// an adaptive adversary reads as feedback.
-    pub fn is_suspended(&self) -> bool {
-        self.vdc
-            .borrow()
-            .record(&self.vd_name)
-            .is_some_and(|r| r.suspended)
-    }
-
     /// Delivers pending VDC events to the registered listeners. The
     /// virtual drone's main loop calls this periodically (Android
     /// would dispatch on the app's looper).

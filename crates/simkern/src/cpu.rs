@@ -130,11 +130,6 @@ impl SharedResource {
         self.quotas.remove(client);
     }
 
-    /// The armed cap for `client`, if any.
-    pub fn quota_for(&self, client: &ClientId) -> Option<f64> {
-        self.quotas.get(client).copied()
-    }
-
     /// A client's demand after its bandwidth cap, if armed.
     fn effective_demand(&self, client: &ClientId, demand: f64) -> f64 {
         match self.quotas.get(client) {

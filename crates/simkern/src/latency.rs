@@ -65,15 +65,6 @@ pub struct SectionParams {
     pub max_us: f64,
 }
 
-impl SectionParams {
-    /// A source that never interferes.
-    pub const QUIET: SectionParams = SectionParams {
-        utilization: 0.0,
-        mean_us: 0.0,
-        max_us: 0.0,
-    };
-}
-
 /// One source of scheduling interference (IRQs, softirqs, lock
 /// sections) with per-configuration parameters.
 #[derive(Debug, Clone)]
@@ -147,11 +138,6 @@ impl LatencyModel {
         let before = self.sources.len();
         self.sources.retain(|s| s.name != name);
         self.sources.len() != before
-    }
-
-    /// Whether a source with `name` is currently registered.
-    pub fn has_source(&self, name: &str) -> bool {
-        self.sources.iter().any(|s| s.name == name)
     }
 
     /// Samples one wakeup latency.
@@ -430,9 +416,8 @@ mod tests {
     fn removing_a_source_restores_the_quiet_model() {
         let mut m = LatencyModel::new(Preemption::PreemptRt, vec![profiles::idle_housekeeping()]);
         m.add_source(profiles::attack_unenforced("attack:flood"));
-        assert!(m.has_source("attack:flood"));
         assert!(m.remove_source("attack:flood"));
-        assert!(!m.has_source("attack:flood"));
+        assert!(m.sources.iter().all(|s| s.name != "attack:flood"));
         assert!(
             !m.remove_source("attack:flood"),
             "second removal is a no-op"

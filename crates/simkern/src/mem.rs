@@ -14,9 +14,6 @@ use crate::error::KernelError;
 /// One mebibyte in bytes.
 pub const MIB: u64 = 1024 * 1024;
 
-/// Total RAM soldered on the Raspberry Pi 3 Model B.
-pub const RPI3_TOTAL_RAM: u64 = 1024 * MIB;
-
 /// RAM actually available to the OS on the prototype (880 MB) after
 /// peripheral reserved space and the GPU/camera allocation.
 pub const RPI3_USABLE_RAM: u64 = 880 * MIB;
@@ -123,11 +120,6 @@ impl MemoryLedger {
         self.usable - self.used()
     }
 
-    /// Bytes held by a specific owner.
-    pub fn used_by(&self, owner: &MemOwner) -> u64 {
-        self.allocated.get(owner).copied().unwrap_or(0)
-    }
-
     /// Allocates `bytes` on behalf of `owner`.
     ///
     /// Fails with [`KernelError::OutOfMemory`] without any partial
@@ -159,14 +151,6 @@ impl MemoryLedger {
     pub fn release_owner(&mut self, owner: &MemOwner) -> u64 {
         self.allocated.remove(owner).unwrap_or(0)
     }
-
-    /// Snapshot of per-owner usage, sorted by owner name.
-    pub fn usage_report(&self) -> Vec<(MemOwner, u64)> {
-        self.allocated
-            .iter()
-            .map(|(o, b)| (o.clone(), *b))
-            .collect()
-    }
 }
 
 impl crate::statehash::StateHash for MemoryLedger {
@@ -184,15 +168,22 @@ impl crate::statehash::StateHash for MemoryLedger {
 mod tests {
     use super::*;
 
+    fn held(m: &MemoryLedger, owner: &str) -> u64 {
+        m.allocated
+            .get(&MemOwner::from(owner))
+            .copied()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn allocate_and_free_round_trip() {
         let mut m = MemoryLedger::new(100 * MIB);
         m.allocate("a", 30 * MIB).unwrap();
         m.allocate("b", 20 * MIB).unwrap();
         assert_eq!(m.used(), 50 * MIB);
-        assert_eq!(m.used_by(&"a".into()), 30 * MIB);
+        assert_eq!(held(&m, "a"), 30 * MIB);
         m.free_bytes(&"a".into(), 10 * MIB);
-        assert_eq!(m.used_by(&"a".into()), 20 * MIB);
+        assert_eq!(held(&m, "a"), 20 * MIB);
         assert_eq!(m.release_owner(&"b".into()), 20 * MIB);
         assert_eq!(m.used(), 20 * MIB);
     }
@@ -210,7 +201,7 @@ mod tests {
             }
         );
         // The failed allocation must not leave partial state behind.
-        assert_eq!(m.used_by(&"b".into()), 0);
+        assert_eq!(held(&m, "b"), 0);
         assert_eq!(m.used(), 90 * MIB);
     }
 

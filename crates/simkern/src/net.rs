@@ -48,16 +48,6 @@ impl BurstLoss {
             loss_bad: 0.8,
         }
     }
-
-    /// The long-run packet loss rate implied by the chain.
-    pub fn stationary_loss(&self) -> f64 {
-        let denom = self.p_good_to_bad + self.p_bad_to_good;
-        if denom <= 0.0 {
-            return self.loss_good;
-        }
-        let pi_bad = self.p_good_to_bad / denom;
-        pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
-    }
 }
 
 /// Mutable per-channel state for the Gilbert–Elliott chain. Each
@@ -121,15 +111,6 @@ impl LinkModel {
         }
     }
 
-    /// The LTE link in a degraded cell: same delay distribution, but
-    /// bursty Gilbert–Elliott loss instead of independent loss.
-    pub fn cellular_lte_degraded() -> LinkModel {
-        LinkModel {
-            burst: Some(BurstLoss::cellular_fade()),
-            ..LinkModel::cellular_lte()
-        }
-    }
-
     /// A typical hobby-grade RF remote-control link (8–85 ms; we model
     /// the mid-range).
     pub fn rf_remote() -> LinkModel {
@@ -140,20 +121,6 @@ impl LinkModel {
             tail_mean_ms: 25.0,
             max_ms: 85.0,
             loss_prob: 1e-4,
-            burst: None,
-        }
-    }
-
-    /// A wired LAN/Ethernet link (the Gigabit switch used in the
-    /// paper's iperf runs).
-    pub fn ethernet() -> LinkModel {
-        LinkModel {
-            base_ms: 0.2,
-            jitter_mean_ms: 0.05,
-            tail_prob: 0.001,
-            tail_mean_ms: 0.5,
-            max_ms: 5.0,
-            loss_prob: 0.0,
             burst: None,
         }
     }
@@ -220,6 +187,15 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// The LTE link in a degraded cell: same delay distribution, but
+    /// bursty Gilbert–Elliott loss instead of independent loss.
+    fn cellular_lte_degraded() -> LinkModel {
+        LinkModel {
+            burst: Some(BurstLoss::cellular_fade()),
+            ..LinkModel::cellular_lte()
+        }
+    }
+
     #[test]
     fn cellular_matches_section_65() {
         let link = LinkModel::cellular_lte();
@@ -250,9 +226,11 @@ mod tests {
 
     #[test]
     fn burst_loss_matches_stationary_rate() {
-        let link = LinkModel::cellular_lte_degraded();
+        let link = cellular_lte_degraded();
         let burst = link.burst.expect("degraded link has burst params");
-        let expected = burst.stationary_loss();
+        // The long-run loss rate implied by the two-state chain.
+        let pi_bad = burst.p_good_to_bad / (burst.p_good_to_bad + burst.p_bad_to_good);
+        let expected = pi_bad * burst.loss_bad + (1.0 - pi_bad) * burst.loss_good;
         let mut rng = SmallRng::seed_from_u64(66);
         let mut state = LinkState::default();
         let mut lost = 0u32;
@@ -273,7 +251,7 @@ mod tests {
     fn burst_losses_cluster() {
         // P(loss | previous packet lost) must exceed the marginal
         // loss rate — that is what makes the channel bursty.
-        let link = LinkModel::cellular_lte_degraded();
+        let link = cellular_lte_degraded();
         let mut rng = SmallRng::seed_from_u64(67);
         let mut state = LinkState::default();
         let (mut lost, mut lost_after_lost, mut prev_lost) = (0u32, 0u32, false);

@@ -35,14 +35,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Returns the duration elapsed since `earlier`.
-    ///
-    /// Saturates to zero if `earlier` is in the future, mirroring
-    /// `Instant::saturating_duration_since`.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Returns the later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -128,13 +120,6 @@ impl SimDuration {
     /// Returns the smaller of two durations.
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
-    }
-
-    /// Scales the duration by a non-negative factor.
-    ///
-    /// Non-finite or negative factors clamp to zero.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
 }
 
@@ -246,8 +231,7 @@ mod tests {
         let early = SimTime::from_nanos(10);
         let late = SimTime::from_nanos(100);
         assert_eq!(early - late, SimDuration::ZERO);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early).as_nanos(), 90);
+        assert_eq!((late - early).as_nanos(), 90);
     }
 
     #[test]
@@ -266,14 +250,6 @@ mod tests {
             1_500,
             "positive values convert normally"
         );
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_millis(100);
-        assert_eq!(d.mul_f64(2.0).as_millis(), 200);
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
-        assert_eq!(d.mul_f64(-3.0), SimDuration::ZERO);
     }
 
     #[test]

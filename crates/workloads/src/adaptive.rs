@@ -329,11 +329,6 @@ impl AttackerBrain {
         self.strategy
     }
 
-    /// The learned per-tick quantum so far (0 = not learned).
-    pub fn learned_quantum(&self) -> u64 {
-        self.quantum
-    }
-
     /// Digests feedback and picks the next tick's load.
     pub fn plan_tick(&mut self, obs: &AttackerObservation) -> AttackerCommand {
         // Learn from the admission boundary whenever it was visible:
@@ -484,7 +479,7 @@ mod tests {
             "brain should ride the learned quantum: {}",
             cmd.txns
         );
-        assert_eq!(brain.learned_quantum(), 120);
+        assert_eq!(brain.quantum, 120);
         // A halved quantum is re-learned the same way.
         let cmd = brain.plan_tick(&AttackerObservation {
             tick: 2,

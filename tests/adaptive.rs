@@ -14,7 +14,10 @@
 //!     [`AttackDefense::hardened`] is contained to zero misses.
 //! (c) **Determinism** — adaptive runs replay bit-identically (fleet
 //!     digest AND merged metrics digest) at threads 1/4/8; brains
-//!     draw only from the dedicated adversary feedback stream.
+//!     draw only from the dedicated adversary feedback stream. Each
+//!     generated seed also lays an open-loop plan on the adaptive
+//!     campaign's flight, which replays identically at threads 1/4
+//!     and never steps one attacker twice in a tick.
 //! (d) **Zero-work when empty** — an empty adaptive plan is
 //!     bit-identical to the legacy executor path.
 //!
@@ -30,7 +33,7 @@ use androne::fleet::{
 use androne::hal::GeoPoint;
 use androne::simkern::FleetFaultPlan;
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
-use androne::workloads::{AdaptivePlan, ARDUPILOT_DEADLINE_US};
+use androne::workloads::{AdaptivePlan, AttackPlan, ARDUPILOT_DEADLINE_US};
 use androne::AttackDefense;
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
@@ -118,6 +121,30 @@ fn assert_terminal_outcomes(run: &FleetOutcome, label: &str) {
     }
 }
 
+/// Both plan kinds walk one shared escalation ladder per flight, so
+/// no attacker may take two ladder movements in the same tick.
+fn assert_one_ladder_step_per_tick(run: &FleetOutcome, label: &str) {
+    for (i, f) in run.flights.iter().enumerate() {
+        let mut steps: Vec<(&str, &str)> = f
+            .injected
+            .iter()
+            .filter_map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+                [tick, "ladder", attacker, ..] => Some((tick, attacker)),
+                _ => None,
+            })
+            .collect();
+        let all = steps.len();
+        steps.sort_unstable();
+        steps.dedup();
+        assert_eq!(
+            steps.len(),
+            all,
+            "{label}: flight {i} stepped an attacker twice in one tick: {:?}",
+            f.injected
+        );
+    }
+}
+
 fn env_count(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
@@ -137,7 +164,9 @@ fn env_threads(name: &str) -> Vec<usize> {
 /// mix of refill probing, rung-edge riding and collusion the seed
 /// draws — never push a hardened flight past the fast-loop deadline,
 /// and the whole run replays bit-identically across the thread
-/// matrix.
+/// matrix. One more input per seed adds an open-loop plan on the
+/// adaptive campaign's flight: an attacker in both rosters then sits
+/// under both plan kinds at once.
 #[test]
 fn adaptive_fleet_holds_deadline_and_determinism() {
     let n = env_count("ADAPTIVE_SEEDS", 4);
@@ -221,6 +250,34 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
                 "{label}: threads {t} metrics digest diverged"
             );
         }
+
+        let mut mixed = attacks.clone();
+        mixed.flights.insert(
+            0usize,
+            AttackPlan::generate(seed ^ 0xA77A, 120, &tenant_names),
+        );
+        let label = format!("{label} + open-loop plan");
+        let [one, four] = [1usize, 4].map(|t| {
+            FleetSpec::new(FleetConfig {
+                threads: t,
+                ..cfg.clone()
+            })
+            .attacks(mixed.clone())
+            .run()
+            .expect("run")
+        });
+        assert_eq!(
+            one.fleet_digest(),
+            four.fleet_digest(),
+            "{label}: threads 4 fleet digest diverged"
+        );
+        assert_eq!(
+            one.metrics_digest(),
+            four.metrics_digest(),
+            "{label}: threads 4 metrics digest diverged"
+        );
+        assert_one_ladder_step_per_tick(&one, &label);
+        assert_terminal_outcomes(&one, &label);
     }
 }
 
