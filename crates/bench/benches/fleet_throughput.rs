@@ -331,8 +331,9 @@ fn main() {
 
     // Alternating pairs, each timing both widths back to back (the
     // leading width flips every pair, so a drift in host load does
-    // not favour either).
-    let pairs = usize::try_from((30 / androne_bench::scale()).max(7)).unwrap();
+    // not favour either). At least 11: over 7 pairs, contention that
+    // spanned four of them still sank the median below the floor.
+    let pairs = usize::try_from((30 / androne_bench::scale()).max(11)).unwrap();
     let time_ns = |threads: usize| {
         let start = Instant::now();
         black_box(run(threads));

@@ -34,6 +34,6 @@ pub use portal::{AppSelection, DroneType, OrderError, OrderRequest, PlacedOrder,
 pub use service::{CloudService, Notification, NotificationKind, MAX_VDRONES_PER_FLIGHT};
 pub use storage::{CloudStorage, StoredFile};
 pub use vdr::{
-    CompactionReport, SaveReason, SavedVirtualDrone, ShardSnapshot, VdrStats,
+    CompactionReport, SaveReason, SavedVirtualDrone, ShardSnapshot, VdrHandle, VdrStats,
     VirtualDroneRepository,
 };

@@ -192,7 +192,6 @@ impl Portal {
         let Some(drone_type) = self.catalog.iter().find(|t| t.name == req.drone_type) else {
             return Err(OrderError::UnknownDroneType(req.drone_type));
         };
-        let drone_type = drone_type.clone();
 
         // Geofence sizing: apply the default where none was given,
         // cap at the provider maximum.

@@ -13,6 +13,13 @@
 //! until the caller either commits the resume or abandons it back;
 //! [`VirtualDroneRepository::commit_with`] commits by saving the new
 //! state over the leased entry itself.
+//!
+//! Each shard is a name index over a slot table. `store` returns a
+//! [`VdrHandle`] to the name's slot, and a caller that keeps it checks
+//! out and commits without searching the index
+//! ([`VirtualDroneRepository::checkout_at`],
+//! [`VirtualDroneRepository::commit_with_at`]); the name-keyed methods
+//! look the slot up and run the same slot operation.
 
 use std::collections::BTreeMap;
 
@@ -93,7 +100,8 @@ struct Slot {
     /// customer's drone.
     lease: Option<Box<SavedVirtualDrone>>,
     /// The name's journaled saves since the last compaction: at least
-    /// one, since only a save makes a slot and compaction keeps one.
+    /// one while the name is indexed, since only a save indexes it and
+    /// compaction keeps one.
     saves: usize,
     save_bytes: u64,
     newest_bytes: u64,
@@ -111,12 +119,64 @@ impl Slot {
     }
 }
 
-/// One shard: a name-ordered slot table and its counters. The save
-/// journal is a per-name count, exact because compaction's verdict on
-/// a name depends only on that name's saves and liveness.
+/// Slots per [`SlotTable`] chunk.
+const SLOT_CHUNK: usize = 1024;
+
+/// A shard's slots, addressed by position. The table grows one
+/// fixed-size chunk at a time, so it never reallocates (and briefly
+/// doubles) the slots it holds; a slot is never removed or reused.
+#[derive(Debug, Default)]
+struct SlotTable {
+    chunks: Vec<Vec<Slot>>,
+}
+
+impl SlotTable {
+    /// Appends an empty slot and returns its position.
+    fn push(&mut self) -> u32 {
+        let at = self
+            .chunks
+            .last()
+            .map_or(0, |c| (self.chunks.len() - 1) * SLOT_CHUNK + c.len());
+        debug_assert!(at < u32::MAX as usize, "slot positions exhausted");
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < SLOT_CHUNK => chunk.push(Slot::default()),
+            _ => {
+                let mut chunk = Vec::with_capacity(SLOT_CHUNK);
+                chunk.push(Slot::default());
+                self.chunks.push(chunk);
+            }
+        }
+        at as u32
+    }
+
+    fn get(&self, at: u32) -> Option<&Slot> {
+        let at = at as usize;
+        self.chunks.get(at / SLOT_CHUNK)?.get(at % SLOT_CHUNK)
+    }
+
+    fn get_mut(&mut self, at: u32) -> Option<&mut Slot> {
+        let at = at as usize;
+        self.chunks
+            .get_mut(at / SLOT_CHUNK)?
+            .get_mut(at % SLOT_CHUNK)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        self.chunks.iter().flatten()
+    }
+}
+
+/// One shard: a name index over a slot table, and its counters. The
+/// save journal is a per-name count, exact because compaction's
+/// verdict on a name depends only on that name's saves and liveness.
+///
+/// Every operation on a stored name runs on its slot position: the
+/// name-keyed repository methods look the position up in `index`,
+/// the handle-keyed ones decode it from the handle.
 #[derive(Debug, Default)]
 struct VdrShard {
-    slots: BTreeMap<String, Slot>,
+    index: BTreeMap<String, u32>,
+    slots: SlotTable,
     entries: usize,
     leased: usize,
     journal: usize,
@@ -125,16 +185,113 @@ struct VdrShard {
 }
 
 impl VdrShard {
+    /// The slots of indexed names, in name order.
+    fn named(&self) -> impl Iterator<Item = (&String, &Slot)> {
+        self.index
+            .iter()
+            .filter_map(|(name, &at)| Some((name, self.slots.get(at)?)))
+    }
+
+    fn slot(&self, name: &str) -> Option<&Slot> {
+        self.slots.get(*self.index.get(name)?)
+    }
+
+    /// Shelves `saved` in its name's slot (a fresh slot for a name
+    /// not indexed) and returns the slot's position.
+    fn store(&mut self, saved: SavedVirtualDrone) -> u32 {
+        let at = match self.index.get(saved.name.as_str()) {
+            Some(&at) => at,
+            None => {
+                let at = self.slots.push();
+                self.index.insert(saved.name.clone(), at);
+                at
+            }
+        };
+        if let Some(slot) = self.slots.get_mut(at) {
+            let fresh = slot.shelve(Box::new(saved));
+            self.entries += usize::from(fresh);
+            self.journal += 1;
+        }
+        at
+    }
+
+    fn checkout(&mut self, at: u32) -> Option<&SavedVirtualDrone> {
+        let slot = self.slots.get_mut(at).filter(|s| s.lease.is_none())?;
+        let entry = slot.shelf.take()?;
+        self.entries -= 1;
+        self.leased += 1;
+        Some(slot.lease.insert(entry))
+    }
+
+    fn commit(&mut self, at: u32) -> bool {
+        let lease = self.slots.get_mut(at).and_then(|s| s.lease.take());
+        self.leased -= usize::from(lease.is_some());
+        lease.is_some()
+    }
+
+    fn commit_with(&mut self, at: u32, update: impl FnOnce(&mut SavedVirtualDrone)) -> bool {
+        let Some(slot) = self.slots.get_mut(at) else {
+            return false;
+        };
+        let Some(mut entry) = slot.lease.take() else {
+            return false;
+        };
+        update(&mut entry);
+        debug_assert_eq!(
+            self.index.get(entry.name.as_str()),
+            Some(&at),
+            "commit_with renamed the entry"
+        );
+        let fresh = slot.shelve(entry);
+        self.entries += usize::from(fresh);
+        self.leased -= 1;
+        self.journal += 1;
+        true
+    }
+
+    fn abandon(&mut self, at: u32) -> bool {
+        let Some(slot) = self.slots.get_mut(at).filter(|s| s.lease.is_some()) else {
+            return false;
+        };
+        self.leased -= 1;
+        self.entries += usize::from(slot.shelf.is_none());
+        slot.shelf = slot.lease.take();
+        true
+    }
+
+    /// Drops every superseded save from the journal, and the index
+    /// entry of every name with nothing shelved or leased. Returns the
+    /// saves and bytes dropped.
+    fn compact(&mut self) -> (usize, u64) {
+        let (mut dropped_saves, mut dropped_bytes) = (0usize, 0u64);
+        let slots = &mut self.slots;
+        self.index.retain(|_, at| {
+            let Some(slot) = slots.get_mut(*at) else {
+                return false;
+            };
+            let live = slot.shelf.is_some() || slot.lease.is_some();
+            let (kept_saves, kept_bytes) = if live { (1, slot.newest_bytes) } else { (0, 0) };
+            dropped_saves += slot.saves - kept_saves;
+            dropped_bytes += slot.save_bytes - kept_bytes;
+            (slot.saves, slot.save_bytes) = (kept_saves, kept_bytes);
+            live
+        });
+        self.journal -= dropped_saves;
+        self.compacted_saves += dropped_saves as u64;
+        self.reclaimed_bytes += dropped_bytes;
+        (dropped_saves, dropped_bytes)
+    }
+
     /// Digest of this shard's durable state (entries, then leases,
     /// each in name order). Spec progress, allotment remainders, and
     /// archive size are all covered, so two repositories agree iff
     /// every stored drone agrees.
     fn digest(&self) -> u64 {
         let mut h = StateHasher::new();
-        for e in self.slots.values().filter_map(|s| s.shelf.as_deref()) {
+        for e in self.named().filter_map(|(_, s)| s.shelf.as_deref()) {
             fold_entry(&mut h, e, false);
         }
-        for e in self.slots.values().filter_map(|s| s.lease.as_deref()) {
+        for e in self.named().filter_map(|(_, s)| s.lease.as_deref()) {
             fold_entry(&mut h, e, true);
         }
         h.finish()
@@ -142,7 +299,7 @@ impl VdrShard {
 
     fn stored_bytes(&self) -> u64 {
         self.slots
-            .values()
+            .iter()
             .flat_map(|s| s.shelf.iter().chain(&s.lease))
             .map(|e| e.archive.stored_bytes())
             .sum()
@@ -202,12 +359,22 @@ pub struct VdrStats {
     pub reclaimed_bytes: u64,
 }
 
+/// A handle to one name's slot in the [`VirtualDroneRepository`] that
+/// issued it, returned by [`VirtualDroneRepository::store`]. It names
+/// the same slot for as long as the name stays indexed. A compaction
+/// that drops the name (nothing shelved or leased) leaves the slot
+/// empty and never reuses it, so the handle resolves to nothing from
+/// then on, even after the name is stored again under a new handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VdrHandle(u32);
+
 /// The repository, sharded by FNV hash of the virtual-drone name.
 ///
-/// Every public operation is keyed by name and routed to exactly one
-/// shard, so shards never coordinate; listings merge across shards in
-/// name order, which makes every observable result — and
-/// [`Self::digest`] — independent of the shard count.
+/// Every public operation is keyed by name (or by the [`VdrHandle`]
+/// its store returned) and routed to exactly one shard, so shards
+/// never coordinate; listings merge across shards in name order,
+/// which makes every observable result — and [`Self::digest`] —
+/// independent of the shard count.
 #[derive(Debug)]
 pub struct VirtualDroneRepository {
     shards: Vec<VdrShard>,
@@ -234,34 +401,53 @@ impl VirtualDroneRepository {
     }
 
     /// Deterministic name → shard routing (FNV-1a via the sim state
-    /// hasher; no process-seeded hashing anywhere near here).
+    /// hasher; no process-seeded hashing anywhere near here). One
+    /// shard takes every name, so it skips the hash (`h % 1 == 0`).
     fn shard_index(&self, name: &str) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         let mut h = StateHasher::new();
         h.write_str(name);
         (h.finish() % self.shards.len() as u64) as usize
     }
 
-    fn shard_mut(&mut self, name: &str) -> &mut VdrShard {
+    /// The shard a name routes to, and its slot position there if the
+    /// name is indexed.
+    fn find(&mut self, name: &str) -> Option<(&mut VdrShard, u32)> {
         let i = self.shard_index(name);
-        &mut self.shards[i]
+        let shard = &mut self.shards[i];
+        let at = *shard.index.get(name)?;
+        Some((shard, at))
+    }
+
+    /// The shard and slot position a handle names: the position's
+    /// shard is `handle % shards`.
+    fn resolve(&mut self, handle: VdrHandle) -> Option<(&mut VdrShard, u32)> {
+        let n = self.shards.len() as u32;
+        let shard = self.shards.get_mut((handle.0 % n) as usize)?;
+        Some((shard, handle.0 / n))
     }
 
     /// Stores (or replaces) a virtual drone, journaling the save.
-    pub fn store(&mut self, saved: SavedVirtualDrone) {
-        let shard = self.shard_mut(&saved.name);
-        let slot = match shard.slots.get_mut(saved.name.as_str()) {
-            Some(slot) => slot,
-            None => shard.slots.entry(saved.name.clone()).or_default(),
-        };
-        let fresh = slot.shelve(Box::new(saved));
-        shard.entries += usize::from(fresh);
-        shard.journal += 1;
+    /// Returns the handle of the name's slot.
+    pub fn store(&mut self, saved: SavedVirtualDrone) -> VdrHandle {
+        let i = self.shard_index(&saved.name);
+        let at = self.shards[i].store(saved);
+        let n = self.shards.len();
+        debug_assert!(
+            (at as usize) < u32::MAX as usize / n,
+            "slot handles exhausted"
+        );
+        VdrHandle(at * n as u32 + i as u32)
     }
 
     /// Retrieves a virtual drone by name.
     pub fn get(&self, name: &str) -> Option<&SavedVirtualDrone> {
-        let shard = &self.shards[self.shard_index(name)];
-        shard.slots.get(name)?.shelf.as_deref()
+        self.shards[self.shard_index(name)]
+            .slot(name)?
+            .shelf
+            .as_deref()
     }
 
     /// Checks out a virtual drone for reinstatement, lending the
@@ -272,12 +458,14 @@ impl VirtualDroneRepository {
     /// (resume failed; put it back) resolves the lease. A name
     /// already leased cannot be checked out again.
     pub fn checkout(&mut self, name: &str) -> Option<&SavedVirtualDrone> {
-        let shard = self.shard_mut(name);
-        let slot = shard.slots.get_mut(name).filter(|s| s.lease.is_none())?;
-        let entry = slot.shelf.take()?;
-        shard.entries -= 1;
-        shard.leased += 1;
-        Some(slot.lease.insert(entry))
+        let (shard, at) = self.find(name)?;
+        shard.checkout(at)
+    }
+
+    /// [`Self::checkout`] by the handle of the name's slot.
+    pub fn checkout_at(&mut self, handle: VdrHandle) -> Option<&SavedVirtualDrone> {
+        let (shard, at) = self.resolve(handle)?;
+        shard.checkout(at)
     }
 
     /// Resolves a lease after a successful resume: the checked-out
@@ -285,10 +473,7 @@ impl VirtualDroneRepository {
     /// the leased original is dropped. Returns whether a lease
     /// existed.
     pub fn commit(&mut self, name: &str) -> bool {
-        let shard = self.shard_mut(name);
-        let lease = shard.slots.get_mut(name).and_then(|s| s.lease.take());
-        shard.leased -= usize::from(lease.is_some());
-        lease.is_some()
+        self.find(name).is_some_and(|(shard, at)| shard.commit(at))
     }
 
     /// Resolves a lease by saving the resumed drone over its own
@@ -299,34 +484,25 @@ impl VirtualDroneRepository {
     /// must keep the entry's name, which keys its slot. Returns
     /// whether a lease existed; without one nothing changes.
     pub fn commit_with(&mut self, name: &str, update: impl FnOnce(&mut SavedVirtualDrone)) -> bool {
-        let shard = self.shard_mut(name);
-        let Some(slot) = shard.slots.get_mut(name) else {
-            return false;
-        };
-        let Some(mut entry) = slot.lease.take() else {
-            return false;
-        };
-        update(&mut entry);
-        debug_assert_eq!(entry.name, name, "commit_with renamed the entry");
-        let fresh = slot.shelve(entry);
-        shard.entries += usize::from(fresh);
-        shard.leased -= 1;
-        shard.journal += 1;
-        true
+        self.find(name)
+            .is_some_and(|(shard, at)| shard.commit_with(at, update))
+    }
+
+    /// [`Self::commit_with`] by the handle of the name's slot.
+    pub fn commit_with_at(
+        &mut self,
+        handle: VdrHandle,
+        update: impl FnOnce(&mut SavedVirtualDrone),
+    ) -> bool {
+        self.resolve(handle)
+            .is_some_and(|(shard, at)| shard.commit_with(at, update))
     }
 
     /// Resolves a lease after a failed resume: the original entry
     /// returns to the shelf untouched, replacing anything stored under
     /// the name meanwhile. Returns whether a lease existed.
     pub fn abandon(&mut self, name: &str) -> bool {
-        let shard = self.shard_mut(name);
-        let Some(slot) = shard.slots.get_mut(name).filter(|s| s.lease.is_some()) else {
-            return false;
-        };
-        shard.leased -= 1;
-        shard.entries += usize::from(slot.shelf.is_none());
-        slot.shelf = slot.lease.take();
-        true
+        self.find(name).is_some_and(|(shard, at)| shard.abandon(at))
     }
 
     /// Names currently checked out and unresolved, in name order
@@ -335,7 +511,7 @@ impl VirtualDroneRepository {
         let mut names: Vec<&str> = self
             .shards
             .iter()
-            .flat_map(|s| s.slots.iter().filter(|(_, s)| s.lease.is_some()))
+            .flat_map(|s| s.named().filter(|(_, s)| s.lease.is_some()))
             .map(|(n, _)| n.as_str())
             .collect();
         names.sort_unstable();
@@ -358,7 +534,7 @@ impl VirtualDroneRepository {
         let mut out: Vec<&SavedVirtualDrone> = self
             .shards
             .iter()
-            .flat_map(|s| s.slots.values().filter_map(|s| s.shelf.as_deref()))
+            .flat_map(|s| s.slots.iter().filter_map(|s| s.shelf.as_deref()))
             .filter(|e| keep(e))
             .collect();
         out.sort_unstable_by(|a, b| a.name.cmp(&b.name));
@@ -378,20 +554,9 @@ impl VirtualDroneRepository {
     pub fn compact(&mut self) -> CompactionReport {
         let mut report = CompactionReport::default();
         for shard in &mut self.shards {
-            let (mut dropped_saves, mut dropped_bytes) = (0usize, 0u64);
-            shard.slots.retain(|_, slot| {
-                let live = slot.shelf.is_some() || slot.lease.is_some();
-                let (kept_saves, kept_bytes) = if live { (1, slot.newest_bytes) } else { (0, 0) };
-                dropped_saves += slot.saves - kept_saves;
-                dropped_bytes += slot.save_bytes - kept_bytes;
-                (slot.saves, slot.save_bytes) = (kept_saves, kept_bytes);
-                live
-            });
-            shard.journal -= dropped_saves;
-            shard.compacted_saves += dropped_saves as u64;
-            shard.reclaimed_bytes += dropped_bytes;
-            report.compacted_saves += dropped_saves as u64;
-            report.reclaimed_bytes += dropped_bytes;
+            let (saves, bytes) = shard.compact();
+            report.compacted_saves += saves as u64;
+            report.reclaimed_bytes += bytes;
         }
         report
     }
@@ -433,7 +598,8 @@ impl VirtualDroneRepository {
     /// Digest of the full repository contents, folded in global name
     /// order — identical for any shard count holding the same drones.
     pub fn digest(&self) -> u64 {
-        let mut slots: Vec<(&String, &Slot)> = self.shards.iter().flat_map(|s| &s.slots).collect();
+        let mut slots: Vec<(&String, &Slot)> =
+            self.shards.iter().flat_map(VdrShard::named).collect();
         slots.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut h = StateHasher::new();
         for (_, slot) in slots {

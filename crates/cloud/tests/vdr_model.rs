@@ -7,11 +7,16 @@
 //! updated, stored and committed. Random operation tapes run against
 //! it and against [`VirtualDroneRepository`] at 1 and 4 shards, and
 //! every observable result must agree after every operation.
+//!
+//! The tapes also drive the repository through the [`VdrHandle`]s its
+//! stores return. The reference has no handles: a handle stands for
+//! its name until a compaction drops that name, and for nothing from
+//! then on, even after the name is stored again.
 
 use std::collections::BTreeMap;
 
 use androne_cloud::{
-    CompactionReport, SaveReason, SavedVirtualDrone, ShardSnapshot, VdrStats,
+    CompactionReport, SaveReason, SavedVirtualDrone, ShardSnapshot, VdrHandle, VdrStats,
     VirtualDroneRepository,
 };
 use androne_container::{ContainerArchive, ContainerKind, Layer};
@@ -267,11 +272,18 @@ enum Op {
     Abandon(usize),
     Compact,
     Get(usize),
+    /// Checkout through the name's current handle.
+    CheckoutAt(usize),
+    /// [`Op::CommitWith`] through the name's current handle.
+    CommitWithAt(usize, usize, usize),
+    /// Checkout and in-place save through every handle a compaction
+    /// retired for the name: each must resolve to nothing.
+    Retired(usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
     (
-        0u8..14,
+        0u8..20,
         0..NAMES,
         0..OWNERS.len(),
         0usize..5,
@@ -284,7 +296,10 @@ fn op() -> impl Strategy<Value = Op> {
             8 | 9 => Op::Abandon(n),
             10 | 11 => Op::CommitWith(n, size, reason),
             12 => Op::Compact,
-            _ => Op::Get(n),
+            13 => Op::Get(n),
+            14 | 15 => Op::CheckoutAt(n),
+            16 | 17 => Op::CommitWithAt(n, size, reason),
+            _ => Op::Retired(n),
         })
 }
 
@@ -292,8 +307,10 @@ fn op() -> impl Strategy<Value = Op> {
 /// abandon that puts the older original back over it; a committed
 /// resume nobody re-stored, so compaction finds a dead name; an
 /// in-place save with no lease, one over a store made during the
-/// lease, and a plain one.
-const PRELUDE: [Op; 17] = [
+/// lease, and a plain one; then the dead name's retired handle before
+/// and after the name is stored again, and a lease cycle through the
+/// new handle.
+const PRELUDE: [Op; 22] = [
     Op::Store(0, 0, 1, 2),
     Op::Checkout(0),
     Op::Store(0, 0, 3, 2),
@@ -311,6 +328,11 @@ const PRELUDE: [Op; 17] = [
     Op::Checkout(2),
     Op::CommitWith(2, 3, 1),
     Op::Compact,
+    Op::Retired(1),
+    Op::Store(1, 0, 2, 2),
+    Op::Retired(1),
+    Op::CheckoutAt(1),
+    Op::CommitWithAt(1, 1, 2),
 ];
 
 fn saved(n: usize, owner: usize, size: usize, reason: usize, stamp: u32) -> SavedVirtualDrone {
@@ -372,17 +394,36 @@ fn views(es: Vec<&SavedVirtualDrone>) -> Vec<View> {
     es.into_iter().map(view).collect()
 }
 
+/// The handles a tape holds per name: the one its newest store
+/// returned while the name stays indexed, and those a compaction
+/// retired.
+#[derive(Default)]
+struct Handles {
+    current: [Option<VdrHandle>; NAMES],
+    retired: [Vec<VdrHandle>; NAMES],
+}
+
 /// Applies `op` to both repositories and checks every read-out.
 fn step(
     vdr: &mut VirtualDroneRepository,
     model: &mut RefVdr,
+    handles: &mut Handles,
     op: Op,
     stamp: u32,
 ) -> Result<(), TestCaseError> {
     match op {
         Op::Store(n, owner, size, reason) => {
-            vdr.store(saved(n, owner, size, reason, stamp));
+            let handle = vdr.store(saved(n, owner, size, reason, stamp));
             model.store(saved(n, owner, size, reason, stamp));
+            // An indexed name keeps its slot.
+            if let Some(current) = handles.current[n] {
+                prop_assert_eq!(handle, current);
+            }
+            prop_assert!(
+                !handles.retired[n].contains(&handle),
+                "a retired handle came back"
+            );
+            handles.current[n] = Some(handle);
         }
         Op::Checkout(n) => {
             let got = vdr.checkout(&name(n)).map(view);
@@ -394,8 +435,38 @@ fn step(
             model.commit_with(&name(n), resume(size, reason, stamp))
         ),
         Op::Abandon(n) => prop_assert_eq!(vdr.abandon(&name(n)), model.abandon(&name(n))),
-        Op::Compact => prop_assert_eq!(vdr.compact(), model.compact()),
+        Op::Compact => {
+            prop_assert_eq!(vdr.compact(), model.compact());
+            // Compaction drops the names with nothing shelved or leased.
+            for n in 0..NAMES {
+                let dead = model.get(&name(n)).is_none()
+                    && !model.leased_names().contains(&name(n).as_str());
+                if dead {
+                    handles.retired[n].extend(handles.current[n].take());
+                }
+            }
+        }
         Op::Get(n) => prop_assert_eq!(vdr.get(&name(n)).map(view), model.get(&name(n)).map(view)),
+        Op::CheckoutAt(n) => {
+            if let Some(handle) = handles.current[n] {
+                let got = vdr.checkout_at(handle).map(view);
+                prop_assert_eq!(got, model.checkout(&name(n)).as_ref().map(view));
+            }
+        }
+        Op::CommitWithAt(n, size, reason) => {
+            if let Some(handle) = handles.current[n] {
+                prop_assert_eq!(
+                    vdr.commit_with_at(handle, resume(size, reason, stamp)),
+                    model.commit_with(&name(n), resume(size, reason, stamp))
+                );
+            }
+        }
+        Op::Retired(n) => {
+            for &handle in &handles.retired[n] {
+                prop_assert_eq!(vdr.checkout_at(handle).map(view), None);
+                prop_assert!(!vdr.commit_with_at(handle, resume(0, 0, stamp)));
+            }
+        }
     }
     prop_assert_eq!(vdr.digest(), model.digest());
     prop_assert_eq!(vdr.stats(), model.stats());
@@ -424,9 +495,10 @@ proptest! {
         for shards in [1usize, 4] {
             let mut vdr = VirtualDroneRepository::with_shards(shards);
             let mut model = RefVdr::with_shards(shards);
+            let mut handles = Handles::default();
             for (stamp, &op) in PRELUDE.iter().chain(&tape).enumerate() {
                 let stamp = u32::try_from(stamp).expect("short tape");
-                step(&mut vdr, &mut model, op, stamp).map_err(|e| format!("shards={shards}, op {stamp} {op:?}: {e}"))?;
+                step(&mut vdr, &mut model, &mut handles, op, stamp).map_err(|e| format!("shards={shards}, op {stamp} {op:?}: {e}"))?;
             }
         }
     }

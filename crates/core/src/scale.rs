@@ -17,8 +17,9 @@
 //!   worker pool returns results in submission order, and every
 //!   control-plane mutation happens single-threaded at merge time —
 //!   so `threads = 1` and `threads = 8` produce identical digests.
-//! - **Shard count**: every VDR operation is keyed by name, listings
-//!   merge in name order, and
+//! - **Shard count**: every VDR operation is keyed by name (or by the
+//!   handle of the name's slot, which stays in the name's shard),
+//!   listings merge in name order, and
 //!   [`VirtualDroneRepository::digest`](androne_cloud::VirtualDroneRepository::digest)
 //!   folds entries in global name order — so
 //!   `shards = 1` and `shards = 4` produce identical digests.
@@ -35,10 +36,10 @@ use bytes::Bytes;
 
 use androne_cloud::{
     AdmissionConfig, FallibleCloud, OrderRequest, PlacedOrder, SaveReason, SavedVirtualDrone,
-    VdrStats, MAX_VDRONES_PER_FLIGHT,
+    VdrHandle, VdrStats, MAX_VDRONES_PER_FLIGHT,
 };
 use androne_container::{ContainerArchive, ContainerKind, FileChange, Layer};
-use androne_energy::DorlingModel;
+use androne_energy::{AccountId, DorlingModel};
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle};
 use androne_planner::{bin_pack, PackItem};
@@ -338,6 +339,8 @@ fn leg_need(model: &DorlingModel, dist_m: f64) -> (f64, f64) {
 /// numbers the per-wave affordability pass reads live in [`Gate`].
 struct TenantState {
     user: String,
+    /// The user's billing account, opened at admission.
+    account: AccountId,
     /// Per-waypoint ground distance from the base, metres: island
     /// data, and priced by [`leg_need`] wherever a leg's need is due.
     dists: Vec<f64>,
@@ -349,6 +352,8 @@ struct TenantState {
     /// The placed spec until the tenant's first save moves it into
     /// its VDR entry; `None` once that entry exists.
     spec: Option<androne_vdc::VirtualDroneSpec>,
+    /// The handle of the tenant's VDR slot, from its first save.
+    vdr: Option<VdrHandle>,
 }
 
 /// Hot per-tenant state, indexed by dense id: the next waypoint's
@@ -453,9 +458,12 @@ fn synthetic_payloads() -> [Bytes; MAX_WAYPOINTS + 1] {
 /// with telescoped saves and periodic compaction, billing and
 /// terminal refunds.
 ///
-/// Inside the loop a tenant is a dense index in admission order;
-/// its name is read only where the control plane needs it (VDR,
-/// billing, refunds, the flight digest and the outcome).
+/// Inside the loop a tenant is a dense index in admission order. It
+/// holds two handles: its billing account, opened at admission, which
+/// every leg bills through, and its VDR slot, returned by its first
+/// save, which every later leg checks out and commits through. Its
+/// user and virtual drone names are read only at those two openings,
+/// for refunds, the flight digest and the outcome.
 pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
     let model = DorlingModel::f450_prototype();
     let pool = WorkerPool::new(cfg.threads);
@@ -476,10 +484,12 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         * (model.leg_energy_j(2.0 * worst_dist, 0.0) + SERVICE_ENERGY_J)
         + 1.0;
 
-    // Three parallel vectors indexed by dense tenant id.
-    let mut names: Vec<String> = Vec::new();
-    let mut states: Vec<TenantState> = Vec::new();
-    let mut gates: Vec<Gate> = Vec::new();
+    // Three parallel vectors indexed by dense tenant id, allocated
+    // once at their final length: regrown by doubling, they leave
+    // freed blocks that later allocations fragment.
+    let mut names: Vec<String> = Vec::with_capacity(cfg.tenants);
+    let mut states: Vec<TenantState> = Vec::with_capacity(cfg.tenants);
+    let mut gates: Vec<Gate> = Vec::with_capacity(cfg.tenants);
     // Tenants with a terminal resolution; quiescence needs all of them.
     let mut resolved = 0usize;
     // Legs new since the last gate: tenants admitted this wave and
@@ -567,6 +577,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
             }
             names.push(placed.vd_name);
             states.push(TenantState {
+                account: cloud.inner.billing.open(&placed.user),
                 user: placed.user,
                 dists,
                 next_wp: 0,
@@ -575,6 +586,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 flights_flown: 0,
                 resolution: None,
                 spec: Some(placed.spec),
+                vdr: None,
             });
         }
         obs.gauge_max(
@@ -652,8 +664,8 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         // Leases: a tenant with a VDR entry checks it out for the
         // flight; its save on landing commits the lease in place.
         for leg in works.iter().flat_map(|w| &w.legs) {
-            if states[leg.id].spec.is_none() {
-                cloud.inner.vdr.checkout(leg.owner);
+            if let Some(handle) = states[leg.id].vdr {
+                cloud.inner.vdr.checkout_at(handle);
             }
         }
         let outs = pool.run(works, |w| fly_island(model, w));
@@ -680,7 +692,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 st.billed_e += e;
                 st.next_wp += 1;
                 st.flights_flown += 1;
-                cloud.inner.billing.charge_energy(&st.user, e);
+                cloud.inner.billing.bill_mut(st.account).charge_energy(e);
                 let done = st.next_wp >= st.dists.len();
                 let reason = if done {
                     SaveReason::Completed
@@ -718,13 +730,15 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                             flights_flown: 0,
                         };
                         progress(&mut entry);
-                        cloud.inner.vdr.store(entry);
+                        st.vdr = Some(cloud.inner.vdr.store(entry));
                     }
                     // Later saves rewrite the entry leased for this
                     // flight, which is the same as storing a fresh copy
                     // and committing the lease.
                     None => {
-                        let leased = cloud.inner.vdr.commit_with(name, progress);
+                        let leased = st
+                            .vdr
+                            .is_some_and(|h| cloud.inner.vdr.commit_with_at(h, progress));
                         debug_assert!(leased, "{name} flew again without its lease");
                     }
                 }

@@ -51,14 +51,6 @@ impl BatteryPack {
         self.consumed_j += j.max(0.0);
         true
     }
-
-    /// Degrades the cells: usable capacity shrinks to `health`
-    /// (clamped to `(0.05, 1.0]`) of its current value. Consumed
-    /// energy is untouched, so degradation mid-flight only removes
-    /// headroom — it never refunds joules already spent.
-    pub fn degrade(&mut self, health: f64) {
-        self.capacity_j *= health.clamp(0.05, 1.0);
-    }
 }
 
 #[cfg(test)]
@@ -78,18 +70,6 @@ mod tests {
         assert!(!b.draw(200.0), "would eat into the reserve");
         assert_eq!(b.consumed_j(), 700.0, "failed draw takes nothing");
         assert!(b.draw(100.0));
-    }
-
-    #[test]
-    fn degradation_shrinks_plannable_headroom() {
-        let mut b = BatteryPack::new(1000.0, 0.2);
-        assert!(b.draw(100.0));
-        b.degrade(0.8);
-        assert!((b.capacity_j - 800.0).abs() < 1e-9);
-        assert!((b.plannable_j() - 540.0).abs() < 1e-9);
-        assert_eq!(b.consumed_j(), 100.0, "consumption is not refunded");
-        b.degrade(-3.0);
-        assert!(b.capacity_j > 0.0, "health is clamped to a floor");
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! traditional energy utility service" (paper Section 2). Users
 //! specify a maximum billing charge when ordering, which caps the
 //! energy their virtual drone may consume at its waypoints.
-//! Traditional cloud resources (storage, network) bill on regular
-//! usage.
+//! Traditional cloud resources (storage) bill on regular usage.
 
 use std::collections::BTreeMap;
 
@@ -16,8 +15,6 @@ pub struct PriceSchedule {
     pub cents_per_kj: f64,
     /// Cents per gigabyte-month of cloud storage.
     pub cents_per_gb_month: f64,
-    /// Cents per gigabyte of network transfer.
-    pub cents_per_gb_transfer: f64,
 }
 
 impl PriceSchedule {
@@ -27,7 +24,6 @@ impl PriceSchedule {
         PriceSchedule {
             cents_per_kj: 2.5,
             cents_per_gb_month: 2.0,
-            cents_per_gb_transfer: 8.0,
         }
     }
 
@@ -48,8 +44,6 @@ pub struct Bill {
     pub energy_refund_j: f64,
     /// Cloud storage used, GB-months.
     pub storage_gb_months: f64,
-    /// Network transfer, GB.
-    pub transfer_gb: f64,
 }
 
 impl Bill {
@@ -62,14 +56,40 @@ impl Bill {
     pub fn total_cents(&self, prices: &PriceSchedule) -> f64 {
         self.net_energy_j() / 1_000.0 * prices.cents_per_kj
             + self.storage_gb_months * prices.cents_per_gb_month
-            + self.transfer_gb * prices.cents_per_gb_transfer
+    }
+
+    /// Records drone energy use.
+    pub fn charge_energy(&mut self, joules: f64) {
+        self.energy_j += joules.max(0.0);
+    }
+
+    /// Credits energy back (an order the service could not complete:
+    /// the virtual drone was terminally interrupted and never
+    /// resumed).
+    pub fn refund_energy(&mut self, joules: f64) {
+        self.energy_refund_j += joules.max(0.0);
+    }
+
+    /// Records storage use.
+    pub fn charge_storage(&mut self, gb_months: f64) {
+        self.storage_gb_months += gb_months.max(0.0);
     }
 }
 
-/// Per-account usage metering.
+/// A handle to one account's bill in the [`BillingLedger`] that
+/// issued it, from [`BillingLedger::open`]. Accounts are never closed,
+/// so a handle stays valid for the ledger's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccountId(u32);
+
+/// Per-account usage metering: a name index over a dense bill table.
+/// A caller that keeps an account's [`AccountId`] charges it without
+/// searching the index; the name-keyed methods open the account and
+/// then charge through its handle.
 #[derive(Debug, Default)]
 pub struct BillingLedger {
-    bills: BTreeMap<String, Bill>,
+    index: BTreeMap<String, AccountId>,
+    bills: Vec<Bill>,
 }
 
 impl BillingLedger {
@@ -78,36 +98,52 @@ impl BillingLedger {
         BillingLedger::default()
     }
 
-    /// Applies `f` to an account's bill, opening the bill on first
+    /// The handle of an account's bill, opening a zeroed bill on first
     /// use. An existing account is found by `&str`; only a new one
     /// allocates its key.
-    fn bill_mut(&mut self, account: &str, f: impl FnOnce(&mut Bill)) {
-        match self.bills.get_mut(account) {
-            Some(bill) => f(bill),
-            None => f(self.bills.entry(account.to_string()).or_default()),
+    pub fn open(&mut self, account: &str) -> AccountId {
+        if let Some(&id) = self.index.get(account) {
+            return id;
         }
+        debug_assert!(
+            self.bills.len() < u32::MAX as usize,
+            "account ids exhausted"
+        );
+        let id = AccountId(self.bills.len() as u32);
+        self.bills.push(Bill::default());
+        self.index.insert(account.to_string(), id);
+        id
+    }
+
+    /// The bill behind a handle this ledger issued.
+    pub fn bill_mut(&mut self, id: AccountId) -> &mut Bill {
+        &mut self.bills[id.0 as usize]
     }
 
     /// Records drone energy use for an account.
     pub fn charge_energy(&mut self, account: &str, joules: f64) {
-        self.bill_mut(account, |b| b.energy_j += joules.max(0.0));
+        let id = self.open(account);
+        self.bill_mut(id).charge_energy(joules);
     }
 
-    /// Credits energy back to an account (an order the service could
-    /// not complete: the virtual drone was terminally interrupted and
-    /// never resumed).
+    /// Credits energy back to an account (see [`Bill::refund_energy`]).
     pub fn refund_energy(&mut self, account: &str, joules: f64) {
-        self.bill_mut(account, |b| b.energy_refund_j += joules.max(0.0));
+        let id = self.open(account);
+        self.bill_mut(id).refund_energy(joules);
     }
 
     /// Records storage use.
     pub fn charge_storage(&mut self, account: &str, gb_months: f64) {
-        self.bill_mut(account, |b| b.storage_gb_months += gb_months.max(0.0));
+        let id = self.open(account);
+        self.bill_mut(id).charge_storage(gb_months);
     }
 
-    /// The bill for an account (zeroed if never charged).
+    /// The bill for an account (zeroed if never opened).
     pub fn bill(&self, account: &str) -> Bill {
-        self.bills.get(account).cloned().unwrap_or_default()
+        self.index
+            .get(account)
+            .map(|id| self.bills[id.0 as usize].clone())
+            .unwrap_or_default()
     }
 }
 
@@ -131,9 +167,8 @@ mod tests {
         let mut ledger = BillingLedger::new();
         ledger.charge_energy("alice", 10_000.0);
         ledger.charge_storage("alice", 2.0);
-        ledger.bill_mut("alice", |b| b.transfer_gb += 1.0);
         let total = ledger.bill("alice").total_cents(&p);
-        assert!((total - (25.0 + 4.0 + 8.0)).abs() < 1e-9);
+        assert!((total - (25.0 + 4.0)).abs() < 1e-9);
     }
 
     #[test]

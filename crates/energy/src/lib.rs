@@ -7,7 +7,7 @@
 //! - [`battery`]: battery packs as plannable energy budgets with
 //!   landing reserves.
 //! - [`billing`]: the paper's utility-style energy billing (max
-//!   charge → energy cap) plus storage/network metering.
+//!   charge → energy cap) plus storage metering.
 //! - [`power_meter`]: the SBC power model behind Figure 13.
 
 pub mod battery;
@@ -16,6 +16,6 @@ pub mod dorling;
 pub mod power_meter;
 
 pub use battery::BatteryPack;
-pub use billing::{Bill, BillingLedger, PriceSchedule};
+pub use billing::{AccountId, Bill, BillingLedger, PriceSchedule};
 pub use dorling::{DorlingModel, RHO};
 pub use power_meter::PowerModel;
