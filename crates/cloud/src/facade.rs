@@ -100,16 +100,10 @@ impl Backpressure for OrderSubmitError {
 
 /// The receipt of a successfully enqueued order: not planned yet,
 /// just admitted into its tenant's FIFO lane. The order id names the
-/// order among the cloud's queued orders; the ticket carries
-/// no copy of the virtual drone's name, which the lane key already
-/// holds.
+/// order among the cloud's queued orders.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionTicket {
     pub order_id: u64,
-    /// Global admission sequence number (FIFO position evidence).
-    pub seq: u64,
-    /// Queue depth right after this order was enqueued.
-    pub queue_depth: usize,
 }
 
 /// An offload held back by a storage outage, awaiting heal.
@@ -130,9 +124,10 @@ pub struct FallibleCloud {
     /// Retry policy for storage writes (deterministic backoff).
     retry: RetryPolicy,
     /// The admission queue: orders submitted via [`Self::resubmit`]
-    /// or [`Self::resubmit_all`] and orders displaced by a portal/planner outage, in per-tenant
-    /// FIFO lanes. The default config is unlimited/drain-all, which
-    /// reproduces the legacy single-`Vec` outage queue byte for byte.
+    /// or [`Self::resubmit_all`] and orders displaced by a
+    /// portal/planner outage, in per-tenant FIFO lanes. The default
+    /// config is unlimited: each healthy wave drains every queued
+    /// order in submission order.
     admission: AdmissionQueue<PlacedOrder>,
     /// The wave most recently begun (for backpressure retry math).
     wave: u64,
@@ -173,17 +168,12 @@ impl FallibleCloud {
         Self::from_service(CloudService::with_shards(shards))
     }
 
-    /// Replaces the admission config. Queued orders keep their lanes
-    /// and sequence numbers; only the quota/capacity change.
+    /// Replaces the admission config in place. Queued orders, the
+    /// round-robin cursor and the counters carry over; only the
+    /// quota/capacity change, and a backlog past the new capacity is
+    /// kept, never dropped.
     pub fn set_admission(&mut self, cfg: AdmissionConfig) {
-        let old = std::mem::replace(&mut self.admission, AdmissionQueue::new(cfg));
-        for (lane, _seq, item) in old.iter_pending() {
-            // Re-inserting in global sequence order preserves both
-            // lane FIFO order and the cross-lane drain order; the
-            // backlog is never dropped, even below the new capacity.
-            self.admission
-                .enqueue_unbounded(lane.to_string(), item.clone());
-        }
+        self.admission.cfg = cfg;
     }
 
     /// The admission queue (metrics, tests).
@@ -276,15 +266,10 @@ impl FallibleCloud {
             });
         }
         let order_id = placed.order_id;
-        let seq = self
-            .admission
+        self.admission
             .enqueue_unbounded(placed.vd_name.clone(), placed);
         self.obs.count("cloud.orders_enqueued", 1);
-        Ok(AdmissionTicket {
-            order_id,
-            seq,
-            queue_depth: self.admission.pending(),
-        })
+        Ok(AdmissionTicket { order_id })
     }
 
     /// [`Self::resubmit`] over a run of validated orders, in order:
@@ -321,7 +306,7 @@ impl FallibleCloud {
     /// admitter's deterministic order (sequence order when unlimited,
     /// round-robin across tenant lanes when batched).
     pub fn admit_orders(&mut self) -> Vec<PlacedOrder> {
-        self.admission.admit().into_iter().map(|a| a.item).collect()
+        self.admission.admit()
     }
 
     /// Plans the wave's flights, or queues the orders behind a typed
@@ -343,8 +328,7 @@ impl FallibleCloud {
             };
             for o in orders {
                 // One lane per virtual drone: a lane that already
-                // holds this name's order keeps it (same dedup the
-                // legacy Vec queue applied on enqueue).
+                // holds this name's order keeps it.
                 if self.admission.lane_pending(&o.vd_name) == 0 {
                     self.admission
                         .enqueue_unbounded(o.vd_name.clone(), o.clone());
@@ -677,7 +661,7 @@ mod tests {
     }
 
     /// A cloud at wave `wave` under `cfg` whose queue already holds
-    /// `depth` orders (possibly past capacity, as after a migration).
+    /// `depth` orders (possibly past capacity, as after an outage).
     fn cloud_at_depth(cfg: AdmissionConfig, depth: usize, wave: u64) -> FallibleCloud {
         let mut cloud = FallibleCloud::new();
         cloud.set_obs(ObsHandle::attached());
@@ -701,16 +685,17 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn resubmit_all_equals_a_loop_of_resubmit(
-            cap in 0usize..14,
-            quota in 0usize..6,
+            batched in proptest::arbitrary::any::<bool>(),
+            cap in 0usize..12,
+            quota in 0usize..5,
             depth in 0usize..16,
             batch in 0usize..16,
             wave in 0u64..5,
         ) {
-            // The top of each range stands for "no bound".
-            let cfg = AdmissionConfig {
-                admit_per_wave: (quota < 5).then_some(quota),
-                capacity: (cap < 12).then_some(cap),
+            let cfg = if batched {
+                AdmissionConfig::batched(quota, cap)
+            } else {
+                AdmissionConfig::unlimited()
             };
             let orders: VecDeque<PlacedOrder> = (0..batch)
                 .map(|i| {
@@ -747,14 +732,46 @@ mod tests {
             );
             proptest::prop_assert_eq!(all.admission().pending(), one.admission().pending());
             proptest::prop_assert_eq!(counters(&all), counters(&one));
-            let admitted = |c: &mut FallibleCloud| -> Vec<(String, u64, u64)> {
-                c.admission
-                    .admit()
+            let admitted = |c: &mut FallibleCloud| -> Vec<(String, u64)> {
+                c.admit_orders()
                     .into_iter()
-                    .map(|a| (a.lane, a.seq, a.item.order_id))
+                    .map(|o| (o.vd_name, o.order_id))
                     .collect()
             };
             proptest::prop_assert_eq!(admitted(&mut all), admitted(&mut one));
         }
+    }
+
+    #[test]
+    fn set_admission_keeps_the_backlog_cursor_and_counters() {
+        let cfg = AdmissionConfig::batched(2, 4);
+        let run = |reconfigure: bool| {
+            let mut cloud = FallibleCloud::new();
+            cloud.set_admission(cfg);
+            let mut orders: VecDeque<PlacedOrder> = (0..6)
+                .map(|i| {
+                    let mut o = order(&format!("vd-{}", i % 3));
+                    o.order_id = i;
+                    o
+                })
+                .collect();
+            assert_eq!(cloud.resubmit_all(&mut orders).0, 4, "two bounce");
+            // The first batch moves the cursor past vd-1.
+            let mut batches = vec![cloud.admit_orders()];
+            if reconfigure {
+                cloud.set_admission(cfg);
+            }
+            while !cloud.admission().is_empty() {
+                batches.push(cloud.admit_orders());
+            }
+            let ids: Vec<Vec<u64>> = batches
+                .iter()
+                .map(|b| b.iter().map(|o| o.order_id).collect())
+                .collect();
+            let q = cloud.admission();
+            (ids, q.peak_depth(), q.backpressure_total())
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(true), (vec![vec![0, 1], vec![2, 3]], 4, 2));
     }
 }

@@ -27,7 +27,7 @@ pub mod service;
 pub mod storage;
 pub mod vdr;
 
-pub use admission::{AdmissionConfig, AdmissionError, AdmissionQueue, Admitted};
+pub use admission::{AdmissionConfig, AdmissionError, AdmissionQueue};
 pub use appstore::{AppListing, AppStore};
 pub use facade::{AdmissionTicket, CloudError, FallibleCloud, OrderSubmitError};
 pub use portal::{AppSelection, DroneType, OrderError, OrderRequest, PlacedOrder, Portal};

@@ -11,8 +11,8 @@
 //! removing the entry and re-storing it must not lose a customer's
 //! virtual drone. A checked-out entry stays on the books (leased)
 //! until the caller either commits the resume or abandons it back;
-//! [`VirtualDroneRepository::commit_with`] commits by saving the new
-//! state over the leased entry itself.
+//! [`VirtualDroneRepository::commit_with_at`] commits by saving the
+//! new state over the leased entry itself.
 //!
 //! Each shard is a name index over a slot table. `store` returns a
 //! [`VdrHandle`] to the name's slot, and a caller that keeps it checks
@@ -453,7 +453,7 @@ impl VirtualDroneRepository {
     /// Checks out a virtual drone for reinstatement, lending the
     /// caller the entry to deploy from. The entry moves to its slot's
     /// lease, invisible to `get`/listings until [`Self::commit`]
-    /// (resume succeeded; drop the old entry), [`Self::commit_with`]
+    /// (resume succeeded; drop the old entry), [`Self::commit_with_at`]
     /// (resume succeeded; save over the old entry) or [`Self::abandon`]
     /// (resume failed; put it back) resolves the lease. A name
     /// already leased cannot be checked out again.
@@ -476,19 +476,13 @@ impl VirtualDroneRepository {
         self.find(name).is_some_and(|(shard, at)| shard.commit(at))
     }
 
-    /// Resolves a lease by saving the resumed drone over its own
-    /// leased entry: `update` rewrites the entry in place, and the
-    /// result goes on the shelf as one journaled save. The end state
-    /// equals `store` of the updated copy followed by
+    /// Resolves the lease of the handle's slot by saving the resumed
+    /// drone over its own leased entry: `update` rewrites the entry in
+    /// place, and the result goes on the shelf as one journaled save.
+    /// The end state equals `store` of the updated copy followed by
     /// [`Self::commit`], without building a second entry. `update`
     /// must keep the entry's name, which keys its slot. Returns
     /// whether a lease existed; without one nothing changes.
-    pub fn commit_with(&mut self, name: &str, update: impl FnOnce(&mut SavedVirtualDrone)) -> bool {
-        self.find(name)
-            .is_some_and(|(shard, at)| shard.commit_with(at, update))
-    }
-
-    /// [`Self::commit_with`] by the handle of the name's slot.
     pub fn commit_with_at(
         &mut self,
         handle: VdrHandle,

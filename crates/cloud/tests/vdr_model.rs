@@ -9,7 +9,8 @@
 //! every observable result must agree after every operation.
 //!
 //! The tapes also drive the repository through the [`VdrHandle`]s its
-//! stores return. The reference has no handles: a handle stands for
+//! stores return; the in-place save goes through them only. The
+//! reference has no handles: a handle stands for
 //! its name until a compaction drops that name, and for nothing from
 //! then on, even after the name is stored again.
 
@@ -267,14 +268,13 @@ enum Op {
     Store(usize, usize, usize, usize),
     Checkout(usize),
     Commit(usize),
-    /// Name, diff size step, reason: save over the lease in place.
-    CommitWith(usize, usize, usize),
     Abandon(usize),
     Compact,
     Get(usize),
     /// Checkout through the name's current handle.
     CheckoutAt(usize),
-    /// [`Op::CommitWith`] through the name's current handle.
+    /// Name, diff size step, reason: save over the lease in place,
+    /// through the name's current handle.
     CommitWithAt(usize, usize, usize),
     /// Checkout and in-place save through every handle a compaction
     /// retired for the name: each must resolve to nothing.
@@ -294,11 +294,10 @@ fn op() -> impl Strategy<Value = Op> {
             4 | 5 => Op::Checkout(n),
             6 | 7 => Op::Commit(n),
             8 | 9 => Op::Abandon(n),
-            10 | 11 => Op::CommitWith(n, size, reason),
+            10 | 11 | 16 | 17 => Op::CommitWithAt(n, size, reason),
             12 => Op::Compact,
             13 => Op::Get(n),
             14 | 15 => Op::CheckoutAt(n),
-            16 | 17 => Op::CommitWithAt(n, size, reason),
             _ => Op::Retired(n),
         })
 }
@@ -320,13 +319,13 @@ const PRELUDE: [Op; 22] = [
     Op::Checkout(1),
     Op::Commit(1),
     Op::Compact,
-    Op::CommitWith(0, 2, 2),
+    Op::CommitWithAt(0, 2, 2),
     Op::Checkout(0),
     Op::Store(0, 1, 4, 1),
-    Op::CommitWith(0, 0, 2),
+    Op::CommitWithAt(0, 0, 2),
     Op::Store(2, 0, 1, 2),
     Op::Checkout(2),
-    Op::CommitWith(2, 3, 1),
+    Op::CommitWithAt(2, 3, 1),
     Op::Compact,
     Op::Retired(1),
     Op::Store(1, 0, 2, 2),
@@ -430,10 +429,6 @@ fn step(
             prop_assert_eq!(got, model.checkout(&name(n)).as_ref().map(view));
         }
         Op::Commit(n) => prop_assert_eq!(vdr.commit(&name(n)), model.commit(&name(n))),
-        Op::CommitWith(n, size, reason) => prop_assert_eq!(
-            vdr.commit_with(&name(n), resume(size, reason, stamp)),
-            model.commit_with(&name(n), resume(size, reason, stamp))
-        ),
         Op::Abandon(n) => prop_assert_eq!(vdr.abandon(&name(n)), model.abandon(&name(n))),
         Op::Compact => {
             prop_assert_eq!(vdr.compact(), model.compact());
@@ -454,12 +449,13 @@ fn step(
             }
         }
         Op::CommitWithAt(n, size, reason) => {
-            if let Some(handle) = handles.current[n] {
-                prop_assert_eq!(
-                    vdr.commit_with_at(handle, resume(size, reason, stamp)),
-                    model.commit_with(&name(n), resume(size, reason, stamp))
-                );
-            }
+            // A name without a current handle holds nothing to commit.
+            let got = handles.current[n]
+                .is_some_and(|handle| vdr.commit_with_at(handle, resume(size, reason, stamp)));
+            prop_assert_eq!(
+                got,
+                model.commit_with(&name(n), resume(size, reason, stamp))
+            );
         }
         Op::Retired(n) => {
             for &handle in &handles.retired[n] {

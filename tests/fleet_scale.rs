@@ -6,9 +6,9 @@
 //!   identical digests and stats, and a portal/VDR outage armed
 //!   mid-checkout loses no customer drone.
 //! - **Admission FIFO** — a model-based property test: under
-//!   arbitrary interleavings of enqueue (with backpressure) and
-//!   batched admission, every lane releases its orders in exact
-//!   submission order.
+//!   arbitrary interleavings of `FallibleCloud::resubmit` (with
+//!   backpressure) and batched admission waves, every virtual drone's
+//!   orders are released in exact submission order.
 //! - **Shard equivalence** — a `FleetSpec::vdr_shards(4)` fleet run
 //!   is byte-identical to the 1-shard run.
 //! - **Scaling ladder smoke** — the 10k-tenant rung runs to
@@ -19,8 +19,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use androne::cloud::{
-    AdmissionConfig, AdmissionError, AdmissionQueue, CloudError, FallibleCloud, SaveReason,
-    SavedVirtualDrone, VirtualDroneRepository,
+    AdmissionConfig, AdmissionError, CloudError, FallibleCloud, OrderSubmitError, PlacedOrder,
+    SaveReason, SavedVirtualDrone, VirtualDroneRepository,
 };
 use androne::container::{ContainerArchive, ContainerKind, Layer};
 use androne::fleet::{FleetConfig, FleetSpec, FleetTenant};
@@ -225,10 +225,20 @@ fn vdr_outage_mid_checkout_loses_nothing() {
     assert_eq!(stats.entries, 7, "committed resume consumes its entry");
 }
 
-// Property: under any interleaving of bounded enqueues and batched
-// admission waves, each lane's orders are released in exact
-// submission order; a backpressured enqueue hands the item back
-// untouched with a retry wave strictly ahead.
+fn placed(vd_name: String, order_id: u64) -> PlacedOrder {
+    PlacedOrder {
+        order_id,
+        user: format!("user-{vd_name}"),
+        vd_name,
+        spec: VirtualDroneSpec::example_survey(),
+        flexible_schedule: true,
+    }
+}
+
+// Property: under any interleaving of resubmits to a batched queue
+// and admission waves, each virtual drone's orders are released in
+// exact submission order; a backpressured resubmit hands the order
+// back whole with a retry wave strictly ahead.
 proptest! {
     #[test]
     fn admission_fifo_survives_backpressure(
@@ -236,50 +246,57 @@ proptest! {
         per_wave in 1usize..5,
         cap in 4usize..24,
     ) {
-        let mut q = AdmissionQueue::new(AdmissionConfig::batched(per_wave, cap));
-        let mut model: BTreeMap<String, VecDeque<u32>> = BTreeMap::new();
-        let mut next_item = 0u32;
+        let mut cloud = FallibleCloud::new();
+        cloud.set_admission(AdmissionConfig::batched(per_wave, cap));
+        let mut model: BTreeMap<String, VecDeque<u64>> = BTreeMap::new();
+        let mut next_id = 0u64;
         let mut wave = 0u64;
         for (op, lane) in ops {
-            let lane_name = format!("t{lane}");
+            let vd_name = format!("t{lane}");
             match op {
-                // Enqueue dominates the mix so capacity is reached.
+                // Resubmits dominate the mix so capacity is reached.
                 0..=3 => {
-                    let item = next_item;
-                    next_item += 1;
-                    match q.enqueue(&lane_name, item, wave) {
-                        Ok(_) => model.entry(lane_name).or_default().push_back(item),
-                        Err((AdmissionError::Backpressure { retry_wave, depth }, bounced)) => {
-                            prop_assert_eq!(bounced, item, "rejected item must ride back");
+                    let order = placed(vd_name.clone(), next_id);
+                    next_id += 1;
+                    match cloud.resubmit(order.clone()) {
+                        Ok(_) => model.entry(vd_name).or_default().push_back(order.order_id),
+                        Err(OrderSubmitError::Backpressure {
+                            err: AdmissionError::Backpressure { retry_wave, depth },
+                            order: bounced,
+                        }) => {
+                            prop_assert_eq!(*bounced, order, "rejected order must ride back");
                             prop_assert!(retry_wave > wave, "retry wave not ahead");
                             prop_assert_eq!(depth, cap, "backpressure below capacity");
                         }
+                        Err(e) => prop_assert!(false, "validated order rejected: {}", e),
                     }
                 }
                 _ => {
                     wave += 1;
-                    let admitted = q.admit();
+                    cloud.begin_wave(wave, vec![]);
+                    let admitted = cloud.admit_orders();
                     prop_assert!(admitted.len() <= per_wave, "quota exceeded");
-                    for a in admitted {
-                        let front = model.get_mut(&a.lane).and_then(|l| l.pop_front());
-                        prop_assert_eq!(front, Some(a.item), "lane admitted out of order");
+                    for o in admitted {
+                        let front = model.get_mut(&o.vd_name).and_then(|l| l.pop_front());
+                        prop_assert_eq!(front, Some(o.order_id), "lane admitted out of order");
                     }
                 }
             }
             let pending: usize = model.values().map(VecDeque::len).sum();
-            prop_assert_eq!(q.pending(), pending, "queue and model disagree on depth");
-            prop_assert!(q.pending() <= cap, "capacity bound violated");
+            let depth = cloud.admission().pending();
+            prop_assert_eq!(depth, pending, "queue and model disagree on depth");
+            prop_assert!(depth <= cap, "capacity bound violated");
         }
         // Drain to empty: the tail must also be in FIFO order.
-        while !q.is_empty() {
-            let admitted = q.admit();
+        while !cloud.admission().is_empty() {
+            let admitted = cloud.admit_orders();
             prop_assert!(!admitted.is_empty(), "pending queue admitted nothing");
-            for a in admitted {
-                let front = model.get_mut(&a.lane).and_then(|l| l.pop_front());
-                prop_assert_eq!(front, Some(a.item), "drain out of order");
+            for o in admitted {
+                let front = model.get_mut(&o.vd_name).and_then(|l| l.pop_front());
+                prop_assert_eq!(front, Some(o.order_id), "drain out of order");
             }
         }
-        prop_assert!(model.values().all(VecDeque::is_empty), "model items never released");
+        prop_assert!(model.values().all(VecDeque::is_empty), "model orders never released");
     }
 }
 
