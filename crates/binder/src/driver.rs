@@ -168,45 +168,6 @@ impl ProcState {
     }
 }
 
-/// Per-parcel checkout of the fd tables involved in translation (the
-/// fd-side sibling of the handle translation-cache slab checkout):
-/// `translate_values` takes the source and destination processes' fd
-/// slabs out of the proc map once per fd-bearing parcel, runs every
-/// fd against the local vectors, and restores them on exit. While
-/// checked out, the owning `ProcState`s hold empty fd tables —
-/// nothing else reads them mid-parcel (transactions are synchronous
-/// and non-reentrant through translation).
-struct FdSlabCheckout {
-    from: Pid,
-    to: Pid,
-    /// Source fd table; `None` when `from == to` (lookups then
-    /// resolve against `dst`, which *is* the source table).
-    src: Option<Vec<Option<FileRef>>>,
-    dst: Vec<Option<FileRef>>,
-    next_fd: u32,
-}
-
-impl FdSlabCheckout {
-    /// Resolves `fd` in the source table and installs the file in
-    /// the destination table, mirroring `ProcState::file_for` +
-    /// `ProcState::insert_fd` exactly.
-    fn translate(&mut self, fd: u32) -> Result<u32, BinderError> {
-        let file = match &self.src {
-            Some(src) => src.get(fd as usize).and_then(|f| f.as_ref()),
-            None => self.dst.get(fd as usize).and_then(|f| f.as_ref()),
-        }
-        .cloned()
-        .ok_or(BinderError::BadFd(fd))?;
-        let new_fd = self.next_fd;
-        self.next_fd += 1;
-        if self.dst.len() <= new_fd as usize {
-            self.dst.resize(new_fd as usize + 1, None);
-        }
-        self.dst[new_fd as usize] = Some(file);
-        Ok(new_fd)
-    }
-}
-
 /// Counters for the evaluation ablations.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DriverStats {
@@ -533,10 +494,12 @@ impl BinderDriver {
     /// and telemetry traffic) return immediately without touching
     /// the parcel's copy-on-write storage.
     ///
-    /// Handle-bearing parcels check the `(from, to)` cache slab out
-    /// of the translation cache **once** and run every handle in the
-    /// parcel against the local `Vec` — one tree lookup per parcel
-    /// instead of one (two, on a miss) per handle.
+    /// Other parcels check the `(from, to)` cache slab out of the
+    /// translation cache **once** and run every handle in the parcel
+    /// against the local `Vec` — one tree lookup per parcel instead
+    /// of one (two, on a miss) per handle. Each fd is resolved in
+    /// `from`'s table and dup'ed into `to`'s. A failing value leaves
+    /// the values before it translated, with their effects kept.
     fn translate_parcel(
         &mut self,
         parcel: &mut Parcel,
@@ -570,88 +533,19 @@ impl BinderDriver {
         to: Pid,
         slab: &mut Option<Vec<u32>>,
     ) -> Result<(), BinderError> {
-        if !parcel.has_fds() {
-            // Handle-only fast path (the common case for service
-            // fanout): no fd-slab checkout, no restore bookkeeping —
-            // just the handle rewrites against the cache slab.
-            for v in parcel.values_mut() {
-                if let PValue::Binder(h) = v {
-                    *h = self.translate_handle(from, to, *h, slab)?;
+        for v in parcel.values_mut() {
+            match v {
+                PValue::Binder(h) => *h = self.translate_handle(from, to, *h, slab)?,
+                PValue::Fd(fd) => {
+                    let file = self.proc(from)?.file_for(*fd).cloned();
+                    *fd = self
+                        .proc_mut(to)?
+                        .insert_fd(file.ok_or(BinderError::BadFd(*fd))?);
                 }
-            }
-            return Ok(());
-        }
-        // fd tables are checked out of the proc map lazily on the
-        // first fd in the parcel (mirroring the handle-cache slab
-        // checkout above): every subsequent fd is a local Vec
-        // operation instead of two proc-map tree walks.
-        let mut fds: Option<FdSlabCheckout> = None;
-        let result = (|| {
-            for v in parcel.values_mut() {
-                match v {
-                    PValue::Binder(h) => *h = self.translate_handle(from, to, *h, slab)?,
-                    PValue::Fd(fd) => {
-                        let co = match fds.as_mut() {
-                            Some(co) => co,
-                            None => fds.insert(self.checkout_fd_slabs(from, to)?),
-                        };
-                        *fd = co.translate(*fd)?;
-                    }
-                    _ => {}
-                }
-            }
-            Ok(())
-        })();
-        // Restore before surfacing any error, so fds installed for
-        // values earlier in a failing parcel persist exactly as the
-        // per-fd path would have left them.
-        if let Some(fds) = fds {
-            self.restore_fd_slabs(fds);
-        }
-        result
-    }
-
-    /// Checks both processes' fd state out of the proc map for one
-    /// parcel's worth of fd translations. Verifies liveness up front
-    /// so the takes below cannot half-apply.
-    fn checkout_fd_slabs(&mut self, from: Pid, to: Pid) -> Result<FdSlabCheckout, BinderError> {
-        let src = if from == to {
-            None
-        } else {
-            let Some(p) = self.procs.get_mut(&from) else {
-                return Err(BinderError::NotOpened(from));
-            };
-            Some(std::mem::take(&mut p.fds))
-        };
-        let Some(p) = self.procs.get_mut(&to) else {
-            // Undo the src take before surfacing the error so a dead
-            // receiver cannot strand the sender's fd table.
-            if let (Some(src), Some(p)) = (src, self.procs.get_mut(&from)) {
-                p.fds = src;
-            }
-            return Err(BinderError::NotOpened(to));
-        };
-        Ok(FdSlabCheckout {
-            from,
-            to,
-            src,
-            dst: std::mem::take(&mut p.fds),
-            next_fd: p.next_fd,
-        })
-    }
-
-    /// Returns a checkout's fd tables to the proc map (all paths,
-    /// success or error).
-    fn restore_fd_slabs(&mut self, co: FdSlabCheckout) {
-        if let Some(src) = co.src {
-            if let Some(p) = self.procs.get_mut(&co.from) {
-                p.fds = src;
+                _ => {}
             }
         }
-        if let Some(p) = self.procs.get_mut(&co.to) {
-            p.fds = co.dst;
-            p.next_fd = co.next_fd;
-        }
+        Ok(())
     }
 
     /// Performs a synchronous transaction from `caller` to the node
@@ -1173,8 +1067,8 @@ mod tests {
         let (mut d, server, client, _) = setup();
         let (file, _producer) = crate::fd::new_stream("cam0");
         let fd = d.install_fd(server, file).unwrap();
-        // Self-translation (from == to): the checkout holds a single
-        // table that serves both lookup and install.
+        // Self-translation (from == to): one table serves both
+        // lookup and install.
         let mut selfp = Parcel::new();
         selfp.push_fd(fd);
         selfp.push_fd(fd);
@@ -1186,8 +1080,7 @@ mod tests {
             &d.file(server, a).unwrap(),
             &d.file(server, fd).unwrap()
         ));
-        // A bad fd later in the parcel keeps the earlier install, as
-        // the per-fd path did (restore-on-error).
+        // A bad fd later in the parcel keeps the earlier install.
         let mut bad = Parcel::new();
         bad.push_fd(fd);
         bad.push_fd(9_999);
@@ -1197,6 +1090,37 @@ mod tests {
         );
         let good = bad.fd_at(0).unwrap();
         assert!(d.file(client, good).is_ok());
+    }
+
+    #[test]
+    fn a_mixed_parcel_failing_part_way_keeps_its_good_prefix() {
+        // handle, fd, then a bad handle or a bad fd: the driver ends
+        // in the state that translating only the good prefix leaves.
+        for bad_fd in [false, true] {
+            let run = |with_bad: bool| {
+                let (mut d, server, client, _) = setup();
+                let fresh = d.create_node(server, Rc::new(RefCell::new(Echo))).unwrap();
+                let (file, _producer) = crate::fd::new_stream("cam0");
+                let fd = d.install_fd(server, file).unwrap();
+                let before = d.hash_value();
+                let mut p = Parcel::new();
+                p.push_binder(fresh).push_fd(fd);
+                if with_bad && bad_fd {
+                    p.push_fd(9_999);
+                } else if with_bad {
+                    p.push_binder(777);
+                }
+                let want = match (with_bad, bad_fd) {
+                    (false, _) => Ok(()),
+                    (true, true) => Err(BinderError::BadFd(9_999)),
+                    (true, false) => Err(BinderError::BadHandle(777)),
+                };
+                assert_eq!(d.translate_parcel(&mut p, server, client), want);
+                assert_ne!(d.hash_value(), before, "the good prefix has effects");
+                d.hash_value()
+            };
+            assert_eq!(run(true), run(false), "bad_fd = {bad_fd}");
+        }
     }
 }
 

@@ -68,10 +68,6 @@ pub struct Parcel {
     values: Rc<Vec<PValue>>,
     /// Cached count of Binder/Fd values (what translation rewrites).
     objrefs: u32,
-    /// Cached count of Fd values specifically: the driver checks out
-    /// per-process fd tables only for parcels that actually carry
-    /// fds, and this cache makes that gate O(1).
-    fds: u32,
     /// Cached wire size of all values.
     wire: usize,
 }
@@ -94,9 +90,6 @@ impl Parcel {
         self.wire += v.wire_size();
         if v.is_object_ref() {
             self.objrefs += 1;
-        }
-        if matches!(v, PValue::Fd(_)) {
-            self.fds += 1;
         }
         Rc::make_mut(&mut self.values).push(v);
         self
@@ -224,13 +217,6 @@ impl Parcel {
         self.objrefs > 0
     }
 
-    /// Whether any value is a file descriptor. False lets the driver
-    /// translate a handle-bearing parcel without touching either
-    /// process's fd table (the fd-slab checkout is skipped outright).
-    pub fn has_fds(&self) -> bool {
-        self.fds > 0
-    }
-
     /// Whether two parcels share the same copy-on-write buffer
     /// (diagnostics: asserts both sharing and non-aliasing in tests).
     pub fn shares_storage_with(&self, other: &Parcel) -> bool {
@@ -321,20 +307,6 @@ mod tests {
         let mut q = Parcel::new();
         q.push_fd(7);
         assert!(q.has_object_refs());
-    }
-
-    #[test]
-    fn fd_tracking_is_distinct_from_handle_tracking() {
-        // A handle-only parcel has object refs but no fds: the
-        // driver's fd-slab checkout is skipped for it outright.
-        let mut p = Parcel::new();
-        p.push_binder(3).push_binder(4).push_str("svc");
-        assert!(p.has_object_refs());
-        assert!(!p.has_fds());
-
-        p.push_fd(9);
-        assert!(p.has_fds());
-        assert!(p.clone().has_fds(), "cache survives clone");
     }
 
     #[test]

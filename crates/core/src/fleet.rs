@@ -36,11 +36,13 @@
 //! observes the exact sequential history regardless of which worker
 //! finished first. Per-flight seeds and fault plans depend on the
 //! global flight index, and a scrapped flight consumes no index, so
-//! the driver assigns indices speculatively and re-runs any island
-//! whose index shifted until the assignment is a fixpoint. The
-//! result: `fleet_digest()`, every tenant's `outcome_bits()`, and
-//! the merged metrics digest are bit-identical at any thread count,
-//! and `threads = 1` is byte-identical to the historical sequential
+//! each batch flies its islands at consecutive indices (as if all of
+//! them fly) and merges only up to the first flight that takes no
+//! index; the rest of the batch goes back on the wave's plan queue
+//! and is re-batched at the corrected index. The result:
+//! `fleet_digest()`, every tenant's `outcome_bits()`, and the merged
+//! metrics digest are bit-identical at any thread count, and
+//! `threads = 1` is byte-identical to the historical sequential
 //! executor.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -320,15 +322,6 @@ impl FleetAttackPlan {
     }
 }
 
-/// The per-flight kernel seed: a pure FNV mix of the run seed, the
-/// wave, and the global flight index. No hidden counters — replaying
-/// the same (config, plan) replays the same seeds. Delegates to the
-/// kernel's substream derivation so every seed consumer agrees on
-/// the fold.
-fn flight_seed(run_seed: u64, wave: u64, flight_index: usize) -> u64 {
-    substream_seed(run_seed, wave, flight_index)
-}
-
 /// Mutable per-tenant bookkeeping while the run is in progress.
 struct TenantState {
     user: String,
@@ -346,25 +339,9 @@ struct TenantState {
 /// Where a virtual drone aboard a flight comes from: a leased VDR
 /// checkout (resume) or the tenant's fresh order spec. Captured at
 /// partition time so the island owns everything it deploys.
-#[derive(Clone)]
 pub(crate) enum OwnerSource {
     Resume(SavedVirtualDrone),
     Fresh(VirtualDroneSpec),
-}
-
-/// One plan's fate for the current wave, decided at partition time
-/// against the wave's lease map and tenant states.
-enum Disposition {
-    /// An aboard drone cannot be produced this wave; the plan defers.
-    /// The deferral log line is emitted at merge, in plan order.
-    Deferred,
-    /// The plan flies as an island. `sources` is parallel to
-    /// `owners` (both in sorted-owner order).
-    Fly {
-        plan: FlightPlan,
-        owners: Vec<String>,
-        sources: Vec<OwnerSource>,
-    },
 }
 
 /// The `Send`-able work item one island executes: everything a flight
@@ -372,6 +349,7 @@ enum Disposition {
 struct PlanWork {
     plan: FlightPlan,
     owners: Vec<String>,
+    /// Parallel to `owners` (both in sorted-owner order).
     sources: Vec<OwnerSource>,
     seed: u64,
     fault_plan: FaultPlan,
@@ -547,17 +525,6 @@ enum IslandVerdict {
     Flew(Box<IslandFlight>),
 }
 
-/// An island run's full outcome as cached by the speculation loop:
-/// contained panic, fatal drone error, or a verdict.
-type IslandOutcome = Result<Result<IslandVerdict, DroneError>, WorkerError>;
-
-/// Whether this outcome consumes a flight index. Scraps and panics
-/// never flew: the next flyable plan takes the index instead, which
-/// is why index assignment is speculative.
-fn consumes_index(out: &IslandOutcome) -> bool {
-    matches!(out, Ok(Ok(IslandVerdict::Flew(_))) | Ok(Err(_)))
-}
-
 /// Runs one flight as a single-threaded island: boot, deploy, fly,
 /// and per-owner post-flight reads — no cloud access anywhere.
 /// `panic_flight` is the chaos hook: an injected worker panic at a
@@ -661,7 +628,6 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
 ///     .threads(4)
 ///     .faults(plan)
 ///     .attacks(attack_plan)
-///     .vdr_shards(4)
 ///     .run()?;
 /// ```
 ///
@@ -673,19 +639,16 @@ pub struct FleetSpec {
     faults: FleetFaultPlan,
     attacks: FleetAttackPlan,
     panic_flight: Option<usize>,
-    vdr_shards: usize,
 }
 
 impl FleetSpec {
-    /// A spec with no riders: no faults, no attacks, no chaos, one
-    /// VDR shard.
+    /// A spec with no riders: no faults, no attacks, no chaos.
     pub fn new(cfg: FleetConfig) -> Self {
         FleetSpec {
             cfg,
             faults: FleetFaultPlan::empty(),
             attacks: FleetAttackPlan::none(),
             panic_flight: None,
-            vdr_shards: 1,
         }
     }
 
@@ -715,21 +678,13 @@ impl FleetSpec {
         self
     }
 
-    /// Shards the cloud's Virtual Drone Repository `shards` ways
-    /// (deterministic FNV of the drone name). Any shard count is
-    /// digest-identical to `1`.
-    pub fn vdr_shards(mut self, shards: usize) -> Self {
-        self.vdr_shards = shards.max(1);
-        self
-    }
-
     /// The configuration as currently built.
     pub fn config(&self) -> &FleetConfig {
         &self.cfg
     }
 
     /// Executes the run to quiescence. Reusable: `run` borrows the
-    /// spec, so one spec can drive a whole thread/shard matrix.
+    /// spec, so one spec can drive a whole thread matrix.
     pub fn run(&self) -> Result<FleetOutcome, DroneError> {
         execute_fleet(self)
     }
@@ -744,11 +699,10 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
         faults,
         attacks,
         panic_flight,
-        vdr_shards,
     } = spec;
     let pool = WorkerPool::new(cfg.threads);
     let mut fleet_metrics = MetricsRegistry::new();
-    let mut cloud = FallibleCloud::with_shards(*vdr_shards);
+    let mut cloud = FallibleCloud::new();
     // Cloud-side observability: one attached handle for the whole
     // run, stamped to wave boundaries (1 simulated second per wave)
     // so degraded-mode trace records order by wave.
@@ -862,12 +816,16 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
         // flyable members share no owner (a duplicate owner means a
         // later plan's flyable check depends on the earlier flight's
         // outcome — the batch stops there and the plan waits for the
-        // merge). Flyable plans become islands on the pool; deferred
-        // plans carry through so their log lines land in plan order.
+        // merge). Flyable plans become islands on the pool at
+        // consecutive flight indices, as if every one of them flies;
+        // deferred plans carry through so their log lines land in
+        // plan order.
         let mut plans: VecDeque<FlightPlan> = plans.into();
         while !plans.is_empty() {
-            let mut batch: Vec<Disposition> = Vec::new();
+            let mut batch: Vec<(FlightPlan, Vec<String>)> = Vec::new();
+            let mut items: Vec<Option<PlanWork>> = Vec::new();
             let mut claimed: BTreeSet<String> = BTreeSet::new();
+            let mut idx = flight_counter;
             while let Some(peek) = plans.front() {
                 let mut owners: Vec<String> = peek.legs.iter().map(|l| l.owner.clone()).collect();
                 owners.sort();
@@ -881,137 +839,83 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
                 // or a fresh tenant deployable from its order spec.
                 // Merged stale queue entries can violate this (e.g.
                 // the VDR was down for that tenant); such plans defer
-                // a wave. Sources are cloned, not taken: lease-map
-                // removal is a cloud effect and happens at merge.
-                let mut sources: Vec<OwnerSource> = Vec::new();
-                let mut flyable = true;
-                for o in &owners {
-                    if let Some(saved) = saved_map.get(o) {
-                        sources.push(OwnerSource::Resume(saved.clone()));
-                    } else {
-                        match states.get(o) {
-                            Some(s) if s.flights_flown == 0 && s.resolution.is_none() => {
-                                sources.push(OwnerSource::Fresh(s.spec.clone()));
-                            }
-                            _ => {
-                                flyable = false;
-                                break;
-                            }
+                // a wave. Sources are cloned, not taken: the lease
+                // map changes only at merge.
+                let sources: Option<Vec<OwnerSource>> = owners
+                    .iter()
+                    .map(|o| match (saved_map.get(o), states.get(o)) {
+                        (Some(saved), _) => Some(OwnerSource::Resume(saved.clone())),
+                        (None, Some(s)) if s.flights_flown == 0 && s.resolution.is_none() => {
+                            Some(OwnerSource::Fresh(s.spec.clone()))
                         }
-                    }
-                }
-                if flyable {
+                        _ => None,
+                    })
+                    .collect();
+                items.push(sources.map(|sources| {
                     claimed.extend(owners.iter().cloned());
-                    batch.push(Disposition::Fly {
-                        plan,
-                        owners,
+                    let index = idx;
+                    idx += 1;
+                    PlanWork {
+                        plan: plan.clone(),
+                        owners: owners.clone(),
                         sources,
-                    });
-                } else {
-                    batch.push(Disposition::Deferred);
-                }
-            }
-
-            // Speculative index assignment: walk the batch giving
-            // each flyable plan the next index, assuming uncached
-            // islands fly. A scrap/panic consumes no index, shifting
-            // every later plan down — their islands re-run at the
-            // corrected index (seed and fault plan depend on it)
-            // until a walk finds every island cached: the fixpoint.
-            let mut cache: BTreeMap<(usize, usize), IslandOutcome> = BTreeMap::new();
-            loop {
-                let mut idx = flight_counter;
-                let mut keys: Vec<(usize, usize)> = Vec::new();
-                let mut items: Vec<PlanWork> = Vec::new();
-                for (slot, disp) in batch.iter().enumerate() {
-                    let Disposition::Fly {
-                        plan,
-                        owners,
-                        sources,
-                    } = disp
-                    else {
-                        continue;
-                    };
-                    match cache.get(&(slot, idx)) {
-                        Some(out) => {
-                            if consumes_index(out) {
-                                idx += 1;
-                            }
-                        }
-                        None => {
-                            items.push(PlanWork {
-                                plan: plan.clone(),
-                                owners: owners.clone(),
-                                sources: sources.clone(),
-                                seed: flight_seed(cfg.seed, wave, idx),
-                                fault_plan: faults.effective_plan(idx),
-                                attack_plan: attacks.effective_plan(idx),
-                                adaptive_plan: attacks.effective_adaptive(idx),
-                                defense: attacks.defense,
-                                base: cfg.base,
-                                max_sim_seconds: cfg.max_sim_seconds,
-                                watchdog: cfg.watchdog,
-                                flight_index: idx,
-                            });
-                            keys.push((slot, idx));
-                            idx += 1;
-                        }
+                        seed: substream_seed(cfg.seed, wave, index),
+                        fault_plan: faults.effective_plan(index),
+                        attack_plan: attacks.effective_plan(index),
+                        adaptive_plan: attacks.effective_adaptive(index),
+                        defense: attacks.defense,
+                        base: cfg.base,
+                        max_sim_seconds: cfg.max_sim_seconds,
+                        watchdog: cfg.watchdog,
+                        flight_index: index,
                     }
-                }
-                if keys.is_empty() {
-                    break;
-                }
-                let results = pool.run(items, |item| run_island(item, *panic_flight));
-                for (key, res) in keys.into_iter().zip(results) {
-                    cache.insert(key, res);
-                }
+                }));
+                batch.push((plan, owners));
             }
+            let results = pool.run(items, |item| item.map(|w| run_island(w, *panic_flight)));
 
             // Merge in plan order: replay every cloud effect exactly
-            // as the sequential executor would have issued it.
-            for (slot, disp) in batch.into_iter().enumerate() {
-                let Disposition::Fly {
-                    owners, sources, ..
-                } = disp
-                else {
-                    cloud.log.push(format!(
-                        "wave {wave}: plan deferred, unavailable drone aboard"
-                    ));
-                    continue;
-                };
-                let out = cache.remove(&(slot, flight_counter)).unwrap_or_else(|| {
-                    // Unreachable: the fixpoint loop only exits once
-                    // every island at its settled index is cached.
-                    Err(WorkerError::Panicked(
-                        "island result missing after fixpoint".to_string(),
-                    ))
-                });
+            // as the sequential executor would have issued it. A
+            // scrap or contained panic takes no flight index, so the
+            // islands after it flew one index too high: the merge
+            // stops there, and the rest of the batch goes back on the
+            // queue to be re-batched (and re-flown) at the corrected
+            // index. Each plan's leases are the lease map's entries
+            // for its owners: present means resumed, so commit on a
+            // flight, abandon on a scrap.
+            let mut rest = batch.into_iter().zip(results);
+            for ((_, owners), out) in rest.by_ref() {
                 match out {
+                    Ok(None) => {
+                        cloud.log.push(format!(
+                            "wave {wave}: plan deferred, unavailable drone aboard"
+                        ));
+                    }
                     Err(WorkerError::Panicked(msg)) => {
                         // Contained worker panic: treat like a scrap
                         // — release every lease, defer the tenants,
                         // keep the run alive.
-                        for (owner, source) in owners.iter().zip(sources.iter()) {
-                            if matches!(source, OwnerSource::Resume(_)) {
-                                saved_map.remove(owner);
+                        for owner in &owners {
+                            if saved_map.remove(owner).is_some() {
                                 cloud.inner.vdr.abandon(owner);
                             }
                         }
                         cloud.log.push(format!(
                             "wave {wave}: flight scrapped, worker panicked ({msg}); tenants deferred"
                         ));
+                        break;
                     }
-                    Ok(Err(e)) => {
+                    Ok(Some(Err(e))) => {
                         // Fatal drone error: the sequential executor
                         // aborts the run here, and on `Err` the cloud
                         // is dropped — only the error is observable,
                         // so no earlier effects need replaying first.
                         return Err(e);
                     }
-                    Ok(Ok(IslandVerdict::Scrapped {
+                    Ok(Some(Ok(IslandVerdict::Scrapped {
                         owner: failed,
                         error,
-                    })) => {
+                    }))) => {
                         // Leases are committed only once every tenant
                         // is aboard: a deploy failure (e.g. the board
                         // out of container memory) scraps the whole
@@ -1024,20 +928,19 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
                             .iter()
                             .position(|o| *o == failed)
                             .unwrap_or(owners.len());
-                        for (i, (owner, source)) in owners.iter().zip(sources.iter()).enumerate() {
-                            if i <= failpos && matches!(source, OwnerSource::Resume(_)) {
-                                saved_map.remove(owner);
+                        for owner in owners.iter().take(failpos + 1) {
+                            if saved_map.remove(owner).is_some() {
                                 cloud.inner.vdr.abandon(owner);
                             }
                         }
                         cloud.log.push(format!(
                             "wave {wave}: flight scrapped, {failed} failed to deploy ({error}); tenants deferred"
                         ));
+                        break;
                     }
-                    Ok(Ok(IslandVerdict::Flew(island))) => {
-                        for (owner, source) in owners.iter().zip(sources.iter()) {
-                            if matches!(source, OwnerSource::Resume(_)) {
-                                saved_map.remove(owner);
+                    Ok(Some(Ok(IslandVerdict::Flew(island)))) => {
+                        for owner in &owners {
+                            if saved_map.remove(owner).is_some() {
                                 cloud.inner.vdr.commit(owner);
                             }
                         }
@@ -1094,6 +997,9 @@ fn execute_fleet(spec: &FleetSpec) -> Result<FleetOutcome, DroneError> {
                         flight_counter += 1;
                     }
                 }
+            }
+            for ((plan, _), _) in rest.rev() {
+                plans.push_front(plan);
             }
         }
         // Leased drones whose plans were deferred go back to storage.

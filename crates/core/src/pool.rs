@@ -5,18 +5,19 @@
 //! wave's flyable plans are packaged into `Send`-able work items, the
 //! pool fans them out over `std::thread`, and results come back in
 //! **input order** regardless of completion order. Determinism never
-//! depends on scheduling — each item's output slot is fixed by its
-//! index, and the merge downstream consumes slots sequentially.
+//! depends on scheduling — each result carries its item's index and
+//! the joined results are sorted by it, and the merge downstream
+//! consumes them sequentially.
 //!
 //! Panics inside a worker are contained with `catch_unwind` and
-//! surfaced as [`WorkerError::Panicked`] in that item's slot; the
+//! surfaced as [`WorkerError::Panicked`] as that item's result; the
 //! other items still complete. The single-threaded path (one worker,
 //! or one item) runs inline under the *same* panic guard, so panic
 //! semantics are identical at every thread count.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Why a work item produced no output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,13 +64,6 @@ fn guarded<I, O>(work: &(impl Fn(I) -> O + Sync), item: I) -> Result<O, WorkerEr
         .map_err(|p| WorkerError::Panicked(panic_message(p)))
 }
 
-/// Recovers a mutex guard even if a holder panicked — the queue and
-/// slot structures stay consistent under item panics because workers
-/// never panic while holding a lock (the work closure runs unlocked).
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 impl WorkerPool {
     /// A pool of `threads` workers; 0 is clamped to 1.
     pub fn new(threads: usize) -> Self {
@@ -85,9 +79,9 @@ impl WorkerPool {
 
     /// Runs `work` over `items`, returning one result per item **in
     /// input order**. Items are pulled from a shared queue in index
-    /// order; each result lands in the slot its index fixed up front,
-    /// so the output vector is independent of which worker ran what
-    /// and when it finished.
+    /// order; each result is kept with its index and sorted back into
+    /// place after the workers join, so the output vector is
+    /// independent of which worker ran what and when it finished.
     pub fn run<I, O, F>(&self, items: Vec<I>, work: F) -> Vec<Result<O, WorkerError>>
     where
         I: Send,
@@ -98,41 +92,41 @@ impl WorkerPool {
             return items.into_iter().map(|item| guarded(&work, item)).collect();
         }
 
-        let len = items.len();
+        let workers = self.threads.min(items.len());
         let queue: Mutex<VecDeque<(usize, I)>> =
             Mutex::new(items.into_iter().enumerate().collect());
-        let slots: Mutex<Vec<Option<Result<O, WorkerError>>>> =
-            Mutex::new((0..len).map(|_| None).collect());
-        let workers = self.threads.min(len);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let next = lock_recover(&queue).pop_front();
-                    let Some((idx, item)) = next else { break };
-                    let out = guarded(&work, item);
-                    lock_recover(&slots)[idx] = Some(out);
-                });
-            }
-        });
-
-        // All workers have joined; take the slots back out of the
-        // mutex (recovering from poison the same way as the workers).
-        slots
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    // Unreachable: the scope joins every worker, and a
-                    // worker fills its slot before pulling the next
-                    // item — but a diagnosable error beats a panic.
-                    Err(WorkerError::Panicked(
-                        "worker abandoned its slot".to_string(),
-                    ))
+        // Each worker keeps its own `(index, result)` pairs; sorting
+        // the joined pairs by index restores input order.
+        let mut done: Vec<(usize, Result<O, WorkerError>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            // No item runs under the lock, so even a
+                            // poisoned queue is consistent.
+                            let next = queue
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .pop_front();
+                            let Some((idx, item)) = next else { break };
+                            mine.push((idx, guarded(&work, item)));
+                        }
+                        mine
+                    })
                 })
-            })
-            .collect()
+                .collect();
+            // A worker cannot unwind (its items run under the panic
+            // guard); if one ever did, re-raise rather than lose its
+            // results.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        done.sort_unstable_by_key(|(idx, _)| *idx);
+        done.into_iter().map(|(_, out)| out).collect()
     }
 }
 

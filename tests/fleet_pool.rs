@@ -11,7 +11,11 @@
 //! - **Panic containment** — a panicking island scraps its flight
 //!   and defers its tenants; the run completes and every other
 //!   tenant resolves normally, at every thread count.
+//! - **Scrap re-batching** — a flight that flies after a deploy
+//!   scrap in its batch takes the index the scrap left free, pinned
+//!   and equal at widths 1 and 4.
 
+use androne::cloud::{FallibleCloud, PlacedOrder};
 use androne::fleet::{FleetConfig, FleetSpec, FleetTenant, TenantResolution};
 use androne::hal::GeoPoint;
 use androne::pool::{WorkerError, WorkerPool};
@@ -87,7 +91,7 @@ const LEGACY_PINS: [(u64, u64, u64); 8] = [
 
 /// `threads = 1` reproduces the sequential executor's output on the
 /// full chaos gate matrix, byte for byte. This is the refactor's
-/// ground truth: the partition/speculate/merge driver with a
+/// ground truth: the partition/fly/merge driver with a
 /// one-wide pool IS the legacy executor.
 #[test]
 fn single_thread_reproduces_the_pre_pool_digests() {
@@ -245,4 +249,66 @@ proptest! {
             }
         }
     }
+}
+
+/// A deploy failure scraps the first flight of a batch while a later
+/// flight of the same batch flies: the scrap takes no flight index,
+/// so the later flight must fly at the index the scrap left free.
+/// Width 4 (the batch's islands run side by side, each at the index
+/// it gets if every earlier one flies) must reproduce width 1 bit for
+/// bit.
+#[test]
+fn a_flight_after_a_scrap_in_its_batch_is_width_invariant() {
+    let mut cfg = gate_config(0xF1EE_5EED, 4, 1);
+    cfg.fleet_size = 4;
+    cfg.max_waves = 3;
+    // An unknown device passes planning but fails `validate` at
+    // deploy, so every flight carrying vd1 is scrapped.
+    cfg.tenants[0].spec.continuous_devices = vec!["warp-drive".into()];
+
+    // Wave 0's plans, as the executor orders them: vd1 rides the
+    // first plan, and the second shares no owner with it, so both
+    // fall in one batch.
+    let orders: Vec<PlacedOrder> = cfg
+        .tenants
+        .iter()
+        .zip(1..)
+        .map(|(t, order_id)| PlacedOrder {
+            order_id,
+            user: t.user.clone(),
+            vd_name: t.vd_name.clone(),
+            spec: t.spec.clone(),
+            flexible_schedule: true,
+        })
+        .collect();
+    let plans = FallibleCloud::new()
+        .try_plan_flights(&orders, cfg.base, cfg.fleet_size)
+        .expect("planning up");
+    let owners = |i: usize| -> Vec<String> {
+        let mut o: Vec<String> = plans[i].legs.iter().map(|l| l.owner.clone()).collect();
+        o.sort();
+        o.dedup();
+        o
+    };
+    assert!(owners(0).contains(&"vd1".to_string()), "{:?}", owners(0));
+    assert!(owners(1).iter().all(|o| !owners(0).contains(o)));
+
+    let spec = FleetSpec::new(cfg);
+    let one = spec.run().expect("width 1");
+    assert!(one.cloud_log[0].contains("vd1 failed to deploy"));
+    let first = &one.flights[0];
+    assert_eq!((first.wave, first.flight_index), (0, 0));
+    assert_eq!(first.owners, owners(1), "plan 1 flies after the scrap");
+
+    // Captured from the executor that settled speculative indices by
+    // re-running islands to a fixpoint, before the one-pass merge.
+    assert_eq!(
+        (one.fleet_digest(), one.metrics_digest()),
+        (0xdf1d_5006_4418_26b6, 0xba3a_d38d_4636_00af)
+    );
+
+    let four = spec.clone().threads(4).run().expect("width 4");
+    assert_eq!(four.fleet_digest(), one.fleet_digest());
+    assert_eq!(four.metrics_digest(), one.metrics_digest());
+    assert_eq!(four.cloud_log, one.cloud_log);
 }

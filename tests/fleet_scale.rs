@@ -9,8 +9,6 @@
 //!   arbitrary interleavings of `FallibleCloud::resubmit` (with
 //!   backpressure) and batched admission waves, every virtual drone's
 //!   orders are released in exact submission order.
-//! - **Shard equivalence** — a `FleetSpec::vdr_shards(4)` fleet run
-//!   is byte-identical to the 1-shard run.
 //! - **Scaling ladder smoke** — the 10k-tenant rung runs to
 //!   quiescence with digests invariant across shards 1/4 and threads
 //!   1/4 (the `fleet-scale-smoke` CI leg), and an `#[ignore]`d
@@ -23,9 +21,8 @@ use androne::cloud::{
     SaveReason, SavedVirtualDrone, VirtualDroneRepository,
 };
 use androne::container::{ContainerArchive, ContainerKind, Layer};
-use androne::fleet::{FleetConfig, FleetSpec, FleetTenant};
 use androne::hal::GeoPoint;
-use androne::simkern::{CloudFaultKind, FleetFaultPlan};
+use androne::simkern::CloudFaultKind;
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use androne::{execute_scale_fleet, ScaleConfig};
 use proptest::prelude::*;
@@ -298,42 +295,6 @@ proptest! {
         }
         prop_assert!(model.values().all(VecDeque::is_empty), "model orders never released");
     }
-}
-
-fn gate_config(seed: u64, n_tenants: usize, threads: usize) -> FleetConfig {
-    FleetConfig {
-        base: BASE,
-        seed,
-        fleet_size: 2,
-        tenants: (0..n_tenants)
-            .map(|i| FleetTenant {
-                vd_name: format!("vd{}", i + 1),
-                user: format!("user{}", i + 1),
-                spec: small_spec(i as f64),
-            })
-            .collect(),
-        max_waves: 6,
-        max_sim_seconds: 240.0,
-        watchdog: None,
-        threads,
-    }
-}
-
-/// Sharding the fleet executor's VDR is invisible in the bits: a
-/// `vdr_shards(4)` run reproduces the 1-shard digests on a faulted
-/// gate scenario (faults force interrupt/resume traffic through the
-/// repository).
-#[test]
-fn fleet_run_is_digest_invariant_across_vdr_shards() {
-    let seed = 0xF1EE_5EED ^ 0x9E37_79B9;
-    let cfg = gate_config(seed, 4, 2);
-    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
-    let faults = FleetFaultPlan::generate(seed, 3, &tenant_names, 150);
-    let spec = FleetSpec::new(cfg).faults(faults);
-    let one = spec.run().expect("1-shard run");
-    let four = spec.clone().vdr_shards(4).run().expect("4-shard run");
-    assert_eq!(one.fleet_digest(), four.fleet_digest());
-    assert_eq!(one.metrics_digest(), four.metrics_digest());
 }
 
 /// The 10k rung's `(fleet_digest, vdr_digest, metrics_digest)`. The
