@@ -35,6 +35,7 @@ fn random_problem(n_tasks: usize, fleet: usize, seed: u64) -> VrpProblem {
         // feasible (infeasibility reporting is tested elsewhere).
         battery_budget_j: 400_000.0,
         model: DorlingModel::f450_prototype(),
+        party_cap: None,
     }
 }
 

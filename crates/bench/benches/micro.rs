@@ -121,6 +121,7 @@ fn bench_vrp(c: &mut Criterion) {
         fleet_size: 2,
         battery_budget_j: 160_000.0,
         model: DorlingModel::f450_prototype(),
+        party_cap: None,
     };
     c.bench_function("vrp_solve_8_tasks_2k_iters", |b| {
         b.iter(|| black_box(problem.solve(2_000, 7)))
@@ -131,22 +132,19 @@ fn bench_vrp(c: &mut Criterion) {
 /// benchmark workload: 22 tenants x 3 waypoints 10–40 m from the
 /// base, 4 drones, at most 3 tenants a flight, 20k iterations. The
 /// party cap binds, so every candidate runs the capacity repair.
-fn bench_vrp_constrained(c: &mut Criterion) {
+fn bench_vrp_capped(c: &mut Criterion) {
     use androne::energy::{BatteryPack, DorlingModel};
-    use androne::planner::{RouteConstraints, VrpProblem, WaypointTask};
+    use androne::planner::{VrpProblem, WaypointTask};
     use androne::simkern::substream_seed;
     let depot = GeoPoint::new(43.6084298, -85.8110359, 0.0);
     let mut tasks = Vec::new();
-    let mut parties = Vec::new();
     for i in 0..22 {
-        let mut party = Vec::new();
         for j in 0..3 {
             let h = substream_seed(0xDE45E, 7, i * 8 + j);
             let north = 10.0 + (h & 0xFFFF) as f64 / 65_535.0 * 30.0;
             let east = 10.0 + ((h >> 16) & 0xFFFF) as f64 / 65_535.0 * 30.0;
             let sn = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
             let se = if (h >> 33) & 1 == 0 { 1.0 } else { -1.0 };
-            party.push(tasks.len());
             tasks.push(WaypointTask {
                 owner: format!("vd{i:03}"),
                 position: depot.offset_m(sn * north, se * east, 15.0),
@@ -154,7 +152,6 @@ fn bench_vrp_constrained(c: &mut Criterion) {
                 service_time_s: 1.0,
             });
         }
-        parties.push(party);
     }
     let problem = VrpProblem {
         depot,
@@ -162,10 +159,10 @@ fn bench_vrp_constrained(c: &mut Criterion) {
         fleet_size: 4,
         battery_budget_j: BatteryPack::turnigy_3s_5000().plannable_j(),
         model: DorlingModel::f450_prototype(),
+        party_cap: Some(3),
     };
-    let constraints = RouteConstraints::none().with_party_capacity(parties, 3);
-    c.bench_function("vrp_solve_constrained_22x3_20k_iters", |b| {
-        b.iter(|| black_box(problem.solve_constrained(20_000, 0xA17D, &constraints)))
+    c.bench_function("vrp_solve_capped_22x3_20k_iters", |b| {
+        b.iter(|| black_box(problem.solve(20_000, 0xA17D)))
     });
 }
 
@@ -173,6 +170,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_binder, bench_mavlink, bench_physics, bench_latency_sampler, bench_vrp,
-        bench_vrp_constrained
+        bench_vrp_capped
 );
 criterion_main!(benches);

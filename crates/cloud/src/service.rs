@@ -7,7 +7,7 @@
 
 use androne_energy::{BatteryPack, BillingLedger, DorlingModel};
 use androne_hal::GeoPoint;
-use androne_planner::{FlightPlan, RouteConstraints, VrpProblem, WaypointTask};
+use androne_planner::{FlightPlan, VrpProblem, WaypointTask};
 use androne_simkern::BoardMemoryProfile;
 
 /// How many virtual drones one physical drone can host per flight —
@@ -118,33 +118,17 @@ impl CloudService {
                 radii.push(wp.max_radius);
             }
         }
-        // One capacity party per ordering virtual drone: a route may
-        // carry at most MAX_VDRONES_PER_FLIGHT of them. With that
-        // many tenants or fewer the constraint is inert and the
-        // legacy unconstrained solve runs bit-identically.
-        let mut parties: Vec<Vec<usize>> = Vec::new();
-        {
-            let mut owners: Vec<&str> = Vec::new();
-            for (i, t) in tasks.iter().enumerate() {
-                match owners.iter().position(|o| *o == t.owner) {
-                    Some(p) => parties[p].push(i),
-                    None => {
-                        owners.push(&t.owner);
-                        parties.push(vec![i]);
-                    }
-                }
-            }
-        }
-        let constraints =
-            RouteConstraints::none().with_party_capacity(parties, MAX_VDRONES_PER_FLIGHT);
         let problem = VrpProblem {
             depot: base,
             tasks,
             fleet_size,
             battery_budget_j: battery.plannable_j(),
             model,
+            // A route carries at most MAX_VDRONES_PER_FLIGHT of the
+            // ordering virtual drones, its tasks' owners.
+            party_cap: Some(MAX_VDRONES_PER_FLIGHT),
         };
-        let solution = problem.solve_constrained(20_000, 0xA17D, &constraints);
+        let solution = problem.solve(20_000, 0xA17D);
         let plans = FlightPlan::from_solution(&problem, &solution, |i| radii[i]);
 
         // Send each user their estimated operating window (paper

@@ -597,33 +597,29 @@ impl FlightProbe for AttackInjector {
 /// ArduPilot deadline so the breach tail stays visible.
 pub const FLIGHT_JITTER_BOUNDS: &[u64] = &[10, 25, 50, 100, 250, 500, 1_000, 2_500, 10_000];
 
-/// The RT-deadline monitor probe: every simulated second it draws
-/// `samples_per_tick` wakeup latencies from the kernel's
-/// interference-aware latency model — the fast loop runs at 400 Hz,
-/// so 400 samples per tick mirrors one wakeup per loop — and counts
-/// misses against ArduPilot's 2500 µs budget. Draws come from the
-/// monitor's own [`rt_monitor_stream_rng`] substream; the kernel RNG
-/// is never touched.
+/// Wakeup latencies the [`RtMonitor`] draws per simulated second: one
+/// per iteration of the 400 Hz fast loop.
+const RT_SAMPLES_PER_TICK: u32 = 400;
+
+/// The RT-deadline monitor probe: every simulated second it draws one
+/// wakeup latency per fast-loop iteration from the kernel's
+/// interference-aware latency model and counts misses against
+/// ArduPilot's 2500 µs budget. Draws come from the monitor's own
+/// [`rt_monitor_stream_rng`] substream; the kernel RNG is never
+/// touched.
 pub struct RtMonitor {
     rng: SmallRng,
-    samples_per_tick: u32,
     samples: u64,
     misses: u64,
     max_us: f64,
 }
 
 impl RtMonitor {
-    /// A monitor at the fast-loop rate (400 samples per simulated
-    /// second), seeded from the flight's RNG substream.
+    /// A monitor at the fast-loop rate, seeded from the flight's RNG
+    /// substream.
     pub fn new(seed: u64) -> Self {
-        Self::with_rate(seed, 400)
-    }
-
-    /// A monitor with an explicit per-tick sample count.
-    pub fn with_rate(seed: u64, samples_per_tick: u32) -> Self {
         RtMonitor {
             rng: rt_monitor_stream_rng(seed),
-            samples_per_tick,
             samples: 0,
             misses: 0,
             max_us: 0.0,
@@ -650,7 +646,7 @@ impl FlightProbe for RtMonitor {
     fn on_tick(&mut self, _tick: u64, drone: &mut Drone) {
         let kernel = drone.kernel.borrow();
         let model = kernel.latency_model();
-        for _ in 0..self.samples_per_tick {
+        for _ in 0..RT_SAMPLES_PER_TICK {
             let us = model.sample(&mut self.rng).as_micros_f64();
             self.samples += 1;
             if us > self.max_us {

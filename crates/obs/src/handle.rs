@@ -39,14 +39,9 @@ pub struct ObsHandle {
 impl ObsHandle {
     /// A fresh attached handle with default trace sizing.
     pub fn attached() -> Self {
-        Self::with_config(TraceConfig::default())
-    }
-
-    /// A fresh attached handle with explicit trace sizing.
-    pub fn with_config(cfg: TraceConfig) -> Self {
         ObsHandle {
             inner: Some(Rc::new(RefCell::new(Obs {
-                trace: TraceBus::new(cfg),
+                trace: TraceBus::new(TraceConfig::default()),
                 metrics: MetricsRegistry::new(),
             }))),
         }

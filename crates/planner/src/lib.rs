@@ -8,10 +8,9 @@
 //! - [`vrp`]: the energy-constrained vehicle routing problem with a
 //!   simulated-annealing solver (including the paper's stated
 //!   limitation that waypoints of different virtual drones may
-//!   interleave).
-//! - [`constraints`]: waypoint ordering and grouping — the paper's
-//!   stated future work, implemented as an extension
-//!   ([`vrp::VrpProblem::solve_constrained`]).
+//!   interleave), capped at [`VrpProblem::party_cap`] task owners a
+//!   route — the board-memory ceiling of virtual drones per flight,
+//!   an extension beyond the paper.
 //! - [`binpack`]: deterministic first-fit packing of an admitted
 //!   order batch onto a large simulated fleet — the cheap shape for
 //!   thousand-tenant waves where per-waypoint annealing is overkill.
@@ -21,13 +20,12 @@
 //!   energy/time allotment enforcement.
 
 pub mod binpack;
-pub mod constraints;
+mod constraints;
 pub mod mission;
 pub mod pilot;
 pub mod vrp;
 
 pub use binpack::{bin_pack, PackItem, PackedFlight, Packing};
-pub use constraints::{ConstraintViolation, RouteConstraints};
 pub use mission::{FlightPlan, Leg};
 pub use pilot::{Autopilot, PilotEvent, PILOT_CLIENT};
 pub use vrp::{Route, VrpError, VrpProblem, VrpSolution, WaypointTask};

@@ -111,6 +111,7 @@ mod tests {
             fleet_size: 1,
             battery_budget_j: 160_000.0,
             model: DorlingModel::f450_prototype(),
+            party_cap: None,
         };
         let sol = problem.solve(5_000, 1);
         let mut plans = FlightPlan::from_solution(&problem, &sol, |_| 30.0);

@@ -14,7 +14,10 @@
 //! waypoints of one virtual drone in the middle of another virtual
 //! drone's set, and cannot honor user-prescribed orderings. The paper
 //! calls this out as a limitation, and tests here pin the behaviour.
+//! The one constraint beyond battery and fleet size is the memory
+//! ceiling [`VrpProblem::party_cap`].
 
+use crate::constraints::PartyIndex;
 use androne_energy::DorlingModel;
 use androne_hal::GeoPoint;
 use rand::rngs::SmallRng;
@@ -23,7 +26,8 @@ use rand::Rng;
 /// One waypoint visit to schedule.
 #[derive(Debug, Clone)]
 pub struct WaypointTask {
-    /// Owning virtual drone (label only; the solver ignores it).
+    /// Owning virtual drone: the task's party for
+    /// [`VrpProblem::party_cap`].
     pub owner: String,
     /// Where the task happens.
     pub position: GeoPoint,
@@ -46,6 +50,9 @@ pub struct VrpProblem {
     pub battery_budget_j: f64,
     /// The energy model.
     pub model: DorlingModel,
+    /// Most distinct task owners one route may host (a physical
+    /// drone's virtual-drone container capacity). `None` = unlimited.
+    pub party_cap: Option<usize>,
 }
 
 /// One drone's route: task indices in visit order.
@@ -59,8 +66,8 @@ pub struct Route {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VrpSolution {
     /// Routes. [`VrpProblem::solve`] returns at most `fleet_size`
-    /// (one if `fleet_size` is 0); [`VrpProblem::solve_constrained`]
-    /// may return more when the party-capacity repair opens routes.
+    /// (one if `fleet_size` is 0), or more when the party-capacity
+    /// repair opens routes.
     pub routes: Vec<Route>,
 }
 
@@ -73,6 +80,13 @@ pub enum VrpError {
     BatteryViolation(f64),
     /// More routes than the fleet allows.
     FleetViolation,
+    /// A route hosts more owners than [`VrpProblem::party_cap`].
+    CapacityViolation {
+        /// Index into the solution's routes.
+        route: usize,
+        /// Distinct owners the route hosts.
+        parties: usize,
+    },
 }
 
 impl VrpProblem {
@@ -124,10 +138,10 @@ impl VrpProblem {
     }
 
     /// Validates coverage, battery, and fleet constraints. The fleet
-    /// check is the unconstrained contract (at most `fleet_size`
-    /// routes): a capacity-repaired plan from
-    /// [`solve_constrained`](Self::solve_constrained) may legitimately
-    /// fail it.
+    /// check is the uncapped contract (at most `fleet_size` routes): a
+    /// capacity-repaired plan from [`solve`](Self::solve) may
+    /// legitimately fail it. [`check_capacity`](Self::check_capacity)
+    /// checks the cap.
     pub fn validate(&self, sol: &VrpSolution) -> Result<(), VrpError> {
         if sol.routes.len() > self.fleet_size {
             return Err(VrpError::FleetViolation);
@@ -199,21 +213,10 @@ impl VrpProblem {
         VrpSolution { routes }
     }
 
-    /// Simulated-annealing solve (Dorling et al.'s approach).
-    pub fn solve(&self, iterations: usize, seed: u64) -> VrpSolution {
-        self.solve_constrained(
-            iterations,
-            seed,
-            &crate::constraints::RouteConstraints::none(),
-        )
-    }
-
-    /// Simulated-annealing solve with waypoint ordering/grouping
-    /// constraints — the paper's stated future work, implemented as
-    /// an extension. Every candidate the annealer evaluates is first
-    /// repaired to feasibility, so the returned solution satisfies
-    /// `constraints` unless its capacity parties overlap (see
-    /// [`RouteConstraints::parties`](crate::constraints::RouteConstraints::parties)).
+    /// Simulated-annealing solve (Dorling et al.'s approach). When
+    /// [`party_cap`](Self::party_cap) can bind, every candidate the
+    /// annealer evaluates is first repaired to meet it, so the
+    /// returned solution passes [`check_capacity`](Self::check_capacity).
     ///
     /// The solution has at most `fleet_size` routes unless the
     /// party-capacity repair had to open more: a route never
@@ -221,19 +224,13 @@ impl VrpProblem {
     /// parties than `fleet_size` drones can host returns extra routes
     /// (and fails [`validate`](Self::validate)'s fleet check). The
     /// fleet flies every route it is given.
-    pub fn solve_constrained(
-        &self,
-        iterations: usize,
-        seed: u64,
-        constraints: &crate::constraints::RouteConstraints,
-    ) -> VrpSolution {
+    pub fn solve(&self, iterations: usize, seed: u64) -> VrpSolution {
         let mut rng = androne_simkern::stream_rng(seed);
         let legs = LegTable::new(self);
-        let mut index = constraints.party_index();
-        let repairs = !constraints.is_empty();
+        let mut parties = PartyIndex::binding(self);
         let mut current = self.greedy();
-        if repairs {
-            constraints.repair_indexed(&mut current, &mut index);
+        if let Some(parties) = &mut parties {
+            parties.repair(&mut current);
         }
         // Ensure every allowed route exists so moves can use them.
         while current.routes.len() < self.fleet_size {
@@ -255,8 +252,8 @@ impl VrpProblem {
                 1 => swap(&mut cand, &mut rng),
                 _ => two_opt(&mut cand, &mut rng),
             }
-            if repairs {
-                constraints.repair_indexed(&mut cand, &mut index);
+            if let Some(parties) = &mut parties {
+                parties.repair(&mut cand);
                 while cand.routes.len() < self.fleet_size {
                     cand.routes.push(Route { stops: Vec::new() });
                 }
@@ -461,6 +458,7 @@ mod tests {
             fleet_size: fleet,
             battery_budget_j: 160_000.0,
             model: DorlingModel::f450_prototype(),
+            party_cap: None,
         }
     }
 
@@ -570,44 +568,32 @@ mod tests {
     }
 
     #[test]
-    fn constrained_solve_preserves_user_ordering() {
-        // The extension beyond the paper: waypoints 0 -> 1 -> 2 of
-        // owner "a" must run in order even though the unconstrained
-        // optimum reverses them.
-        use crate::constraints::RouteConstraints;
+    fn capped_solve_keeps_every_route_within_the_cap() {
+        // Four owners and one drone: uncapped, one route carries all
+        // four; capped at two, the repair opens a second route, which
+        // `validate`'s fleet-size contract still rejects.
         let tasks = vec![
-            task("a", 300.0, 0.0, 0.0),
-            task("a", 200.0, 0.0, 0.0),
-            task("a", 100.0, 0.0, 0.0),
-            task("b", 150.0, 50.0, 0.0),
+            task("a", 100.0, 0.0, 1_000.0),
+            task("b", 120.0, 20.0, 1_000.0),
+            task("c", -100.0, 0.0, 1_000.0),
+            task("d", -120.0, -20.0, 1_000.0),
+            task("a", 140.0, 0.0, 1_000.0),
         ];
-        let p = problem(tasks, 1);
-        let constraints = RouteConstraints::none().in_order(&[0, 1, 2]);
-        let sol = p.solve_constrained(20_000, 9, &constraints);
-        p.validate(&sol).unwrap();
-        constraints.check(&sol).unwrap();
-        let route = &sol.routes[0].stops;
-        let pos = |t: usize| route.iter().position(|&s| s == t).unwrap();
-        assert!(pos(0) < pos(1) && pos(1) < pos(2), "{route:?}");
-    }
-
-    #[test]
-    fn constrained_solve_keeps_groups_contiguous() {
-        use crate::constraints::RouteConstraints;
-        // Owner "a" owns tasks 0 and 3, geographically on opposite
-        // sides of owner "b"'s task: unconstrained solving would
-        // interleave; grouping forbids it.
-        let tasks = vec![
-            task("a", 100.0, 0.0, 0.0),
-            task("b", 200.0, 0.0, 0.0),
-            task("b", 250.0, 30.0, 0.0),
-            task("a", 300.0, 0.0, 0.0),
-        ];
-        let p = problem(tasks, 1);
-        let constraints = RouteConstraints::none().grouped(&[0, 3]);
-        let sol = p.solve_constrained(20_000, 10, &constraints);
-        p.validate(&sol).unwrap();
-        constraints.check(&sol).unwrap();
+        let mut p = problem(tasks, 1);
+        let uncapped = p.solve(5_000, 3);
+        p.validate(&uncapped).unwrap();
+        p.party_cap = Some(2);
+        assert_eq!(
+            p.check_capacity(&uncapped),
+            Err(VrpError::CapacityViolation {
+                route: 0,
+                parties: 4
+            })
+        );
+        let capped = p.solve(5_000, 3);
+        p.check_capacity(&capped).unwrap();
+        assert_eq!(capped.routes.len(), 2);
+        assert_eq!(p.validate(&capped), Err(VrpError::FleetViolation));
     }
 
     #[test]
@@ -629,20 +615,19 @@ mod tests {
         p.validate(&sol).unwrap();
     }
 
-    use crate::constraints::RouteConstraints;
     use proptest::prelude::*;
     use rand::SeedableRng;
 
-    /// A random problem, a random solution to it (a permutation of
-    /// the tasks split over 1–5 routes, some of them empty) and
-    /// random constraints over its tasks (disjoint parties, so the
-    /// capacity repair meets the cap).
-    fn random_case(seed: u64) -> (VrpProblem, VrpSolution, RouteConstraints) {
+    /// A random problem, capped at 1–3 of its up to seven owners a
+    /// route, and a random solution to it (a permutation of the tasks
+    /// split over 1–5 routes, some of them empty).
+    fn random_case(seed: u64) -> (VrpProblem, VrpSolution) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = rng.gen_range(0..24usize);
+        let owners = rng.gen_range(1..8);
         let tasks = (0..n)
             .map(|_| WaypointTask {
-                owner: String::new(),
+                owner: format!("vd{}", rng.gen_range(0..owners)),
                 position: DEPOT.offset_m(
                     rng.gen_range(-800.0..800.0),
                     rng.gen_range(-800.0..800.0),
@@ -653,6 +638,7 @@ mod tests {
             })
             .collect();
         let mut p = problem(tasks, rng.gen_range(1..5));
+        p.party_cap = Some(rng.gen_range(1..4));
         // From budgets a single stop breaks to ones nothing breaks.
         p.battery_budget_j = rng.gen_range(1_000.0..400_000.0);
         let mut order: Vec<usize> = (0..n).collect();
@@ -664,31 +650,13 @@ mod tests {
             let r = rng.gen_range(0..routes.len());
             routes[r].stops.push(t);
         }
-        let mut c = RouteConstraints::none();
-        if n >= 2 {
-            let mut parties = vec![Vec::new(); rng.gen_range(1..8)];
-            for t in 0..n {
-                let party = rng.gen_range(0..parties.len());
-                parties[party].push(t);
-            }
-            c = c.with_party_capacity(parties, rng.gen_range(1..4));
-            for _ in 0..rng.gen_range(0..3) {
-                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if a != b {
-                    c = c.in_order(&[a, b]);
-                }
-            }
-            if rng.gen_bool(0.5) {
-                c = c.grouped(&[rng.gen_range(0..n), rng.gen_range(0..n)]);
-            }
-        }
-        (p, VrpSolution { routes }, c)
+        (p, VrpSolution { routes })
     }
 
     proptest! {
         #[test]
         fn leg_table_cost_is_bit_identical(seed in any::<u64>()) {
-            let (p, mut sol, c) = random_case(seed);
+            let (p, mut sol) = random_case(seed);
             let legs = LegTable::new(&p);
             prop_assert_eq!(legs.cost(&sol).to_bits(), p.cost(&sol).to_bits());
             for route in &sol.routes {
@@ -701,7 +669,9 @@ mod tests {
                     p.route_time_s(route).to_bits()
                 );
             }
-            c.repair(&mut sol);
+            if let Some(mut parties) = PartyIndex::binding(&p) {
+                parties.repair(&mut sol);
+            }
             prop_assert_eq!(legs.cost(&sol).to_bits(), p.cost(&sol).to_bits());
         }
 
@@ -709,9 +679,9 @@ mod tests {
         fn solver_moves_keep_the_table_cost_exact(seed in any::<u64>()) {
             // Walk the annealer's own moves (and repairs) through a
             // reused candidate buffer, checking the cost at each step.
-            let (p, sol, c) = random_case(seed);
+            let (p, sol) = random_case(seed);
             let legs = LegTable::new(&p);
-            let mut index = c.party_index();
+            let mut parties = PartyIndex::binding(&p);
             let mut rng = androne_simkern::stream_rng(seed);
             let mut current = sol.clone();
             let mut cand = VrpSolution { routes: Vec::new() };
@@ -723,8 +693,8 @@ mod tests {
                     1 => swap(&mut cand, &mut rng),
                     _ => two_opt(&mut cand, &mut rng),
                 }
-                if step % 2 == 0 {
-                    c.repair_indexed(&mut cand, &mut index);
+                if let Some(parties) = parties.as_mut().filter(|_| step % 2 == 0) {
+                    parties.repair(&mut cand);
                 }
                 prop_assert_eq!(legs.cost(&cand).to_bits(), p.cost(&cand).to_bits());
                 std::mem::swap(&mut current, &mut cand);

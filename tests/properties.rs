@@ -253,6 +253,7 @@ proptest! {
             fleet_size: fleet,
             battery_budget_j: 2_000_000.0,
             model: DorlingModel::f450_prototype(),
+            party_cap: None,
         };
         let sol = problem.solve(2_000, seed);
         prop_assert!(problem.validate(&sol).is_ok());
