@@ -6,6 +6,11 @@
 //! transactions (wall-clock of the simulation's routing path, plus
 //! the calibrated on-device cost model), and the added cost of the
 //! permission-check hop (`activity#ctrN` + VDC policy).
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the ablation times the host's routing path with Instant; no simulation state reads it"
+)]
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -8,13 +8,13 @@
 use androne::energy::DorlingModel;
 use androne::hal::GeoPoint;
 use androne::planner::{VrpProblem, WaypointTask};
+use androne::simkern::stream_rng;
 use androne_bench::banner;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 fn random_problem(n_tasks: usize, fleet: usize, seed: u64) -> VrpProblem {
     let depot = GeoPoint::new(43.6084298, -85.8110359, 0.0);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = stream_rng(seed);
     let tasks = (0..n_tasks)
         .map(|i| WaypointTask {
             owner: format!("vd{i}"),

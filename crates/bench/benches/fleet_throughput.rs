@@ -23,6 +23,11 @@
 //! Finally it gates the per-second state digest's growth over a long
 //! hover flight: the digest must cost about the same late in a flight
 //! as early on.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the throughput gates time host wall-clock with Instant; no simulation state reads it"
+)]
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -7,14 +7,12 @@
 //! run 8–85 ms for comparison.
 
 use androne::mavlink::{channel, FlightMode, MavCmd, Message};
-use androne::simkern::{LinkModel, SimDuration, SimTime, Summary};
+use androne::simkern::{stream_rng, LinkModel, SimDuration, SimTime, Summary};
 use androne_bench::{banner, scale};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn measure(link: LinkModel, n: u64, seed: u64) -> (Summary, u64) {
     let (mut ground, mut drone) = channel(link, 255, 1);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = stream_rng(seed);
     let mut t = SimTime::ZERO;
     let mut latency = Summary::new();
     for i in 0..n {

@@ -205,7 +205,7 @@ pub fn tenant_label(container: ContainerId) -> String {
 pub struct BinderDriver {
     /// Per-process state, ordered by PID so every iteration (and
     /// every state hash) visits processes in the same order on every
-    /// same-seed run (dronelint R1).
+    /// same-seed run (no `HashMap`: rule R1 in `crates/clippy.toml`).
     procs: BTreeMap<Pid, ProcState>,
     /// Node slab: `NodeId(n)` lives at `nodes[n - 1]`. Node ids are
     /// allocated sequentially from 1 and nodes are never removed
@@ -228,7 +228,7 @@ pub struct BinderDriver {
     /// The inner table is a dense slab indexed by source handle
     /// (handles are allocated sequentially), with [`NO_HANDLE`]
     /// marking untranslated slots: deterministic iteration order
-    /// (dronelint R1) and a plain bounds-checked load on the hot
+    /// (rule R1) and a plain bounds-checked load on the hot
     /// path. Revisit the monotonic-growth assumption if handle
     /// recycling or teardown compaction is ever added.
     translation_cache: BTreeMap<(Pid, Pid), Vec<u32>>,

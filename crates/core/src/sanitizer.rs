@@ -10,9 +10,11 @@
 //! during a flight, compares two same-seed traces, and pinpoints the
 //! first divergent tick and the exact components that differ.
 //!
-//! The static side of the same defense is `dronelint` (rules R1/R2),
-//! which bans the constructs that cause drift; this module catches
-//! whatever slips through at runtime.
+//! The static side of the same defense is clippy's determinism bans
+//! in `crates/clippy.toml` (rules R1/R2/R10: hash-ordered
+//! collections, host time, ad-hoc RNG streams), which reject the
+//! constructs that cause drift; this module catches whatever slips
+//! through at runtime.
 
 use androne_planner::FlightPlan;
 

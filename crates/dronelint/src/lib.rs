@@ -15,10 +15,8 @@
 //!
 //! The rules:
 //!
-//! - **R1** `nondeterministic-collection`: no `HashMap`/`HashSet` in
-//!   sim-state crates.
-//! - **R2** `wall-clock-or-entropy`: no `Instant`/`SystemTime`/
-//!   `thread_rng` outside `crates/bench` and `scripts`.
+//! - **R0** `reasonless-suppression`: a `dronelint:allow` without a
+//!   reason suppresses nothing and is itself a violation.
 //! - **R3** `panic-in-hot-path`: no `unwrap()`/`expect()`/`panic!` in
 //!   non-test code reachable from the fleet/island/Binder/MAVLink
 //!   entry points (inferred scope).
@@ -26,48 +24,46 @@
 //!   reachable from the MAVLink decoders (use `try_from` or `wire.rs`
 //!   helpers).
 //! - **R5** `mutable-global`: no mutable or interior-mutable statics
-//!   in sim crates.
-//! - **R6** `alias-laundered-collection`: no *use* of a type alias
-//!   that renames a `HashMap`/`HashSet` in sim-state crates (the
-//!   defining line is R1's to flag).
-//! - **R7** `collections-glob-import`: no `use std::collections::*`
-//!   in sim-state crates.
+//!   in any crate.
 //! - **R8** `island-boundary-impurity`: types crossing the
 //!   `run_island` signature boundary must be transitively free of
 //!   `Rc`/`RefCell`/`Cell` fields (workspace-level rule, flagged at
 //!   the type definition).
 //! - **R9** `lock-or-blocking-io-in-island`: no lock acquisition or
 //!   blocking I/O in island-reachable fn bodies (item-granular).
-//! - **R10** `adhoc-rng-stream`: in sim crates, RNGs are constructed
-//!   only through `simkern::rng`'s audited funnels.
+//!
+//! The bans that only name a type or a function live in
+//! `crates/clippy.toml` as clippy's `disallowed-types` and
+//! `disallowed-methods`, which resolve paths through aliases and
+//! renamed imports: `HashMap`/`HashSet` (the retired R1, R6, R7),
+//! `Instant`/`SystemTime` (R2) and `seed_from_u64` outside
+//! `simkern::rng` (R10). `scripts/lint.sh` runs clippy before this
+//! lint.
 //!
 //! Violations can be suppressed inline with
-//! `// dronelint:allow(R3, reason why this one is sound)` — the
-//! reason is mandatory — or grandfathered in `dronelint.baseline.json`,
-//! which only ratchets downward (see [`baseline`]).
+//! `// dronelint:allow(R3, reason why this one is sound)`; the
+//! reason is mandatory.
 //!
 //! The runtime complement is the dual-run state-hash sanitizer in the
-//! `androne` crate (`sanitizer` module): R1/R2/R10 ban the *causes* of
-//! nondeterminism statically; the sanitizer catches any drift that
+//! `androne` crate (`sanitizer` module): the lints ban the *causes*
+//! of nondeterminism statically; the sanitizer catches any drift that
 //! slips through by hashing component state every simulated second.
 
-pub mod baseline;
 pub mod graph;
 pub mod items;
 pub mod rules;
 pub mod scan;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, Entry, Reconciled};
 pub use graph::{GraphStats, Workspace};
-pub use rules::{RuleInfo, Scopes, RULES, SIM_CRATES};
+pub use rules::{RuleInfo, Scopes, RULES};
 
 /// One confirmed lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id ("R0".."R10").
+    /// Rule id ("R0".."R9").
     pub rule: &'static str,
     /// Repo-relative path (forward slashes).
     pub path: String,
@@ -151,14 +147,6 @@ pub fn scan_source_scoped(path: &str, source: &str, scopes: &rules::Scopes) -> V
     let lines = scan::preprocess(source);
     let raw_lines: Vec<&str> = source.lines().collect();
     let mut violations = Vec::new();
-    // First pass: collect type aliases laundering HashMap/HashSet
-    // anywhere in the file (test regions included — live code can
-    // name a test-defined alias), for R6's use-site check.
-    let hash_aliases: BTreeSet<String> = lines
-        .iter()
-        .filter(|l| !l.code.trim().is_empty())
-        .filter_map(|l| rules::hash_alias_name(&scan::tokenize(&l.code)))
-        .collect();
     let allows = allows_by_line(&lines);
     let no_allows = Vec::new();
 
@@ -189,13 +177,7 @@ pub fn scan_source_scoped(path: &str, source: &str, scopes: &rules::Scopes) -> V
         if line.in_test {
             continue;
         }
-        for m in rules::check_line_scoped(
-            path,
-            idx + 1,
-            &scan::tokenize(&line.code),
-            &hash_aliases,
-            scopes,
-        ) {
+        for m in rules::check_line_scoped(path, idx + 1, &scan::tokenize(&line.code), scopes) {
             let suppressed = line_allows.iter().any(|a| a.has_reason && a.rule == m.rule);
             if suppressed {
                 continue;
@@ -385,46 +367,46 @@ mod tests {
 
     #[test]
     fn suppression_with_reason_silences_the_line() {
-        let src = "use std::collections::HashMap; // dronelint:allow(R1, interop shim, keys re-sorted before iteration)\n";
+        let src = "static mut TICKS: u64 = 0; // dronelint:allow(R5, written once before any thread starts)\n";
         assert!(scan_source("crates/simkern/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn suppression_on_its_own_line_covers_the_next_line() {
-        let src = "// dronelint:allow(R1, measured: BTree 3x slower here, order never observed)\nuse std::collections::HashMap;\n";
+        let src = "// dronelint:allow(R5, reset by every run before its first read)\nstatic mut TICKS: u64 = 0;\n";
         assert!(scan_source("crates/simkern/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn reasonless_suppression_is_flagged_and_does_not_suppress() {
-        let src = "use std::collections::HashMap; // dronelint:allow(R1)\n";
+        let src = "static mut TICKS: u64 = 0; // dronelint:allow(R5)\n";
         let v = scan_source("crates/simkern/src/x.rs", src);
         let rules: Vec<&str> = v.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"R0"), "{rules:?}");
-        assert!(rules.contains(&"R1"), "{rules:?}");
+        assert!(rules.contains(&"R5"), "{rules:?}");
     }
 
     #[test]
     fn suppression_for_a_different_rule_does_not_apply() {
-        let src = "use std::collections::HashMap; // dronelint:allow(R2, wrong rule)\n";
+        let src = "static mut TICKS: u64 = 0; // dronelint:allow(R3, wrong rule)\n";
         let v = scan_source("crates/simkern/src/x.rs", src);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "R1");
+        assert_eq!(v[0].rule, "R5");
     }
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn f(x: Option<u8>) { x.unwrap(); }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    static mut HITS: u64 = 0;\n    fn f(x: Option<u8>) { x.unwrap(); }\n}\n";
         assert!(scan_source("crates/flight/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn violations_carry_exact_line_and_snippet() {
-        let src = "fn ok() {}\nlet m = HashMap::new();\n";
+        let src = "fn ok() {}\n    static mut TICKS: u64 = 0;\n";
         let v = scan_source("crates/binder/src/x.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 2);
-        assert_eq!(v[0].snippet, "let m = HashMap::new();");
+        assert_eq!(v[0].snippet, "static mut TICKS: u64 = 0;");
     }
 
     fn src_pair(path: &str, text: &str) -> (String, String) {

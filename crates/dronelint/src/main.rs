@@ -1,51 +1,42 @@
 //! CLI for the dronelint engine.
 //!
 //! ```text
-//! dronelint [--root PATH] [--baseline PATH] [--format human|json]
-//!           [--out PATH] [--explain R<N>] [--self-check]
+//! dronelint [--root PATH] [--format human|json] [--out PATH]
+//!           [--explain R<N>]
 //! ```
 //!
 //! `--out PATH` writes the JSON report (violations + graph stats) to
 //! a file regardless of the stdout format — CI uploads it as an
 //! artifact. `--explain R<N>` prints one rule's rationale and example
-//! fix and exits. `--self-check` restricts the report to
-//! `crates/dronelint/` itself (the lint must hold to its own rules).
+//! fix and exits.
 //!
-//! Exit codes: 0 clean, 1 new violations or stale baseline entries,
-//! 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 violations, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dronelint::{analyze_workspace, Baseline, GraphStats, Reconciled, RULES};
+use dronelint::{analyze_workspace, GraphStats, Violation, RULES};
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     json: bool,
     out: Option<PathBuf>,
     explain: Option<String>,
-    self_check: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     // Default root: the workspace two levels above this crate.
     let mut args = Args {
         root: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-        baseline: None,
         json: false,
         out: None,
         explain: None,
-        self_check: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a path")?);
-            }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
             }
             "--format" => match it.next().as_deref() {
                 Some("json") => args.json = true,
@@ -58,11 +49,10 @@ fn parse_args() -> Result<Args, String> {
             "--explain" => {
                 args.explain = Some(it.next().ok_or("--explain needs a rule id (e.g. R3)")?);
             }
-            "--self-check" => args.self_check = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: dronelint [--root PATH] [--baseline PATH] [--format human|json] \
-                     [--out PATH] [--explain R<N>] [--self-check]"
+                    "usage: dronelint [--root PATH] [--format human|json] [--out PATH] \
+                     [--explain R<N>]"
                         .to_string(),
                 )
             }
@@ -74,6 +64,10 @@ fn parse_args() -> Result<Args, String> {
 
 fn explain(rule_id: &str) -> ExitCode {
     let Some(ri) = RULES.iter().find(|ri| ri.id == rule_id) else {
+        if ["R1", "R2", "R6", "R7", "R10"].contains(&rule_id) {
+            println!("{rule_id} is a clippy lint now: see its `reason` in crates/clippy.toml");
+            return ExitCode::SUCCESS;
+        }
         eprintln!(
             "dronelint: unknown rule {rule_id}; known rules: {}",
             RULES.iter().map(|r| r.id).collect::<Vec<_>>().join(" ")
@@ -85,19 +79,6 @@ fn explain(rule_id: &str) -> ExitCode {
     println!("why:  {}", ri.rationale);
     println!("fix:  {}", ri.fix);
     ExitCode::SUCCESS
-}
-
-fn load_baseline(args: &Args) -> Result<Baseline, String> {
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("dronelint.baseline.json"));
-    match std::fs::read_to_string(&path) {
-        Ok(text) => Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display())),
-        // No baseline file means no grandfathered violations.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -115,15 +96,15 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders the full JSON report: new violations, stale baseline
-/// entries, and the item-graph statistics.
-fn render_json(r: &Reconciled, stats: &GraphStats) -> String {
+/// Renders the full JSON report: violations and the item-graph
+/// statistics.
+fn render_json(violations: &[Violation], stats: &GraphStats) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"violations\": [");
-    let n = r.new.len();
-    for (i, v) in r.new.iter().enumerate() {
+    let n = violations.len();
+    for (i, v) in violations.iter().enumerate() {
         let comma = if i + 1 < n { "," } else { "" };
         let _ = writeln!(
             s,
@@ -138,21 +119,6 @@ fn render_json(r: &Reconciled, stats: &GraphStats) -> String {
         );
     }
     let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"stale_baseline_entries\": [");
-    let m = r.stale.len();
-    for (i, e) in r.stale.iter().enumerate() {
-        let comma = if i + 1 < m { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"snippet\": \"{}\"}}{}",
-            e.rule,
-            json_escape(&e.path),
-            json_escape(&e.snippet),
-            comma
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"baselined\": {},", r.baselined);
     let _ = writeln!(s, "  \"graph\": {{");
     let _ = writeln!(s, "    \"files_scanned\": {},", stats.files_scanned);
     let _ = writeln!(s, "    \"graph_files\": {},", stats.graph_files);
@@ -169,8 +135,8 @@ fn render_json(r: &Reconciled, stats: &GraphStats) -> String {
     s
 }
 
-fn print_human(r: &Reconciled, stats: &GraphStats) {
-    for v in &r.new {
+fn print_human(violations: &[Violation], stats: &GraphStats) {
+    for v in violations {
         let name = RULES
             .iter()
             .find(|ri| ri.id == v.rule)
@@ -181,12 +147,6 @@ fn print_human(r: &Reconciled, stats: &GraphStats) {
             v.path, v.line, v.col, v.message, v.rule, name
         );
         println!("    {}", v.snippet);
-    }
-    for e in &r.stale {
-        println!(
-            "stale baseline entry: [{}] {} `{}` — the violation is fixed; remove it from the baseline",
-            e.rule, e.path, e.snippet
-        );
     }
     println!(
         "dronelint: {} file(s), graph {} fns / {} types / {} edges, R3 scope {} file(s) \
@@ -201,15 +161,10 @@ fn print_human(r: &Reconciled, stats: &GraphStats) {
         stats.island_fns,
         stats.wall_ms
     );
-    if r.new.is_empty() && r.stale.is_empty() {
-        println!("dronelint: clean ({} baselined)", r.baselined);
+    if violations.is_empty() {
+        println!("dronelint: clean");
     } else {
-        println!(
-            "dronelint: {} new violation(s), {} stale baseline entr(ies), {} baselined",
-            r.new.len(),
-            r.stale.len(),
-            r.baselined
-        );
+        println!("dronelint: {} violation(s)", violations.len());
     }
 }
 
@@ -224,20 +179,11 @@ fn main() -> ExitCode {
     if let Some(rule) = &args.explain {
         return explain(rule);
     }
-    let baseline = if args.self_check {
-        // The self-check ignores the baseline: the lint's own crate
-        // must be clean outright.
-        Baseline::default()
-    } else {
-        match load_baseline(&args) {
-            Ok(b) => b,
-            Err(msg) => {
-                eprintln!("dronelint: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-    // dronelint:allow(R2, wall-clock here times the lint run itself for the JSON report; no simulation state depends on it)
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "times the lint run itself for the report; no simulation state reads it"
+    )]
     let started = std::time::Instant::now();
     let mut analysis = match analyze_workspace(&args.root) {
         Ok(a) => a,
@@ -246,26 +192,20 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // dronelint:allow(R2, see above: diagnostic timing only)
     analysis.stats.wall_ms = started.elapsed().as_millis();
-    if args.self_check {
-        analysis
-            .violations
-            .retain(|v| v.path.starts_with("crates/dronelint/"));
-    }
-    let r = baseline.reconcile(analysis.violations);
+    let violations = &analysis.violations;
     if args.json {
-        print!("{}", render_json(&r, &analysis.stats));
+        print!("{}", render_json(violations, &analysis.stats));
     } else {
-        print_human(&r, &analysis.stats);
+        print_human(violations, &analysis.stats);
     }
     if let Some(out) = &args.out {
-        if let Err(e) = std::fs::write(out, render_json(&r, &analysis.stats)) {
+        if let Err(e) = std::fs::write(out, render_json(violations, &analysis.stats)) {
             eprintln!("dronelint: writing {}: {e}", out.display());
             return ExitCode::from(2);
         }
     }
-    if r.new.is_empty() && r.stale.is_empty() {
+    if violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -1,10 +1,9 @@
 // Fixture: inline suppressions. Scanned with the pretend path
 // crates/vdc/src/suppressed.rs.
-use std::collections::HashMap; // dronelint:allow(R1, interop shim; keys are re-sorted before any iteration)
+pub static mut TICKS: u64 = 0; // dronelint:allow(R5, written once before any thread starts)
 
-// dronelint:allow(R1, scratch map local to one tick; order never observed)
-pub fn scratch() -> HashMap<u32, u32> {
-    // The call below is deliberately NOT suppressed: an allow
-    // directive covers exactly one code line.
-    HashMap::new()
-}
+// dronelint:allow(R5, test hook; reset by every run before its first read)
+pub static HOOK: std::sync::Mutex<u32> = std::sync::Mutex::new(0);
+// The static below is deliberately NOT suppressed: an allow
+// directive covers exactly one code line.
+pub static HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

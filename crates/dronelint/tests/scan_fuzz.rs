@@ -37,8 +37,8 @@ const FRAGMENTS: &[&str] = &[
     "#[test]",
     "mod tests {",
     "x.unwrap();",
-    "HashMap::new()",
-    "// dronelint:allow(R1, fuzz reason)",
+    "static mut N: u8 = 0;",
+    "// dronelint:allow(R5, fuzz reason)",
     "\\",
     "\"",
     "#",

@@ -143,15 +143,14 @@ impl StateHash for Estimator {
 mod tests {
     use super::*;
     use androne_hal::{GeoPoint, Imu, VehicleTruth};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use androne_simkern::stream_rng;
 
     #[test]
     fn attitude_tracks_reference_within_divergence_bound() {
         let home = GeoPoint::new(43.6, -85.8, 0.0);
         let mut est = Estimator::new(home);
         let imu = Imu::default();
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = stream_rng(7);
         let mut truth = VehicleTruth::at_rest(home);
         // Vehicle slowly rolls to 0.2 rad while the estimator runs at
         // 400 Hz for 4 seconds.

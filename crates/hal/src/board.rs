@@ -1,7 +1,6 @@
 //! The assembled hardware board: all devices plus the claim table.
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::camera::Camera;
 use crate::device::{AlreadyClaimed, ClaimTable, DeviceKind};
@@ -61,7 +60,7 @@ impl HardwareBoard {
             gimbal: Gimbal::default(),
             claims: ClaimTable::new(),
             faults: SensorFaults::default(),
-            rng: SmallRng::seed_from_u64(seed),
+            rng: androne_simkern::stream_rng(seed),
         }
     }
 

@@ -167,8 +167,7 @@ fn gauss(rng: &mut impl Rng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use androne_simkern::stream_rng;
 
     fn truth() -> VehicleTruth {
         let mut t = VehicleTruth::at_rest(GeoPoint::new(43.6, -85.8, 0.0));
@@ -181,7 +180,7 @@ mod tests {
     fn gps_noise_is_bounded_and_unbiased() {
         let gps = Gps::default();
         let t = truth();
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = stream_rng(1);
         let mut sum_n = 0.0;
         for _ in 0..2_000 {
             let fix = gps.fix(&t, &mut rng);
@@ -196,7 +195,7 @@ mod tests {
     fn gps_reports_ground_speed() {
         let gps = Gps::default();
         let t = truth();
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = stream_rng(2);
         let fix = gps.fix(&t, &mut rng);
         assert!((fix.ground_speed - 5.0).abs() < 1e-9);
         assert!(fix.valid);
@@ -206,7 +205,7 @@ mod tests {
     fn imu_at_rest_reads_gravity() {
         let imu = Imu::default();
         let t = VehicleTruth::at_rest(GeoPoint::new(0.0, 0.0, 0.0));
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = stream_rng(3);
         let mut z = 0.0;
         for _ in 0..1_000 {
             z += imu.sample(&t, &mut rng).accel.z;
@@ -218,7 +217,7 @@ mod tests {
     fn barometer_round_trips_altitude() {
         let t = truth();
         let baro = Barometer { alt_noise_m: 0.0 };
-        let mut rng = SmallRng::seed_from_u64(4);
+        let mut rng = stream_rng(4);
         let p = baro.pressure_pa(&t, &mut rng);
         let alt = Barometer::altitude_from_pressure(p);
         assert!((alt - 50.0).abs() < 0.01, "alt {alt}");
@@ -227,7 +226,7 @@ mod tests {
     #[test]
     fn pressure_decreases_with_altitude() {
         let baro = Barometer { alt_noise_m: 0.0 };
-        let mut rng = SmallRng::seed_from_u64(5);
+        let mut rng = stream_rng(5);
         let mut low = truth();
         low.position.altitude = 0.0;
         let mut high = truth();
@@ -240,7 +239,7 @@ mod tests {
         let mag = Magnetometer::default();
         let mut t = truth();
         t.attitude.yaw = 1.0;
-        let mut rng = SmallRng::seed_from_u64(6);
+        let mut rng = stream_rng(6);
         let h = mag.heading(&t, &mut rng);
         assert!((h - 1.0).abs() < 0.1);
     }

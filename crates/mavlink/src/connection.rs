@@ -146,9 +146,8 @@ impl MavEndpoint {
 mod tests {
     use super::*;
     use crate::message::FlightMode;
+    use androne_simkern::stream_rng;
     use androne_simkern::SimDuration;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn hb() -> Message {
         Message::Heartbeat {
@@ -161,7 +160,7 @@ mod tests {
     #[test]
     fn ideal_link_delivers_immediately() {
         let (mut a, mut b) = channel(LinkModel::IDEAL, 255, 1);
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = stream_rng(1);
         let t = SimTime::from_nanos(1_000);
         a.send(hb(), t, &mut rng).unwrap();
         let frames = b.recv(t);
@@ -172,7 +171,7 @@ mod tests {
     #[test]
     fn delivery_respects_link_delay() {
         let (mut a, mut b) = channel(LinkModel::cellular_lte(), 255, 1);
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = stream_rng(2);
         let t0 = SimTime::ZERO;
         let at = a.send(hb(), t0, &mut rng).unwrap();
         assert!(at > t0 + SimDuration::from_millis(60), "LTE delay applies");
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn bidirectional_traffic_is_independent() {
         let (mut a, mut b) = channel(LinkModel::IDEAL, 255, 1);
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = stream_rng(3);
         let t = SimTime::ZERO;
         a.send(hb(), t, &mut rng);
         b.send(hb(), t, &mut rng);
@@ -198,7 +197,7 @@ mod tests {
             ..LinkModel::IDEAL
         };
         let (mut a, mut b) = channel(lossy, 255, 1);
-        let mut rng = SmallRng::seed_from_u64(4);
+        let mut rng = stream_rng(4);
         assert!(a.send(hb(), SimTime::ZERO, &mut rng).is_none());
         assert_eq!(a.packets_lost(), 1);
         assert!(b.recv(SimTime::from_nanos(u64::MAX / 2)).is_empty());
@@ -207,7 +206,7 @@ mod tests {
     #[test]
     fn sequence_numbers_increment() {
         let (mut a, mut b) = channel(LinkModel::IDEAL, 255, 1);
-        let mut rng = SmallRng::seed_from_u64(5);
+        let mut rng = stream_rng(5);
         let t = SimTime::ZERO;
         for _ in 0..3 {
             a.send(hb(), t, &mut rng);

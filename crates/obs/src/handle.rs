@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use crate::metrics::MetricsRegistry;
 use crate::recorder::{snapshot_window, BlackBoxSnapshot};
-use crate::trace::{Subsystem, TraceBus, TraceConfig, TraceEvent};
+use crate::trace::{Subsystem, TraceBus, TraceEvent};
 
 /// One flight's observability state: the trace bus plus the metrics
 /// registry, advanced together by the flight executor's sim clock.
@@ -37,11 +37,11 @@ pub struct ObsHandle {
 }
 
 impl ObsHandle {
-    /// A fresh attached handle with default trace sizing.
+    /// A fresh attached handle.
     pub fn attached() -> Self {
         ObsHandle {
             inner: Some(Rc::new(RefCell::new(Obs {
-                trace: TraceBus::new(TraceConfig::default()),
+                trace: TraceBus::new(),
                 metrics: MetricsRegistry::new(),
             }))),
         }

@@ -1,7 +1,8 @@
 //! Deterministic observability for the AnDrone simulation.
 //!
-//! Three pieces, all driven exclusively by **sim time** (dronelint R2
-//! applies to this crate — no `Instant`, no host entropy):
+//! Three pieces, all driven exclusively by **sim time** (clippy's R2
+//! ban in `crates/clippy.toml` applies to this crate — no `Instant`,
+//! no host entropy):
 //!
 //! - [`TraceBus`]: typed, sim-time-stamped event records (flight
 //!   phases, Binder transactions, MAVLink command verdicts, VDC
@@ -34,4 +35,4 @@ mod trace;
 pub use handle::{Obs, ObsHandle};
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_TAIL_CAP};
 pub use recorder::{metrics_to_json, snapshot_window, BlackBoxSnapshot, SnapshotRecord};
-pub use trace::{Subsystem, TraceBus, TraceConfig, TraceEvent, TraceRecord, TraceSegment};
+pub use trace::{Subsystem, TraceBus, TraceEvent, TraceRecord, TraceSegment};

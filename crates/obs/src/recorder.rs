@@ -306,10 +306,9 @@ pub fn metrics_to_json(metrics: &crate::MetricsRegistry) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceConfig;
 
     fn bus_with_records() -> TraceBus {
-        let mut b = TraceBus::new(TraceConfig::default());
+        let mut b = TraceBus::new();
         b.set_now_ns(1_000_000);
         b.emit(
             Subsystem::Binder,
@@ -341,6 +340,22 @@ mod tests {
         assert_eq!(snap.records.len(), 1);
         assert_eq!(snap.records[0].subsystem, "flight");
         assert!(snap.dropped.is_empty());
+    }
+
+    #[test]
+    fn snapshot_reports_ring_evictions() {
+        let mut bus = bus_with_records();
+        for _ in 0..crate::trace::RING_CAPACITY {
+            bus.emit(
+                Subsystem::Flight,
+                TraceEvent::FlightPhase {
+                    phase: "hover",
+                    detail: String::new(),
+                },
+            );
+        }
+        let snap = snapshot_window(&bus, u64::MAX, "LinkLost");
+        assert_eq!(snap.dropped, vec![("flight", 1)]);
     }
 
     #[test]

@@ -189,22 +189,24 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Bounded ring: pushes evict the oldest record past capacity, and
-/// evictions are counted so truncation is never silent.
+/// Capacity of each subsystem's ring, in records. 4096 records per
+/// subsystem holds tens of simulated seconds of the chattiest stream
+/// (telemetry-rate Binder traffic) — comfortably more than the
+/// recorder's snapshot window.
+pub(crate) const RING_CAPACITY: usize = 4096;
+
+/// Bounded ring: pushes evict the oldest record past
+/// [`RING_CAPACITY`], and evictions are counted so truncation is
+/// never silent.
 #[derive(Debug, Default)]
 struct Ring {
     records: VecDeque<TraceRecord>,
-    capacity: usize,
     dropped: u64,
 }
 
 impl Ring {
     fn push(&mut self, record: TraceRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.records.len() == self.capacity {
+        if self.records.len() == RING_CAPACITY {
             self.records.pop_front();
             self.dropped += 1;
         }
@@ -212,27 +214,9 @@ impl Ring {
     }
 }
 
-/// Trace bus sizing.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceConfig {
-    /// Capacity of each subsystem's ring, in records.
-    pub per_ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        // 4096 records/subsystem holds tens of simulated seconds of
-        // the chattiest stream (telemetry-rate Binder traffic) —
-        // comfortably more than the recorder's snapshot window.
-        TraceConfig {
-            per_ring_capacity: 4096,
-        }
-    }
-}
-
 /// The trace bus: one bounded ring per subsystem plus the sim clock
 /// stamp used for new records.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceBus {
     now_ns: u64,
     seq: u64,
@@ -244,17 +228,9 @@ impl Subsystem {
 }
 
 impl TraceBus {
-    /// An empty bus with the given per-ring capacity.
-    pub fn new(cfg: TraceConfig) -> Self {
-        let mut rings: [Ring; Subsystem::COUNT] = Default::default();
-        for ring in &mut rings {
-            ring.capacity = cfg.per_ring_capacity;
-        }
-        TraceBus {
-            now_ns: 0,
-            seq: 0,
-            rings,
-        }
+    /// An empty bus.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Advances the sim-time stamp applied to subsequent records.
@@ -376,12 +352,6 @@ impl TraceSegment {
 mod tests {
     use super::*;
 
-    fn bus(cap: usize) -> TraceBus {
-        TraceBus::new(TraceConfig {
-            per_ring_capacity: cap,
-        })
-    }
-
     fn phase(detail: &str) -> TraceEvent {
         TraceEvent::FlightPhase {
             phase: "test",
@@ -391,7 +361,7 @@ mod tests {
 
     #[test]
     fn records_are_stamped_with_sim_time_and_sequence() {
-        let mut b = bus(8);
+        let mut b = TraceBus::new();
         b.set_now_ns(1_000);
         b.emit(Subsystem::Flight, phase("a"));
         b.set_now_ns(2_000);
@@ -406,26 +376,28 @@ mod tests {
 
     #[test]
     fn ring_overflow_drops_oldest_and_counts() {
-        let mut b = bus(2);
-        for i in 0..5 {
+        let mut b = TraceBus::new();
+        let pushed = RING_CAPACITY as u64 + 3;
+        for i in 0..pushed {
             b.set_now_ns(i * 100);
             b.emit(Subsystem::Vdc, phase(&i.to_string()));
         }
         let held: Vec<_> = b.records(Subsystem::Vdc).collect();
-        assert_eq!(held.len(), 2);
-        assert_eq!(held[0].t_ns, 300);
-        assert_eq!(held[1].t_ns, 400);
+        assert_eq!(held.len(), RING_CAPACITY);
+        assert_eq!(held[0].t_ns, 300, "the three oldest were evicted");
+        assert_eq!(held[RING_CAPACITY - 1].t_ns, (pushed - 1) * 100);
         assert_eq!(b.dropped(Subsystem::Vdc), 3);
         assert_eq!(b.dropped(Subsystem::Flight), 0);
     }
 
     #[test]
     fn rings_are_isolated_per_subsystem() {
-        let mut b = bus(1);
-        b.emit(Subsystem::Mavlink, phase("chatty"));
-        b.emit(Subsystem::Mavlink, phase("chattier"));
+        let mut b = TraceBus::new();
+        for _ in 0..=RING_CAPACITY {
+            b.emit(Subsystem::Mavlink, phase("chatty"));
+        }
         b.emit(Subsystem::Fault, phase("rare"));
-        assert_eq!(b.records(Subsystem::Mavlink).count(), 1);
+        assert_eq!(b.records(Subsystem::Mavlink).count(), RING_CAPACITY);
         assert_eq!(b.records(Subsystem::Fault).count(), 1);
         assert_eq!(b.dropped(Subsystem::Mavlink), 1);
         assert_eq!(b.dropped(Subsystem::Fault), 0);
@@ -433,7 +405,7 @@ mod tests {
 
     #[test]
     fn window_merges_rings_in_emission_order() {
-        let mut b = bus(8);
+        let mut b = TraceBus::new();
         b.set_now_ns(100);
         b.emit(Subsystem::Binder, phase("early"));
         b.set_now_ns(200);
@@ -448,16 +420,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_ring_drops_everything() {
-        let mut b = bus(0);
-        b.emit(Subsystem::Cloud, phase("x"));
-        assert!(b.is_empty());
-        assert_eq!(b.dropped(Subsystem::Cloud), 1);
-    }
-
-    #[test]
     fn segment_exports_named_rings_in_emission_order() {
-        let mut b = bus(8);
+        let mut b = TraceBus::new();
         b.set_now_ns(100);
         b.emit(Subsystem::Fault, phase("arm"));
         b.emit(Subsystem::Flight, phase("launch"));
@@ -474,12 +438,12 @@ mod tests {
 
     #[test]
     fn absorb_resequences_locally_and_keeps_timestamps() {
-        let mut island = bus(8);
+        let mut island = TraceBus::new();
         island.set_now_ns(1_000);
         island.emit(Subsystem::Fault, phase("arm"));
         let seg = island.segment(&[Subsystem::Fault]);
 
-        let mut fleet = bus(8);
+        let mut fleet = TraceBus::new();
         fleet.emit(Subsystem::Cloud, phase("wave"));
         fleet.absorb(&seg);
         let absorbed: Vec<_> = fleet.records(Subsystem::Fault).collect();
@@ -490,15 +454,17 @@ mod tests {
 
     #[test]
     fn absorb_respects_ring_capacity() {
-        let mut island = bus(8);
-        for i in 0..4 {
+        let mut island = TraceBus::new();
+        for i in 0..RING_CAPACITY as u64 {
             island.set_now_ns(i * 10);
             island.emit(Subsystem::Vdc, phase(&i.to_string()));
         }
         let seg = island.segment(&[Subsystem::Vdc]);
-        let mut fleet = bus(2);
+        let mut fleet = TraceBus::new();
+        fleet.emit(Subsystem::Vdc, phase("local-a"));
+        fleet.emit(Subsystem::Vdc, phase("local-b"));
         fleet.absorb(&seg);
-        assert_eq!(fleet.records(Subsystem::Vdc).count(), 2);
+        assert_eq!(fleet.records(Subsystem::Vdc).count(), RING_CAPACITY);
         assert_eq!(fleet.dropped(Subsystem::Vdc), 2);
     }
 }

@@ -252,9 +252,10 @@ mod tests {
         assert_eq!(s.routes.len(), 4, "each party gets its own route");
     }
 
+    use androne_simkern::stream_rng;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use rand::Rng;
 
     /// `n` random owner labels drawn from up to seven names.
     fn random_owners(rng: &mut SmallRng, n: usize) -> Vec<String> {
@@ -267,7 +268,7 @@ mod tests {
     proptest! {
         #[test]
         fn indexed_parties_match_the_scan(seed in any::<u64>()) {
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = stream_rng(seed);
             let n = rng.gen_range(1..16);
             let owners = random_owners(&mut rng, n);
             let mut parties: Vec<&str> = Vec::new();
@@ -295,7 +296,7 @@ mod tests {
 
         #[test]
         fn a_reused_index_repairs_like_a_fresh_one(seed in any::<u64>()) {
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = stream_rng(seed);
             let n = rng.gen_range(2..20);
             let owners = random_owners(&mut rng, n);
             let cap = rng.gen_range(1..4);

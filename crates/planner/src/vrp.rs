@@ -615,14 +615,14 @@ mod tests {
         p.validate(&sol).unwrap();
     }
 
+    use androne_simkern::stream_rng;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     /// A random problem, capped at 1–3 of its up to seven owners a
     /// route, and a random solution to it (a permutation of the tasks
     /// split over 1–5 routes, some of them empty).
     fn random_case(seed: u64) -> (VrpProblem, VrpSolution) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = stream_rng(seed);
         let n = rng.gen_range(0..24usize);
         let owners = rng.gen_range(1..8);
         let tasks = (0..n)

@@ -324,11 +324,10 @@ pub mod profiles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use crate::stream_rng;
 
     fn run(model: &LatencyModel, n: usize, seed: u64) -> (f64, f64) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = stream_rng(seed);
         let mut sum = 0.0;
         let mut max = 0.0f64;
         for _ in 0..n {
@@ -379,7 +378,7 @@ mod tests {
             Preemption::Preempt,
             vec![profiles::idle_housekeeping(), profiles::passmark_load()],
         );
-        let mut rng = SmallRng::seed_from_u64(14);
+        let mut rng = stream_rng(14);
         let mut misses = 0usize;
         let n = 500_000;
         for _ in 0..n {
@@ -396,7 +395,7 @@ mod tests {
 
     #[test]
     fn truncation_caps_samples() {
-        let mut rng = SmallRng::seed_from_u64(15);
+        let mut rng = stream_rng(15);
         for _ in 0..10_000 {
             let x = truncated_exp(&mut rng, 1_000.0, 50.0);
             assert!(x <= 50.0);

@@ -184,8 +184,7 @@ impl LinkModel {
 mod tests {
     use super::*;
     use crate::stats::Summary;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use crate::stream_rng;
 
     /// The LTE link in a degraded cell: same delay distribution, but
     /// bursty Gilbert–Elliott loss instead of independent loss.
@@ -199,7 +198,7 @@ mod tests {
     #[test]
     fn cellular_matches_section_65() {
         let link = LinkModel::cellular_lte();
-        let mut rng = SmallRng::seed_from_u64(65);
+        let mut rng = stream_rng(65);
         let mut s = Summary::new();
         let mut lost = 0u32;
         let n = 150_000;
@@ -218,7 +217,7 @@ mod tests {
 
     #[test]
     fn ideal_link_is_instant_and_lossless() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = stream_rng(1);
         for _ in 0..1000 {
             assert_eq!(LinkModel::IDEAL.sample(&mut rng), Some(SimDuration::ZERO));
         }
@@ -231,7 +230,7 @@ mod tests {
         // The long-run loss rate implied by the two-state chain.
         let pi_bad = burst.p_good_to_bad / (burst.p_good_to_bad + burst.p_bad_to_good);
         let expected = pi_bad * burst.loss_bad + (1.0 - pi_bad) * burst.loss_good;
-        let mut rng = SmallRng::seed_from_u64(66);
+        let mut rng = stream_rng(66);
         let mut state = LinkState::default();
         let mut lost = 0u32;
         let n = 200_000;
@@ -252,7 +251,7 @@ mod tests {
         // P(loss | previous packet lost) must exceed the marginal
         // loss rate — that is what makes the channel bursty.
         let link = cellular_lte_degraded();
-        let mut rng = SmallRng::seed_from_u64(67);
+        let mut rng = stream_rng(67);
         let mut state = LinkState::default();
         let (mut lost, mut lost_after_lost, mut prev_lost) = (0u32, 0u32, false);
         let n = 200_000;
@@ -277,8 +276,8 @@ mod tests {
     #[test]
     fn sample_with_without_burst_matches_sample() {
         let link = LinkModel::cellular_lte();
-        let mut a = SmallRng::seed_from_u64(68);
-        let mut b = SmallRng::seed_from_u64(68);
+        let mut a = stream_rng(68);
+        let mut b = stream_rng(68);
         let mut state = LinkState::default();
         for _ in 0..10_000 {
             assert_eq!(link.sample(&mut a), link.sample_with(&mut state, &mut b));
@@ -289,7 +288,7 @@ mod tests {
     #[test]
     fn rf_link_stays_within_hobby_band() {
         let link = LinkModel::rf_remote();
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = stream_rng(2);
         for _ in 0..10_000 {
             if let Some(d) = link.sample(&mut rng) {
                 let ms = d.as_secs_f64() * 1e3;

@@ -1,25 +1,33 @@
-//! The audited home for RNG construction (dronelint R10).
+//! The audited home for RNG construction.
 //!
 //! Every random stream in the simulation must be a pure function of
 //! the run seed, or determinism silently dies: an ad-hoc
 //! `SmallRng::seed_from_u64(seed + 1)` in one subsystem collides with
 //! another subsystem's stream, and a refactor that reorders draws
-//! perturbs every digest downstream. R10 therefore bans RNG
-//! construction everywhere in sim-state crates *except this file* —
+//! perturbs every digest downstream. `crates/clippy.toml` therefore
+//! bans `SeedableRng::seed_from_u64` (rule R10) in every workspace
+//! crate, and this module is the one place that expects it —
 //! constructing a stream means calling one of these funnels, each of
 //! which documents which stream family it creates and how the seed
 //! was derived.
 //!
 //! Stream families:
 //!
-//! - **kernel/root streams** ([`stream_rng`]): the per-kernel RNG and
-//!   any consumer handed a seed already derived through
+//! - **kernel/root streams** ([`stream_rng`]): the per-kernel RNG,
+//!   the hardware board's sensor-noise RNG (`HardwareBoard::new`;
+//!   `Drone::boot` passes the drone's seed plus one), any consumer
+//!   handed a seed already derived through
 //!   [`substream_seed`](crate::substream_seed) (e.g. the planner's
-//!   annealer, seeded per solve by its caller).
+//!   annealer, seeded per solve by its caller), and tests and benches
+//!   that seed their own inputs.
 //! - **fault streams** ([`fault_stream_rng`],
 //!   [`fleet_fault_stream_rng`]): dedicated XOR-separated streams for
 //!   fault-plan generation, so generating a plan never perturbs the
 //!   simulation streams it will be injected into.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the audited funnels are the one place RNG streams are constructed"
+)]
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

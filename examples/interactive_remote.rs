@@ -13,8 +13,7 @@ use androne::mavlink::{channel, deg_to_e7, MavResult, Message};
 use androne::simkern::{LinkModel, SimDuration, SimTime};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use androne::Drone;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use androne_simkern::stream_rng;
 
 fn main() {
     let base = GeoPoint::new(43.6084298, -85.8110359, 0.0);
@@ -53,7 +52,7 @@ fn main() {
     // The user's phone connects over LTE (tunnelled through the
     // per-container VPN).
     let (mut phone, mut vpn_endpoint) = channel(LinkModel::cellular_lte(), 254, 1);
-    let mut rng = SmallRng::seed_from_u64(5);
+    let mut rng = stream_rng(5);
     let mut now = SimTime::ZERO;
     let step = SimDuration::from_micros(2_500);
 

@@ -1,25 +1,30 @@
 #!/usr/bin/env bash
 # Determinism/safety lint + dual-run sanitizer gate.
 #
-# 1. dronelint: item-graph rules R1-R10 over the workspace, reconciled
-#    against dronelint.baseline.json (new violations or stale entries
-#    fail; the baseline only shrinks). The machine-readable report —
-#    violations plus call-graph statistics — is written to
-#    target/dronelint-report.json for CI to upload.
-# 2. dronelint --self-check: the lint crate itself must be clean under
-#    its own rules, with no baseline escape hatch.
-# 3. The state-hash sanitizer: runs the full-system mission twice
-#    under one seed and scans to the first divergent tick if the
-#    per-second component hashes ever differ.
-# 4. The dependency-use guard: every `[dependencies]` entry of a
+# 1. The dependency-use guard: every `[dependencies]` entry of a
 #    `crates/*/Cargo.toml` must be named (as its `snake_case` crate
 #    identifier) under that crate's `src/` or `benches/`, and every
 #    `[dev-dependencies]` entry under `src/`, `tests/`, `benches/` or
 #    a `[[test]]`/`[[example]]`/`[[bench]]` path the manifest lists.
+# 2. clippy on every target with warnings denied. `crates/clippy.toml`
+#    bans, on resolved paths, what only names a type or a function:
+#    HashMap/HashSet (rules R1, R6, R7), Instant/SystemTime (R2) and
+#    seed_from_u64 outside simkern::rng (R10). Its `reason` strings
+#    carry the rule ids; exemptions are `#[expect(.., reason)]`, which
+#    fail once stale.
+# 3. dronelint: the item-graph rules R0, R3, R4, R5, R8 and R9 over
+#    the workspace. The machine-readable report — violations plus
+#    call-graph statistics — is written to
+#    target/dronelint-report.json for CI to upload.
+# 4. The state-hash sanitizer: runs the full-system mission twice
+#    under one seed and scans to the first divergent tick if the
+#    per-second component hashes ever differ.
 #
 # Usage: scripts/lint.sh                 run the full gate
 #        scripts/lint.sh --explain R<N>  print one rule's rationale
 #                                        and example fix, then exit
+#                                        (R1, R2, R6, R7 and R10 point
+#                                        to crates/clippy.toml)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,12 +61,12 @@ if [[ $unused != 0 ]]; then
     exit 1
 fi
 
-echo "== dronelint (rules R1-R10, inferred scopes, ratcheted baseline) =="
+echo "== clippy (crates/clippy.toml: R1, R2, R6, R7, R10 on resolved paths) =="
+cargo clippy -q --all-targets -- -D warnings
+
+echo "== dronelint (rules R0, R3, R4, R5, R8, R9, inferred scopes) =="
 mkdir -p target
 cargo run -q -p dronelint -- --out target/dronelint-report.json
-
-echo "== dronelint self-check (crates/dronelint under its own rules) =="
-cargo run -q -p dronelint -- --self-check
 
 echo "== dual-run determinism sanitizer =="
 cargo test -q -p androne --test determinism

@@ -251,15 +251,14 @@ fn cellular_loss_does_not_wedge_the_command_stream() {
     // Drive MAVLink traffic through a deliberately lossy cellular
     // link: lost packets vanish but every delivered frame decodes.
     use androne::mavlink::{channel, FlightMode, Message};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use androne_simkern::stream_rng;
 
     let lossy = LinkModel {
         loss_prob: 0.2,
         ..LinkModel::cellular_lte()
     };
     let (mut ground, mut drone_end) = channel(lossy, 255, 1);
-    let mut rng = SmallRng::seed_from_u64(9);
+    let mut rng = stream_rng(9);
     let mut t = SimTime::ZERO;
     let mut delivered = 0;
     for _ in 0..2_000 {
