@@ -217,7 +217,7 @@ mod tests {
     fn baro_blends_altitude() {
         let home = GeoPoint::new(43.6, -85.8, 0.0);
         let mut est = Estimator::new(home);
-        let p_50m = 101_325.0 * (1.0 - 2.25577e-5 * 50.0f64).powf(5.25588);
+        let p_50m = Barometer::pressure_at_altitude(50.0);
         for _ in 0..60 {
             est.baro_update(p_50m);
         }

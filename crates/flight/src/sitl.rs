@@ -151,8 +151,9 @@ impl Sitl {
                         };
                         self.last_baro = Some(p);
                         let p = if let SensorFaultMode::Bias(b) = mode {
-                            let alt = Barometer::altitude_from_pressure(p) + b;
-                            101_325.0 * (1.0 - 2.25577e-5 * alt).powf(5.25588)
+                            Barometer::pressure_at_altitude(
+                                Barometer::altitude_from_pressure(p) + b,
+                            )
                         } else {
                             p
                         };

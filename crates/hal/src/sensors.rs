@@ -118,13 +118,17 @@ impl Barometer {
     /// Pressure in pascals at the vehicle's true altitude (ISA model),
     /// with sensor noise folded in as altitude error.
     pub fn pressure_pa(&self, truth: &VehicleTruth, rng: &mut impl Rng) -> f64 {
-        let alt = truth.position.altitude + gauss(rng) * self.alt_noise_m;
-        // International Standard Atmosphere, troposphere.
+        Self::pressure_at_altitude(truth.position.altitude + gauss(rng) * self.alt_noise_m)
+    }
+
+    /// Pressure in pascals at `alt` meters (International Standard
+    /// Atmosphere, troposphere).
+    pub fn pressure_at_altitude(alt: f64) -> f64 {
         101_325.0 * (1.0 - 2.25577e-5 * alt).powf(5.25588)
     }
 
     /// Altitude in meters derived from a pressure reading (the inverse
-    /// of [`Barometer::pressure_pa`]).
+    /// of [`Barometer::pressure_at_altitude`]).
     pub fn altitude_from_pressure(pressure_pa: f64) -> f64 {
         (1.0 - (pressure_pa / 101_325.0).powf(1.0 / 5.25588)) / 2.25577e-5
     }

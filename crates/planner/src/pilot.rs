@@ -198,7 +198,7 @@ impl Autopilot {
             PilotState::TakingOff => {
                 proxy.step(sitl);
                 if sitl.position().altitude >= self.cruise_alt - 1.0 {
-                    self.advance_to_next_leg(0, proxy, sitl, &mut events);
+                    self.advance_to_next_leg(0, proxy, sitl);
                 }
             }
             PilotState::EnRoute { leg } => {
@@ -245,7 +245,7 @@ impl Autopilot {
                         },
                         sitl,
                     );
-                    self.advance_to_next_leg(leg + 1, proxy, sitl, &mut events);
+                    self.advance_to_next_leg(leg + 1, proxy, sitl);
                 }
             }
             PilotState::Returning => {
@@ -268,13 +268,7 @@ impl Autopilot {
         events
     }
 
-    fn advance_to_next_leg(
-        &mut self,
-        next: usize,
-        proxy: &mut MavProxy,
-        sitl: &mut Sitl,
-        _events: &mut [PilotEvent],
-    ) {
+    fn advance_to_next_leg(&mut self, next: usize, proxy: &mut MavProxy, sitl: &mut Sitl) {
         if next < self.plan.legs.len() {
             let mut target = self.plan.legs[next].position;
             if target.altitude < 2.0 {
