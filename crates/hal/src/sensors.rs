@@ -48,11 +48,13 @@ impl Default for Gps {
 impl Gps {
     /// Produces a fix from the current truth.
     pub fn fix(&self, truth: &VehicleTruth, rng: &mut impl Rng) -> GpsFix {
-        let n = gauss(rng) * self.horiz_noise_m;
-        let e = gauss(rng) * self.horiz_noise_m;
-        let u = gauss(rng) * self.vert_noise_m;
+        let [n, e, u] = normals(rng);
         GpsFix {
-            position: truth.position.offset_m(n, e, u),
+            position: truth.position.offset_m(
+                n * self.horiz_noise_m,
+                e * self.horiz_noise_m,
+                u * self.vert_noise_m,
+            ),
             ground_speed: truth.velocity.norm_xy(),
             course: truth.velocity.y.atan2(truth.velocity.x),
             satellites: 11,
@@ -94,9 +96,11 @@ impl Default for Imu {
 impl Imu {
     /// Produces a sample from the current truth.
     pub fn sample(&self, truth: &VehicleTruth, rng: &mut impl Rng) -> ImuSample {
+        let [ax, ay, az, gx, gy, gz] = normals(rng);
+        let (a, g) = (self.accel_noise, self.gyro_noise);
         ImuSample {
-            accel: truth.specific_force + noise3(rng, self.accel_noise),
-            gyro: truth.body_rates + self.gyro_bias + noise3(rng, self.gyro_noise),
+            accel: truth.specific_force + Vec3::new(ax * a, ay * a, az * a),
+            gyro: truth.body_rates + self.gyro_bias + Vec3::new(gx * g, gy * g, gz * g),
         }
     }
 }
@@ -118,7 +122,8 @@ impl Barometer {
     /// Pressure in pascals at the vehicle's true altitude (ISA model),
     /// with sensor noise folded in as altitude error.
     pub fn pressure_pa(&self, truth: &VehicleTruth, rng: &mut impl Rng) -> f64 {
-        Self::pressure_at_altitude(truth.position.altitude + gauss(rng) * self.alt_noise_m)
+        let [z] = normals(rng);
+        Self::pressure_at_altitude(truth.position.altitude + z * self.alt_noise_m)
     }
 
     /// Pressure in pascals at `alt` meters (International Standard
@@ -152,20 +157,36 @@ impl Default for Magnetometer {
 impl Magnetometer {
     /// Measured heading (yaw) in radians.
     pub fn heading(&self, truth: &VehicleTruth, rng: &mut impl Rng) -> f64 {
-        truth.attitude.yaw + gauss(rng) * self.heading_noise
+        let [z] = normals(rng);
+        truth.attitude.yaw + z * self.heading_noise
     }
 }
 
-/// A 3-vector of independent zero-mean Gaussian noise with sigma `s`.
-fn noise3(rng: &mut impl Rng, s: f64) -> Vec3 {
-    Vec3::new(gauss(rng) * s, gauss(rng) * s, gauss(rng) * s)
-}
-
-/// Standard normal draw via Box-Muller.
-fn gauss(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-300);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// `N` independent standard normal draws by Marsaglia's polar method.
+///
+/// Each pair rejects points of the square [-1, 1)² until one lands
+/// strictly inside the unit disc (0 < s < 1), then scales both
+/// coordinates by sqrt(-2 ln s / s): one `ln` and one `sqrt` per two
+/// normals, no trig. An odd `N` drops its last pair's second half.
+/// No spare normal is carried to the next call, so a sensor that
+/// skips a sample (dropout, stuck) skips exactly its own draws.
+fn normals<const N: usize>(rng: &mut impl Rng) -> [f64; N] {
+    let mut out = [0.0; N];
+    for pair in out.chunks_mut(2) {
+        let (x, y, s) = loop {
+            let x = 2.0 * rng.gen::<f64>() - 1.0;
+            let y = 2.0 * rng.gen::<f64>() - 1.0;
+            let s = x * x + y * y;
+            if s > 0.0 && s < 1.0 {
+                break (x, y, s);
+            }
+        };
+        let f = (-2.0 * s.ln() / s).sqrt();
+        for (z, u) in pair.iter_mut().zip([x, y]) {
+            *z = u * f;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
