@@ -285,11 +285,11 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
 /// the per-tenant-only posture. Thread-matrix and dual-run equality
 /// cannot see a drift that is the same in every run; these absolute
 /// pins can.
-const COLLUSION_PER_TENANT_PIN: (u64, u64) = (0xf7e663437c7f47b7, 0xcad9cc022b709fe7);
+const COLLUSION_PER_TENANT_PIN: (u64, u64) = (0x63fd855d77e6fecd, 0x43d1a6bcfc2e8f19);
 
 /// `(fleet_digest, metrics_digest)` of the same campaign under the
 /// hardened posture.
-const COLLUSION_HARDENED_PIN: (u64, u64) = (0xad55dfc8c6bd883e, 0x8aaf6a6549f78085);
+const COLLUSION_HARDENED_PIN: (u64, u64) = (0x7e280057555165f0, 0x3701bd6023282c9f);
 
 /// Invariant (b), pinned: synchronized collusion — three co-resident
 /// tenants cycling save → burst → glide on the same phase — breaches

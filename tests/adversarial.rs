@@ -365,11 +365,11 @@ fn cyclictest_bounds_the_throttled_attack_and_exposes_the_raw_one() {
 /// `(fleet_digest, metrics_digest)` of the escalation-ladder run.
 /// Thread-matrix and dual-run equality cannot see a drift that is the
 /// same in every run; these absolute pins can.
-const LADDER_PIN: (u64, u64) = (0x0822b5162adda403, 0x95767b378e9f4e0b);
+const LADDER_PIN: (u64, u64) = (0x7fccf335ad47a43d, 0x8f5ed839287d61de);
 
 /// `(fleet_digest, metrics_digest)` of the hysteresis-recovery run
 /// (identical at every thread width).
-const RECOVERY_PIN: (u64, u64) = (0xf46142c3e08ae990, 0x983a8a67a80f561c);
+const RECOVERY_PIN: (u64, u64) = (0xe52ff94adf2d7a0c, 0x6f02689894ba4d32);
 
 /// Invariant (d) in depth: an aggressive flood against tight ladder
 /// thresholds walks budget → rate-halved → suspended → revoked, the

@@ -25,8 +25,9 @@ const SERVICE_S: f64 = 275.0;
 /// The ticks at which `vd2` drains its outbox.
 const DRAIN_TICKS: [u64; 2] = [300, 600];
 /// Trace digest of the flight, captured before the digest was made
-/// incremental.
-const LONG_FLIGHT_PIN: u64 = 0xdbf4_83d7_39ec_3461;
+/// incremental and re-captured when the sensor noise moved to
+/// polar-method pairs.
+const LONG_FLIGHT_PIN: u64 = 0xa7e0_7859_84e2_799c;
 
 fn spot(north: f64, east: f64) -> GeoPoint {
     BASE.offset_m(north, east, 15.0)

@@ -89,9 +89,11 @@ fn weather_abort_interrupts_and_flight_returns() {
 /// and aborted flight, then the resume from the VDR. Captured before
 /// the facade and the fleet island shared one deploy/harvest path;
 /// they pin that the facade's cloud-visible effects did not move.
+/// The second was re-captured when the sensor noise moved to
+/// polar-method pairs.
 const FACADE_PINS: [(u64, u64); 2] = [
     (0xe636_b9f7_5614_532e, 0x0),
-    (0x692f_97ca_6fbb_f30e, 0x40b2_fd9a_55b5_d0c0),
+    (0x44b1_4066_e2a5_7728, 0x40b3_56bb_b539_f4e0),
 ];
 
 fn facade_pin(androne: &Androne) -> (u64, u64) {
