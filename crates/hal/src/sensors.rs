@@ -259,6 +259,136 @@ mod tests {
         assert!(baro.pressure_pa(&low, &mut rng) > baro.pressure_pa(&high, &mut rng));
     }
 
+    /// Draws used by the sampler's statistical tests.
+    const DRAWS: usize = 200_000;
+
+    /// Mean and variance of `xs`.
+    fn moments(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+        (mean, var)
+    }
+
+    fn draws(seed: u64) -> Vec<f64> {
+        let mut rng = stream_rng(seed);
+        (0..DRAWS / 2)
+            .flat_map(|_| normals::<2>(&mut rng))
+            .collect()
+    }
+
+    #[test]
+    fn normals_have_zero_mean_and_unit_variance() {
+        let (mean, var) = moments(&draws(10));
+        // Standard errors at 200k draws: 0.0022 (mean), 0.0032 (var).
+        assert!(mean.abs() < 0.01, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.02, "variance {var}");
+    }
+
+    #[test]
+    fn normal_tails_match_the_gaussian() {
+        let zs = draws(11);
+        let share = |k: f64| zs.iter().filter(|z| z.abs() > k).count() as f64 / zs.len() as f64;
+        // P(|z| > 2) = 0.0455 (se 0.0005); P(|z| > 3) = 0.0027 (se 0.0001).
+        let (two, three) = (share(2.0), share(3.0));
+        assert!((two - 0.0455).abs() < 0.003, "|z| > 2 share {two}");
+        assert!((three - 0.0027).abs() < 0.0008, "|z| > 3 share {three}");
+    }
+
+    #[test]
+    fn halves_of_a_pair_are_uncorrelated() {
+        let mut rng = stream_rng(12);
+        let pairs: Vec<[f64; 2]> = (0..DRAWS / 2).map(|_| normals(&mut rng)).collect();
+        let n = pairs.len() as f64;
+        let (mx, my) = pairs
+            .iter()
+            .fold((0.0, 0.0), |(a, b), [x, y]| (a + x / n, b + y / n));
+        let (mut sxy, mut sxx, mut syy) = (0.0, 0.0, 0.0);
+        for [x, y] in &pairs {
+            sxy += (x - mx) * (y - my);
+            sxx += (x - mx) * (x - mx);
+            syy += (y - my) * (y - my);
+        }
+        let r = sxy / (sxx * syy).sqrt();
+        // Standard error of r at 100k pairs: 0.0032.
+        assert!(r.abs() < 0.015, "pair correlation {r}");
+    }
+
+    /// Asserts the sample sigma of `xs` is within 3% of `sigma`.
+    fn assert_sigma(what: &str, sigma: f64, xs: impl Iterator<Item = f64>) {
+        let got = moments(&xs.collect::<Vec<_>>()).1.sqrt();
+        assert!(
+            (got / sigma - 1.0).abs() < 0.03,
+            "{what}: sigma {got}, configured {sigma}"
+        );
+    }
+
+    /// [`assert_sigma`] on each axis of `vs`.
+    fn assert_axes(what: &str, sigmas: [f64; 3], vs: &[Vec3]) {
+        for (axis, sigma) in sigmas.into_iter().enumerate() {
+            let xs = vs.iter().map(|v| [v.x, v.y, v.z][axis]);
+            assert_sigma(&format!("{what} axis {axis}"), sigma, xs);
+        }
+    }
+
+    #[test]
+    fn each_sensor_draws_its_configured_sigma() {
+        const READS: usize = 20_000;
+        let t = truth();
+        let mut rng = stream_rng(13);
+
+        let imu = Imu::default();
+        let samples: Vec<ImuSample> = (0..READS).map(|_| imu.sample(&t, &mut rng)).collect();
+        let accel: Vec<Vec3> = samples.iter().map(|s| s.accel - t.specific_force).collect();
+        let gyro: Vec<Vec3> = samples.iter().map(|s| s.gyro - imu.gyro_bias).collect();
+        assert_axes("accel", [imu.accel_noise; 3], &accel);
+        assert_axes("gyro", [imu.gyro_noise; 3], &gyro);
+
+        let gps = Gps::default();
+        let offsets: Vec<Vec3> = (0..READS)
+            .map(|_| gps.fix(&t, &mut rng).position.ned_from(&t.position))
+            .collect();
+        let (h, v) = (gps.horiz_noise_m, gps.vert_noise_m);
+        assert_axes("gps", [h, h, v], &offsets);
+
+        let baro = Barometer::default();
+        let alts =
+            (0..READS).map(|_| Barometer::altitude_from_pressure(baro.pressure_pa(&t, &mut rng)));
+        assert_sigma("baro altitude", baro.alt_noise_m, alts);
+
+        let mag = Magnetometer::default();
+        let headings = (0..READS).map(|_| mag.heading(&t, &mut rng));
+        assert_sigma("magnetometer", mag.heading_noise, headings);
+    }
+
+    #[test]
+    fn boards_on_one_seed_stay_in_lockstep() {
+        use crate::board::HardwareBoard;
+        use rand::RngCore;
+        let home = GeoPoint::new(43.6, -85.8, 0.0);
+        let mut a = HardwareBoard::new(home, 14);
+        let mut b = HardwareBoard::new(home, 14);
+        let t = truth();
+        // The 400 Hz loop's mix: IMU every step, baro every 40th,
+        // GPS every 80th. Rejections vary the draws per call; both
+        // boards must still read the same values and end on the same
+        // stream position.
+        for step in 1..=4_000u64 {
+            assert_eq!(a.imu.sample(&t, &mut a.rng), b.imu.sample(&t, &mut b.rng));
+            if step % 40 == 0 {
+                let (pa, pb) = (
+                    a.barometer.pressure_pa(&t, &mut a.rng),
+                    b.barometer.pressure_pa(&t, &mut b.rng),
+                );
+                assert_eq!(pa.to_bits(), pb.to_bits());
+            }
+            if step % 80 == 0 {
+                assert_eq!(a.gps.fix(&t, &mut a.rng), b.gps.fix(&t, &mut b.rng));
+            }
+        }
+        assert_eq!(a.rng.next_u64(), b.rng.next_u64());
+    }
+
     #[test]
     fn magnetometer_tracks_yaw() {
         let mag = Magnetometer::default();
