@@ -25,12 +25,21 @@
 //!
 //! Results are written to `BENCH_binder_fanout.json` (override with
 //! `ANDRONE_BENCH_OUT`) including the speedup ratios the acceptance
-//! criteria gate on: ≥2× on the Binder echo round-trip and ≥3× on
-//! the 8-client fan-out.
+//! criteria gate on: ≥2× on the Binder echo round-trip, ≥3× on the
+//! 8-client fan-out and ≥1.8× on cached parcel translation. Each
+//! gate reads the median of at least 11 alternating-pair ratios
+//! (both sides timed back to back, the leading side flipping every
+//! pair); the ratios of the per-bench medians are reported ungated.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the pair-ratio gates time host wall-clock with Instant; no simulation state reads it"
+)]
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::time::Instant;
 
 use androne::binder::{
     add_service, get_service, BinderDriver, BinderError, BinderService, PValue, Parcel,
@@ -149,6 +158,10 @@ struct BinderFixture {
     sink: u32,
     /// Handles the client may embed in parcels (objref translation).
     extra: [u32; 4],
+    /// The seed's handle tables for `extra`: `BTreeMap`s in both
+    /// directions.
+    seed_src: BTreeMap<u32, u64>,
+    seed_dst: BTreeMap<u64, u32>,
 }
 
 fn binder_fixture() -> BinderFixture {
@@ -187,39 +200,85 @@ fn binder_fixture() -> BinderFixture {
         add_service(&mut driver, server, &name, node).unwrap();
         *slot = get_service(&mut driver, client, &name).unwrap();
     }
-    BinderFixture {
+    let mut fx = BinderFixture {
         driver,
         client,
         echo,
         deep_echo,
         sink,
         extra,
+        seed_src: extra.iter().map(|&h| (h, u64::from(h) + 100)).collect(),
+        seed_dst: extra
+            .iter()
+            .map(|&h| (u64::from(h) + 100, h + 50))
+            .collect(),
+    };
+    // Warm the translation cache once before measuring.
+    translate_op(&mut fx, false);
+    fx
+}
+
+/// One echo round-trip. Optimized (`slow = false`): the scalar fast
+/// path skips translation and the service reply is a COW `Rc` bump.
+/// Seed replica: the same dispatch plus the per-hop copies and scans
+/// the seed's `translate_parcel` performed (request hop and reply
+/// hop) and a deep clone in the service.
+fn echo_op(fx: &mut BinderFixture, slow: bool) {
+    if slow {
+        let p = seed_translate_hop(&make_request());
+        let reply = fx.driver.transact(fx.client, fx.deep_echo, 1, p).unwrap();
+        black_box(seed_translate_hop(&reply));
+    } else {
+        let p = make_request();
+        black_box(fx.driver.transact(fx.client, fx.echo, 1, p).unwrap());
     }
+}
+
+/// A request carrying the fixture's extra handles as object
+/// references.
+fn objref_request(fx: &BinderFixture) -> Parcel {
+    let mut p = Parcel::new();
+    p.push_i32(42);
+    for h in fx.extra {
+        p.push_binder(h);
+    }
+    p
+}
+
+/// One objref-carrying transaction. Optimized: the driver memoizes
+/// (src, dst) handle pairs, so a repeat translation is one cache hit
+/// per reference. Seed replica: the per-hop copy and two-pass scan,
+/// each handle resolved through both seed `BTreeMap`s, on top of the
+/// same dispatch.
+fn translate_op(fx: &mut BinderFixture, slow: bool) {
+    let mut p = objref_request(fx);
+    if slow {
+        p = seed_translate_hop(&p);
+        // Second pass of the seed's two-pass rewrite.
+        let rewritten: Vec<u32> = p
+            .values()
+            .iter()
+            .filter_map(|v| match v {
+                PValue::Binder(h) => {
+                    let node = fx.seed_src.get(h)?;
+                    fx.seed_dst.get(node).copied()
+                }
+                _ => None,
+            })
+            .collect();
+        black_box(&rewritten);
+        p.push_i32(rewritten.len() as i32);
+    }
+    black_box(fx.driver.transact(fx.client, fx.sink, 1, p).unwrap());
 }
 
 fn bench_binder(c: &mut Criterion) {
     let mut fx = binder_fixture();
-    let client = fx.client;
-    let (echo, deep_echo, sink, extra) = (fx.echo, fx.deep_echo, fx.sink, fx.extra);
-
-    // Optimized round-trip: scalar fast path skips translation; the
-    // service reply is a COW Rc bump.
     c.bench_function("echo_roundtrip/optimized", |b| {
-        b.iter(|| {
-            let p = make_request();
-            black_box(fx.driver.transact(client, echo, 1, p).unwrap())
-        })
+        b.iter(|| echo_op(&mut fx, false))
     });
-
-    // Seed replica: same dispatch, plus the per-hop copies and scans
-    // the seed's translate_parcel performed (request hop + reply
-    // hop) and a deep clone in the service.
     c.bench_function("echo_roundtrip/seed_replica", |b| {
-        b.iter(|| {
-            let p = seed_translate_hop(&make_request());
-            let reply = fx.driver.transact(client, deep_echo, 1, p).unwrap();
-            black_box(seed_translate_hop(&reply))
-        })
+        b.iter(|| echo_op(&mut fx, true))
     });
 
     // Parcel clone: COW Rc bump vs the seed's per-value rebuild.
@@ -235,57 +294,11 @@ fn bench_binder(c: &mut Criterion) {
         b.iter(|| black_box(deep_copy(&template)))
     });
 
-    // Objref translation: the optimized driver memoizes (src, dst)
-    // handle pairs, so repeat translations are one cache hit per
-    // reference. The seed replica adds the per-hop copy + two-pass
-    // scan it used to pay on top of the same dispatch.
-    let objref_request = || {
-        let mut p = Parcel::new();
-        p.push_i32(42);
-        for h in extra {
-            p.push_binder(h);
-        }
-        p
-    };
-    // Warm the translation cache once before measuring.
-    fx.driver
-        .transact(client, sink, 1, objref_request())
-        .unwrap();
     c.bench_function("parcel_translate/objref_cached", |b| {
-        b.iter(|| {
-            black_box(
-                fx.driver
-                    .transact(client, sink, 1, objref_request())
-                    .unwrap(),
-            )
-        })
+        b.iter(|| translate_op(&mut fx, false))
     });
     c.bench_function("parcel_translate/objref_seed_tables", |b| {
-        // Seed handle tables: BTreeMap in both directions.
-        let src: BTreeMap<u32, u64> = extra.iter().map(|&h| (h, u64::from(h) + 100)).collect();
-        let dst: BTreeMap<u64, u32> = extra
-            .iter()
-            .map(|&h| (u64::from(h) + 100, h + 50))
-            .collect();
-        b.iter(|| {
-            let mut p = seed_translate_hop(&objref_request());
-            // Second pass of the seed's two-pass rewrite: resolve
-            // each handle through both BTreeMaps.
-            let rewritten: Vec<u32> = p
-                .values()
-                .iter()
-                .filter_map(|v| match v {
-                    PValue::Binder(h) => {
-                        let node = src.get(h)?;
-                        dst.get(node).copied()
-                    }
-                    _ => None,
-                })
-                .collect();
-            black_box(&rewritten);
-            p.push_i32(rewritten.len() as i32);
-            black_box(fx.driver.transact(client, sink, 1, p).unwrap())
-        })
+        b.iter(|| translate_op(&mut fx, true))
     });
 }
 
@@ -501,49 +514,121 @@ impl SeedProxy {
     }
 }
 
-fn bench_fanout(c: &mut Criterion) {
+/// The shared and seed-replica proxies over the same `n` active VFC
+/// clients.
+struct FanoutFixture {
+    names: Vec<String>,
+    center: GeoPoint,
+    batch: Vec<Message>,
+    batch_rc: Vec<Rc<Message>>,
+    proxy: MavProxy,
+    seed: SeedProxy,
+}
+
+fn fanout_fixture(n: usize) -> FanoutFixture {
     let center = GeoPoint::new(37.42, -122.08, 30.0);
     let batch = telemetry_batch();
-    let batch_rc: Vec<Rc<Message>> = batch.iter().cloned().map(Rc::new).collect();
+    let names: Vec<String> = (0..n).map(|i| format!("vd{i}")).collect();
+    let mut proxy = MavProxy::new();
+    for name in &names {
+        proxy.add_vfc_client(active_vfc(name, center));
+    }
+    let seed = SeedProxy {
+        clients: names
+            .iter()
+            .map(|name| (name.clone(), (Some(active_vfc(name, center)), Vec::new())))
+            .collect(),
+    };
+    FanoutFixture {
+        batch_rc: batch.iter().cloned().map(Rc::new).collect(),
+        names,
+        center,
+        batch,
+        proxy,
+        seed,
+    }
+}
 
-    for n in FANOUT_CLIENTS {
-        let names: Vec<String> = (0..n).map(|i| format!("vd{i}")).collect();
-
-        // Optimized: one Rc bump per client per message; the
-        // active-VFC identity check is hoisted per client.
-        let mut proxy = MavProxy::new();
-        for name in &names {
-            proxy.add_vfc_client(active_vfc(name, center));
+/// [`STEPS_PER_DRAIN`] distribution steps, then one drain per client.
+/// Optimized: one `Rc` bump per client per message, the active-VFC
+/// identity check hoisted per client. Seed replica: an owned
+/// per-client, per-message transform.
+fn fanout_op(fx: &mut FanoutFixture, slow: bool) {
+    for _ in 0..STEPS_PER_DRAIN {
+        if slow {
+            fx.seed.distribute(&fx.batch, &fx.center);
+        } else {
+            fx.proxy.distribute_telemetry(&fx.batch_rc, &fx.center);
         }
-        c.bench_function(&format!("fanout/shared_n{n}"), |b| {
-            b.iter(|| {
-                for _ in 0..STEPS_PER_DRAIN {
-                    proxy.distribute_telemetry(&batch_rc, &center);
-                }
-                for name in &names {
-                    black_box(proxy.client_recv_shared(name).len());
-                }
-            })
-        });
+    }
+    for name in &fx.names {
+        if slow {
+            black_box(fx.seed.recv(name).len());
+        } else {
+            black_box(fx.proxy.client_recv_shared(name).len());
+        }
+    }
+}
 
-        // Seed replica: per-client per-message owned transform.
-        let mut seed = SeedProxy {
-            clients: names
-                .iter()
-                .map(|name| (name.clone(), (Some(active_vfc(name, center)), Vec::new())))
-                .collect(),
-        };
+fn bench_fanout(c: &mut Criterion) {
+    for n in FANOUT_CLIENTS {
+        let mut fx = fanout_fixture(n);
+        c.bench_function(&format!("fanout/shared_n{n}"), |b| {
+            b.iter(|| fanout_op(&mut fx, false))
+        });
         c.bench_function(&format!("fanout/deep_n{n}"), |b| {
-            b.iter(|| {
-                for _ in 0..STEPS_PER_DRAIN {
-                    seed.distribute(&batch, &center);
-                }
-                for name in &names {
-                    black_box(seed.recv(name).len());
-                }
-            })
+            b.iter(|| fanout_op(&mut fx, true))
         });
     }
+}
+
+// ---------------------------------------------------------------
+// Gates: medians of alternating-pair ratios
+// ---------------------------------------------------------------
+
+/// Ns per iteration of `op(slow)` over a batch of `iters`.
+fn batch_ns(op: &mut impl FnMut(bool), slow: bool, iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        op(slow);
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// A batch size that runs `op(slow)` for about 2 ms.
+fn calibrate(op: &mut impl FnMut(bool), slow: bool) -> u64 {
+    let mut iters = 1;
+    while iters < 1 << 24 && batch_ns(op, slow, iters) * (iters as f64) < 2e6 {
+        iters *= 4;
+    }
+    iters
+}
+
+/// `pairs` ratios of the seed replica's ns per iteration over the
+/// optimized path's, each pair timing one batch of both back to back.
+/// The leading side flips every pair, so a burst of host contention
+/// skews one pair rather than one side's whole median.
+fn pair_ratios(pairs: usize, mut op: impl FnMut(bool)) -> Vec<f64> {
+    let slow_iters = calibrate(&mut op, true);
+    let fast_iters = calibrate(&mut op, false);
+    (0..pairs)
+        .map(|pair| {
+            let (slow, fast) = if pair % 2 == 0 {
+                let slow = batch_ns(&mut op, true, slow_iters);
+                (slow, batch_ns(&mut op, false, fast_iters))
+            } else {
+                let fast = batch_ns(&mut op, false, fast_iters);
+                (batch_ns(&mut op, true, slow_iters), fast)
+            };
+            slow / fast
+        })
+        .collect()
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 // ---------------------------------------------------------------
@@ -578,22 +663,24 @@ fn main() {
     let ns = |name: &str| medians[name];
     let ratio = |slow: &str, fast: &str| ns(slow) / ns(fast);
 
-    let echo_speedup = ratio("echo_roundtrip/seed_replica", "echo_roundtrip/optimized");
-    let fanout8_speedup = ratio("fanout/deep_n8", "fanout/shared_n8");
-    let translate_speedup = ratio(
-        "parcel_translate/objref_seed_tables",
-        "parcel_translate/objref_cached",
-    );
-
     let mut ratios: Vec<(String, Value)> = vec![
-        ("echo_roundtrip".to_string(), Value::Number(echo_speedup)),
+        (
+            "echo_roundtrip".to_string(),
+            Value::Number(ratio(
+                "echo_roundtrip/seed_replica",
+                "echo_roundtrip/optimized",
+            )),
+        ),
         (
             "parcel_clone".to_string(),
             Value::Number(ratio("parcel_clone/deep", "parcel_clone/cow")),
         ),
         (
             "parcel_translate".to_string(),
-            Value::Number(translate_speedup),
+            Value::Number(ratio(
+                "parcel_translate/objref_seed_tables",
+                "parcel_translate/objref_cached",
+            )),
         ),
         (
             "codec_decode".to_string(),
@@ -610,10 +697,25 @@ fn main() {
         ));
     }
 
+    // The gates read the median of alternating-pair ratios, not a
+    // ratio of two medians taken seconds apart: at 3 samples per
+    // bench the latter flipped on an idle host. At least 11 pairs, as
+    // the fleet pool gate takes.
+    let pairs = usize::try_from((30 / androne_bench::scale()).max(11)).unwrap();
+    let mut binder = binder_fixture();
+    let echo_ratios = pair_ratios(pairs, |slow| echo_op(&mut binder, slow));
+    let translate_ratios = pair_ratios(pairs, |slow| translate_op(&mut binder, slow));
+    let mut fanout8 = fanout_fixture(8);
+    let fanout8_ratios = pair_ratios(pairs, |slow| fanout_op(&mut fanout8, slow));
+    let echo_speedup = median(&echo_ratios);
+    let fanout8_speedup = median(&fanout8_ratios);
+    let translate_speedup = median(&translate_ratios);
+    let list = |xs: &[f64]| Value::Array(xs.iter().map(|&x| Value::Number(x)).collect());
+
     let report = obj([
         (
             "schema",
-            Value::String("androne-bench/binder_fanout/v1".to_string()),
+            Value::String("androne-bench/binder_fanout/v2".to_string()),
         ),
         (
             "command",
@@ -638,15 +740,19 @@ fn main() {
         (
             "acceptance",
             obj([
+                ("pairs", Value::Number(pairs as f64)),
                 ("echo_roundtrip_min", Value::Number(2.0)),
                 ("echo_roundtrip_measured", Value::Number(echo_speedup)),
+                ("echo_roundtrip_pair_ratios", list(&echo_ratios)),
                 ("fanout_n8_min", Value::Number(3.0)),
                 ("fanout_n8_measured", Value::Number(fanout8_speedup)),
+                ("fanout_n8_pair_ratios", list(&fanout8_ratios)),
                 ("parcel_translate_min", Value::Number(1.8)),
                 (
                     "parcel_translate_measured",
                     Value::Number(translate_speedup),
                 ),
+                ("parcel_translate_pair_ratios", list(&translate_ratios)),
                 (
                     "pass",
                     Value::Bool(

@@ -20,9 +20,11 @@
 //! concurrently, so a tenant's latency is the sim time of the waves
 //! before its flight plus its own flight's duration).
 //!
-//! Finally it gates the per-second state digest's growth over a long
-//! hover flight: the digest must cost about the same late in a flight
-//! as early on.
+//! It gates the per-second state digest's growth over a long hover
+//! flight: the digest must cost about the same late in a flight as
+//! early on. Finally it splits the 400 Hz tick of a hovering drone
+//! into its SITL parts (IMU sample, estimator, controller, physics)
+//! and the proxy plus the rest, in ns per step.
 #![expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
@@ -33,9 +35,11 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, FleetTenant};
+use androne::flight::{Sitl, FAST_LOOP_HZ};
 use androne::hal::GeoPoint;
+use androne::mavlink::{FlightMode, MavCmd, Message};
 use androne::planner::{FlightPlan, Leg};
-use androne::simkern::{StateHash, StateHasher};
+use androne::simkern::{SimDuration, StateHash, StateHasher};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use androne::{execute_flight_probed, execute_scale_fleet, ScaleConfig, ScaleOutcome};
 use androne::{Drone, FlightProbe};
@@ -308,6 +312,162 @@ fn digest_growth() -> (f64, Value) {
     (growth, split)
 }
 
+/// Simulated seconds of the climb before the tick-split hover.
+const SPLIT_CLIMB_S: f64 = 20.0;
+
+/// Simulated seconds of the tick-split hover.
+const SPLIT_HOVER_S: f64 = 60.0;
+
+/// Fleet tenants riding the tick-split drone, as many as the digest
+/// growth flight carries (a drone's memory fits three).
+const SPLIT_TENANTS: usize = 3;
+
+/// The SITL parts the tick split times, in step order.
+const TICK_PARTS: [&str; 4] = ["imu_sample", "estimator", "controller", "physics"];
+
+/// The state one step of a SITL vehicle writes: truth, physics,
+/// estimator and controller.
+fn flight_state(sitl: &Sitl) -> [u64; 4] {
+    [
+        sitl.board.borrow().truth.borrow().hash_value(),
+        sitl.physics.hash_value(),
+        sitl.estimator.hash_value(),
+        sitl.fc.hash_value(),
+    ]
+}
+
+/// Arms `sitl` in Guided, takes off to 15 m and climbs for exactly
+/// [`SPLIT_CLIMB_S`], so the step count is known.
+fn climb(sitl: &mut Sitl) {
+    for msg in [
+        Message::SetMode {
+            mode: FlightMode::Guided,
+        },
+        Message::CommandLong {
+            command: MavCmd::ComponentArmDisarm,
+            params: [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        },
+        Message::CommandLong {
+            command: MavCmd::NavTakeoff,
+            params: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 15.0],
+        },
+    ] {
+        sitl.handle_message(&msg);
+    }
+    sitl.run_for(SimDuration::from_secs_f64(SPLIT_CLIMB_S));
+    assert!(sitl.position().altitude > 14.0, "the climb reached hover");
+}
+
+/// Ns per step of the 400 Hz tick of a hovering drone, whole and by
+/// part. The whole is `MavProxy::step` on a booted drone carrying
+/// [`SPLIT_TENANTS`] of the fleet's tenants (their VFC clients beside
+/// the pilot's), as the fleet flies it. The SITL parts are timed on a bare vehicle on the
+/// same board seed, stepped in lockstep by the no-fault path of
+/// `Sitl::step` written out part by part; after the hover the two
+/// vehicles' truth, physics, estimator and controller must hash
+/// equal, so the parts did exactly the step's work. GPS and
+/// barometer samples count to the estimator. `proxy_and_rest` is
+/// the whole less the parts: telemetry, flight log, fan-out and the
+/// proxy's per-step checks. The cost of one empty `Instant` span is
+/// taken off every span.
+fn tick_split() -> Value {
+    let mut drone = Drone::boot(BASE, SEED).expect("boot");
+    for t in tenants().into_iter().take(SPLIT_TENANTS) {
+        drone
+            .deploy_vdrone(&t.vd_name, t.spec, &[])
+            .expect("deploy");
+    }
+    let mut bare = Sitl::new(BASE, SEED.wrapping_add(1));
+    climb(&mut drone.sitl);
+    climb(&mut bare);
+    assert_eq!(
+        flight_state(&drone.sitl),
+        flight_state(&bare),
+        "the bare vehicle must start where the drone's does"
+    );
+
+    let span_ns = {
+        let mut spans: Vec<f64> = (0..10_001)
+            .map(|_| {
+                let t = Instant::now();
+                t.elapsed().as_nanos() as f64
+            })
+            .collect();
+        spans.sort_by(f64::total_cmp);
+        spans[spans.len() / 2]
+    };
+    let dt = 1.0 / FAST_LOOP_HZ;
+    let first = (SPLIT_CLIMB_S * FAST_LOOP_HZ) as u64 + 1;
+    let steps = (SPLIT_HOVER_S * FAST_LOOP_HZ) as u64;
+    let (mut whole_ns, mut part_ns) = (0.0, [0.0; 4]);
+    for step in first..first + steps {
+        let t = Instant::now();
+        drone.proxy.step(&mut drone.sitl);
+        whole_ns += t.elapsed().as_nanos() as f64;
+
+        let truth = *bare.board.borrow().truth.borrow();
+        let t0 = Instant::now();
+        let imu = {
+            let board = &mut *bare.board.borrow_mut();
+            board.imu.sample(&truth, &mut board.rng)
+        };
+        let t1 = Instant::now();
+        bare.estimator.imu_update(&imu, &truth.attitude, dt);
+        if step.is_multiple_of(80) {
+            let fix = {
+                let board = &mut *bare.board.borrow_mut();
+                board.gps.fix(&truth, &mut board.rng)
+            };
+            bare.estimator.gps_update(&fix, truth.velocity);
+        }
+        if step.is_multiple_of(40) {
+            let p = {
+                let board = &mut *bare.board.borrow_mut();
+                board.barometer.pressure_pa(&truth, &mut board.rng)
+            };
+            bare.estimator.baro_update(p);
+        }
+        black_box(bare.estimator.attitude_divergence(&truth.attitude));
+        let t2 = Instant::now();
+        let est = bare.estimator.state();
+        let motors = bare.fc.fast_loop(&est, truth.on_ground);
+        let t3 = Instant::now();
+        {
+            let board = bare.board.borrow();
+            let mut t = board.truth.borrow_mut();
+            board.motors.set_outputs(&mut t, motors);
+            bare.physics.step(&mut t, dt);
+        }
+        let t4 = Instant::now();
+        for (total, (a, b)) in part_ns
+            .iter_mut()
+            .zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4)])
+        {
+            *total += (b - a).as_nanos() as f64;
+        }
+    }
+    assert_eq!(
+        flight_state(&drone.sitl),
+        flight_state(&bare),
+        "the timed parts must be the step's work"
+    );
+    let per_step = |ns: f64| ns / steps as f64 - span_ns;
+    let whole = per_step(whole_ns);
+    let parts = part_ns.map(per_step);
+    let sum: f64 = parts.iter().sum();
+    obj(TICK_PARTS
+        .iter()
+        .zip(parts)
+        .map(|(name, ns)| (*name, Value::Number(ns)))
+        .chain([
+            ("proxy_and_rest", Value::Number(whole - sum)),
+            ("whole", Value::Number(whole)),
+            ("parts_over_whole", Value::Number(sum / whole)),
+            ("span_ns", Value::Number(span_ns)),
+            ("hover_sim_s", Value::Number(SPLIT_HOVER_S)),
+        ]))
+}
+
 fn obj(entries: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
     Value::Object(
         entries
@@ -440,6 +600,8 @@ fn main() {
     let (growth, digest_split) = digest_growth();
     let growth_pass = growth <= DIGEST_GROWTH_CEILING;
     let pass = pool_pass && ladder_pass && growth_pass;
+    let tick = tick_split();
+    let tick_line = serde_json::to_string(&tick).expect("serialize tick split");
 
     let report = obj([
         (
@@ -487,6 +649,14 @@ fn main() {
                 ("measured", Value::Number(growth)),
                 ("ceiling", Value::Number(DIGEST_GROWTH_CEILING)),
                 ("digest_split_us_per_sim_s", digest_split),
+            ]),
+        ),
+        (
+            "tick_split_ns_per_step",
+            obj([
+                ("host_cores", Value::Number(host_cores as f64)),
+                ("host_avx512dq", Value::Bool(host_avx512dq())),
+                ("split", tick),
             ]),
         ),
         (
@@ -547,6 +717,7 @@ fn main() {
     println!(
         "digest growth over a {GROWTH_FLIGHT_S:.0} sim-s hover: {growth:.2}x (ceiling {DIGEST_GROWTH_CEILING:.1}x)"
     );
+    println!("tick split over a {SPLIT_HOVER_S:.0} sim-s hover (ns/step): {tick_line}");
     println!("report written to {out_path}");
     assert!(
         pool_pass,
