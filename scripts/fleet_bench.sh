@@ -25,7 +25,10 @@
 # state digest's growth: the median digest ns per tick over the last
 # 10% of ticks over the median over the first 10% must stay at or
 # below 2 (`DIGEST_GROWTH_CEILING`; the report's `digest_growth`
-# object, with the host's core count).
+# object, with the host's core count). It also splits a hovering
+# drone's 400 Hz step into IMU sample, estimator, controller, physics
+# and the proxy plus the rest, in ns per step
+# (`tick_split_ns_per_step`, ungated).
 #
 # Usage: scripts/fleet_bench.sh [scale]
 #   scale: ANDRONE_BENCH_SCALE value (default 5; higher = faster,

@@ -4,7 +4,8 @@
 #
 # The report's `acceptance.pass` field records whether the gated
 # speedups held (>=2x Binder echo round-trip, >=3x 8-client
-# fan-out, >=1.8x cached parcel translation); this script fails if
+# fan-out, >=1.8x cached parcel translation), each read as the
+# median of at least 11 alternating-pair ratios; this script fails if
 # they did not.
 #
 # Usage: scripts/perf_smoke.sh [scale]
